@@ -59,7 +59,6 @@ from .prox import (
 )
 from .solver import (
     FitResult,
-    MarginCache,
     SolverOptions,
     SolverTrace,
     ablation_run,

@@ -23,16 +23,11 @@ explicit constants computed below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConstraintError, DomainError, LabelError, ShapeError, StateError
-
-if TYPE_CHECKING:  # containers are duck-typed here to avoid an import cycle
-    from .model import BinaryModel, MultiModel
-
-FEASIBILITY_TOL = 1e-8
+from .model import FEASIBILITY_TOL, BinaryModel, MultiModel
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,7 @@ def binary_penalty(b, w, hp: Hyperparams) -> float:
                  + 0.5 * hp.lambda3 * b * b)
 
 
-def binary_objective(model: "BinaryModel", data, hp: Hyperparams) -> BinaryObjectiveParts:
+def binary_objective(model: BinaryModel, data, hp: Hyperparams) -> BinaryObjectiveParts:
     """Evaluate F = f + g at a binary model."""
     _require_binary(data)
     m = binary_margins(model.b, model.w, data)
@@ -149,11 +144,9 @@ def binary_objective(model: "BinaryModel", data, hp: Hyperparams) -> BinaryObjec
 def binary_smooth_grad(margins, data, delta):
     """Gradient of f from cached margins: (1/n) sum_i phi'(m_i) (y_i; y_i x_i).
 
-    ``margins`` is either a MarginCache or the raw margin array and must
-    correspond to the point being differentiated.
+    ``margins`` must correspond to the point being differentiated.
     """
-    values = getattr(margins, "values", margins)
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(margins, dtype=float)
     if values.shape != (data.n,):
         raise StateError(
             f"margin cache has shape {values.shape}, expected ({data.n},)")
@@ -190,12 +183,6 @@ def multi_penalty(b, W, hp: Hyperparams) -> float:
                  + 0.5 * hp.lambda3 * (b @ b))
 
 
-def _check_feasible(b, W):
-    row = np.abs(np.asarray(W).sum(axis=1)).max() if np.asarray(W).size else 0.0
-    if max(row, abs(np.asarray(b).sum())) > FEASIBILITY_TOL:
-        raise ConstraintError("model violates the zero-sum constraints")
-
-
 def multi_smooth_from_margins(scores, labels, delta) -> float:
     """Average huberized loss of the negated wrong-class scores."""
     loss = huber_loss(-scores, delta)
@@ -203,10 +190,11 @@ def multi_smooth_from_margins(scores, labels, delta) -> float:
     return float(loss.sum() / labels.size)
 
 
-def multi_objective(model: "MultiModel", data, hp: Hyperparams) -> MultiObjectiveParts:
+def multi_objective(model: MultiModel, data, hp: Hyperparams) -> MultiObjectiveParts:
     """Evaluate H = l + G at a feasible multi-class model."""
     _require_multiclass(data)
-    _check_feasible(model.b, model.W)
+    if model.feasibility_residual() > FEASIBILITY_TOL:
+        raise ConstraintError("model violates the zero-sum constraints")
     m = multi_margins(model.b, model.W, data)
     smooth = multi_smooth_from_margins(m, data.labels, hp.delta)
     penalty = multi_penalty(model.b, model.W, hp)
@@ -228,10 +216,11 @@ def multi_grad_from_margins(scores, data, delta):
     return grad_b, grad_W
 
 
-def multi_smooth_grad(model: "MultiModel", data, delta):
+def multi_smooth_grad(model: MultiModel, data, delta):
     """Gradient of l at a feasible model; returns (J,) and (p, J) parts."""
     _require_multiclass(data)
-    _check_feasible(model.b, model.W)
+    if model.feasibility_residual() > FEASIBILITY_TOL:
+        raise ConstraintError("model violates the zero-sum constraints")
     m = multi_margins(model.b, model.W, data)
     return multi_grad_from_margins(m, data, delta)
 

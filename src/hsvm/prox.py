@@ -1,16 +1,18 @@
 """Proximal operators: scalar shrinkage, the binary prox step, the
-closed-form multi-class intercept step, and the exact dual breakpoint
-method for the zero-sum l1 proximal subproblem
+closed-form multi-class intercept step, and the exact zero-sum l1 prox
 
     min_w  (1/2)||w - z||^2 + lam ||w||_1   s.t.  e'w = 0.
 
 The dual reduces to the scalar root of gamma'(sigma) = e'S_lam(z - sigma),
-a continuous nonincreasing piecewise-linear function whose breakpoints are
-z_i +/- lam. The root interval is located by walking the sorted breakpoint
-vector starting from index J, then the affine piece is solved in closed
-form. When the root is a flat segment (w* = 0 cases), the segment midpoint
-is returned; every sigma in the segment yields the same w*.
-"""
+a continuous nonincreasing piecewise-linear function whose 2J breakpoints
+are z_i -/+ lam. One vectorised kernel solves all rows of a matrix in
+O(J log J) time and O(J) memory per row, as in the sort-and-prefix-sum
+l1-ball projection of Duchi et al. (ICML 2008): it sorts each row's
+breakpoints, evaluates gamma' at all of them from prefix sums, and solves
+the affine piece on which gamma' changes sign in closed form. When the
+root is a flat segment (the w* = 0 case, max z - min z <= 2 lam), the
+segment midpoint is returned; every sigma in the segment yields the same
+w*."""
 
 from __future__ import annotations
 
@@ -62,120 +64,71 @@ class DualProxResult:
     interval: tuple
 
 
-def _affine_root(z, lam, lo, hi):
-    """Root of the affine piece of gamma' on the breakpoint interval
-    (lo, hi); the interval midpoint decides the active set. Returns the
-    midpoint when the piece is flat (then gamma' is identically zero)."""
-    mid = 0.5 * (lo + hi)
-    hi_mask = z - lam > mid
-    lo_mask = z + lam < mid
-    count = int(hi_mask.sum() + lo_mask.sum())
-    if count == 0:
-        return mid
-    total = (z[hi_mask] - lam).sum() + (z[lo_mask] + lam).sum()
-    return total / count
+def _zero_sum_prox_rows(Z, lam):
+    """Zero-sum l1 prox of every row of the (p, J) matrix Z at once.
 
-
-def _sigma_bisect(z, lam):
-    """Defensive fallback: bisection on the bracketing interval. Only
-    reachable if the breakpoint walk leaves its bounds, which cannot happen
-    for finite inputs."""
-    lo, hi = z.min() - lam, z.max() + lam
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dual_residual(z, lam, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    return _affine_root(z, lam, lo, hi), (lo, hi)
+    Returns (W, sigma, lo, hi): the primal rows, their multipliers, and the
+    breakpoint interval [lo, hi] that brackets each sigma.
+    """
+    p, J = Z.shape
+    rows = np.arange(p)
+    # The prox commutes with a common shift of z and sigma; centring each
+    # row keeps the prefix sums below free of cancellation.
+    mu = Z.mean(axis=1)
+    Zc = Z - mu[:, None]
+    B = np.concatenate([Zc - lam, Zc + lam], axis=1)
+    order = np.argsort(B, axis=1)
+    V = np.take_along_axis(B, order, axis=1)
+    upper = order < J  # z_i - lam, active while sigma lies below it
+    # On the piece [V[m], V[m+1]], gamma'(sigma) = T[m] - n[m] sigma: the
+    # upper breakpoints right of m count with +1, the lower ones up to m
+    # with -1. A breakpoint equal to sigma adds zero on either side.
+    VU = np.where(upper, V, 0.0)
+    cum_up = np.cumsum(VU, axis=1)
+    T = cum_up[:, -1:] - cum_up + np.cumsum(V - VU, axis=1)
+    n_up = np.cumsum(upper, axis=1)
+    n = J - 2 * n_up + np.arange(1, 2 * J + 1)
+    # gamma' is positive left of its root, so the root lies on the piece
+    # that starts at the last positive breakpoint.
+    m = np.clip((T - n * V > 0).sum(axis=1) - 1, 0, 2 * J - 2)
+    # The middle piece is flat iff max z - min z <= 2 lam; gamma' vanishes
+    # on all of it and w* = 0, so sigma is its midpoint.
+    flat = n[:, J - 1] == 0
+    m[flat] = J - 1
+    lo, hi = V[rows, m], V[rows, m + 1]
+    root = np.clip(T[rows, m] / np.maximum(n[rows, m], 1), lo, hi)
+    sigma = np.where(flat, 0.5 * (lo + hi), root)
+    W = shrink(Zc - sigma[:, None], lam)
+    return W, sigma + mu, lo + mu, hi + mu
 
 
 def eq_constrained_l1_prox(z, lam) -> DualProxResult:
     """Exact minimizer of (1/2)||w - z||^2 + lam ||w||_1 s.t. e'w = 0.
 
-    Builds the sorted breakpoint vector v = sort(z - lam ; z + lam), walks
-    from index J to the sign-change interval of gamma', and solves the
-    affine equation gamma'(sigma) = 0 in closed form there. The primal
-    solution is w = S_lam(z - sigma*), exactly zero off the active set.
+    The one-row case of the row kernel behind :func:`multi_w_step`. The
+    primal solution is w = S_lam(z - sigma*), exactly zero off the active
+    set.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size < 2:
         raise DomainError("z must be a vector of dimension >= 2")
     if lam <= 0:
         raise DomainError("lam must be positive")
-    J = z.size
-    v = np.sort(np.concatenate([z - lam, z + lam]))
-    # gamma' at every breakpoint; O(J^2) but J is a class count.
-    resid = shrink(z[None, :] - v[:, None], lam).sum(axis=1)
-
-    l = J - 1  # 0-based: interval [v[l], v[l+1]] is the paper's l = J
-    while resid[l] * resid[l + 1] > 0.0:
-        l = l + 1 if resid[l] > 0 else l - 1
-        if not 0 <= l <= 2 * J - 2:
-            sigma, interval = _sigma_bisect(z, lam)
-            return DualProxResult(w=shrink(z - sigma, lam), sigma=float(sigma),
-                                  interval=interval)
-    lo, hi = v[l], v[l + 1]
-    sigma = lo if lo == hi else _affine_root(z, lam, lo, hi)
-    return DualProxResult(w=shrink(z - sigma, lam), sigma=float(sigma),
-                          interval=(float(lo), float(hi)))
-
-
-def _eq_prox_rows(Z, lam) -> np.ndarray:
-    """Row-wise zero-sum l1 prox, vectorized across the p independent
-    subproblems. Each row r solves the same dual as
-    :func:`eq_constrained_l1_prox` on Z[r]; flat root segments resolve to
-    their midpoint via the two one-sided affine roots."""
-    p, J = Z.shape
-    V = np.sort(np.concatenate([Z - lam, Z + lam], axis=1), axis=1)
-    # resid[r, m] = gamma'_r(V[r, m]); memory O(p * J^2).
-    resid = shrink(Z[:, None, :] - V[:, :, None], lam).sum(axis=2)
-    rows = np.arange(p)
-
-    def one_sided(idx_lo, idx_hi, fallback_idx, missing):
-        sigma = V[rows, fallback_idx].copy()
-        lo = V[rows[~missing], idx_lo[~missing]]
-        hi = V[rows[~missing], idx_hi[~missing]]
-        mid = 0.5 * (lo + hi)
-        zsub = Z[~missing]
-        hi_mask = zsub - lam > mid[:, None]
-        lo_mask = zsub + lam < mid[:, None]
-        count = hi_mask.sum(axis=1) + lo_mask.sum(axis=1)
-        total = ((zsub - lam) * hi_mask).sum(axis=1) \
-            + ((zsub + lam) * lo_mask).sum(axis=1)
-        # A zero-slope interval only arises when roundoff turns a flat root
-        # segment's endpoint residuals into tiny signed values; the segment
-        # midpoint is then the correct root.
-        sigma[~missing] = np.where(count > 0,
-                                   total / np.maximum(count, 1), mid)
-        return sigma
-
-    count_pos = (resid > 0).sum(axis=1)
-    count_neg = (resid < 0).sum(axis=1)
-    no_pos = count_pos == 0
-    no_neg = count_neg == 0
-    a = np.maximum(count_pos - 1, 0)
-    sigma_lo = one_sided(a, a + 1, np.zeros(p, dtype=int), no_pos)
-    b = np.minimum(2 * J - count_neg, 2 * J - 1)
-    sigma_hi = one_sided(b - 1, b, np.full(p, 2 * J - 1), no_neg)
-    sigma = 0.5 * (sigma_lo + sigma_hi)
-    return shrink(Z - sigma[:, None], lam)
+    W, sigma, lo, hi = _zero_sum_prox_rows(z[None, :], lam)
+    return DualProxResult(w=W[0], sigma=float(sigma[0]),
+                          interval=(float(lo[0]), float(hi[0])))
 
 
 def multi_b_step(b_hat, grad_b, L_k, lambda3) -> np.ndarray:
-    """Closed-form zero-sum intercept update via the parametrization
-    b = P b_bar with P stacking I_{J-1} over -e'."""
+    """Closed-form zero-sum intercept update: with q = L_k b_hat - grad_b,
+    the multiplier of e'b = 0 is mean(q), so b = (q - mean(q)) / (L_k +
+    lambda3)."""
     b_hat = np.asarray(b_hat, dtype=float)
     grad_b = np.asarray(grad_b, dtype=float)
     if L_k + lambda3 <= 0:
         raise DomainError("need L_k + lambda3 > 0")
-    J = b_hat.size
-    P = np.vstack([np.eye(J - 1), -np.ones((1, J - 1))])
     q = L_k * b_hat - grad_b
-    b_bar = np.linalg.solve(P.T @ P, P.T @ q) / (lambda3 + L_k)
-    return P @ b_bar
+    return (q - q.mean()) / (L_k + lambda3)
 
 
 def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
@@ -191,4 +144,4 @@ def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
     lam = lambda1 / (L_k + lambda2)
     if lam == 0.0:
         return Z - Z.mean(axis=1, keepdims=True)
-    return _eq_prox_rows(Z, lam)
+    return _zero_sum_prox_rows(Z, lam)[0]

@@ -84,15 +84,6 @@ class SolverOptions:
 
 
 @dataclass
-class MarginCache:
-    """Data-matrix/iterate products for one iterate, tagged with the
-    iteration that produced them."""
-
-    values: np.ndarray
-    stamp: int
-
-
-@dataclass
 class TraceRow:
     k: int
     F: float
@@ -141,8 +132,8 @@ class SolverState:
     t_curr: float
     L_curr: float
     L_prev: float
-    margins_curr: MarginCache
-    margins_prev: MarginCache
+    margins_curr: np.ndarray
+    margins_prev: np.ndarray
     k: int
     F_curr: float
 
@@ -253,8 +244,7 @@ def _run_pg_loop(prob: _Problem, hp: Hyperparams, opts: SolverOptions,
         L_init = L_global
     st = SolverState(
         u_curr=u0, u_prev=u0.copy(), t_curr=1.0, L_curr=L_init,
-        L_prev=L_init, margins_curr=MarginCache(m0, 0),
-        margins_prev=MarginCache(m0.copy(), 0), k=0,
+        L_prev=L_init, margins_curr=m0, margins_prev=m0.copy(), k=0,
         F_curr=f0 + prob.penalty(u0))
     trace = SolverTrace()
     iterates = [] if opts.record_iterates else None
@@ -282,8 +272,8 @@ def _run_pg_loop(prob: _Problem, hp: Hyperparams, opts: SolverOptions,
         while True:
             omega = (min(fista_w, math.sqrt(st.L_curr / L_start))
                      if use_extrap else 0.0)
-            m_hat = (st.margins_curr.values
-                     + omega * (st.margins_curr.values - st.margins_prev.values))
+            m_hat = (st.margins_curr
+                     + omega * (st.margins_curr - st.margins_prev))
             u_hat = st.u_curr + omega * (st.u_curr - st.u_prev)
             f_hat = prob.smooth_from_margins(m_hat)
             grad = prob.grad_from_margins(m_hat)
@@ -313,8 +303,8 @@ def _run_pg_loop(prob: _Problem, hp: Hyperparams, opts: SolverOptions,
             # Extrapolated step increased F: re-update from the previous
             # iterate (omega = 0) and reset the momentum scalar.
             restarted = True
-            f_curr = prob.smooth_from_margins(st.margins_curr.values)
-            grad0 = prob.grad_from_margins(st.margins_curr.values)
+            f_curr = prob.smooth_from_margins(st.margins_curr)
+            grad0 = prob.grad_from_margins(st.margins_curr)
             grad_products += 1
 
             def prox_step0(L, grad0=grad0):
@@ -334,7 +324,7 @@ def _run_pg_loop(prob: _Problem, hp: Hyperparams, opts: SolverOptions,
         F_prev = st.F_curr
         u_prev_iter = st.u_curr
         st.u_prev, st.u_curr = st.u_curr, cand
-        st.margins_prev, st.margins_curr = st.margins_curr, MarginCache(m_cand, k)
+        st.margins_prev, st.margins_curr = st.margins_curr, m_cand
         st.L_prev, st.L_curr = st.L_curr, L_acc
         st.t_curr = t_curr
         st.F_curr = F_cand
@@ -500,7 +490,7 @@ def fit_multi(data: Dataset, hp: Hyperparams,
         return multi_smooth_from_margins(m.reshape(n, J), data.labels, delta)
 
     def grad_from_margins(m):
-        gb, gW = multi_grad_from_margins(m.reshape(n, J).copy(), data, delta)
+        gb, gW = multi_grad_from_margins(m.reshape(n, J), data, delta)
         return np.concatenate([gb, gW.ravel()])
 
     def penalty(u):

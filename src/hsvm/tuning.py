@@ -7,8 +7,6 @@ tie it to lambda2, everything else pins it at 1 (both exposed through
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
@@ -108,63 +106,39 @@ class GridSearchResult:
                      f"{self.mean_scores[(self.best_lambda1, self.best_lambda2)]:.17g}\n")
 
 
-def _n_workers() -> int:
-    env = os.environ.get("HSVM_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def grid_search(data: Dataset, grid: Grid, solver="bpgh",
                 opts: Optional[SolverOptions] = None, seed=0) -> GridSearchResult:
     """Mean validation accuracy over the folds for every grid point.
 
     Ties are broken toward the sparser model: larger lambda1, then larger
     lambda2. A solver failure on a fold is recorded as accuracy 0 for that
-    grid point. Fold results land in an indexed table, so the outcome does
-    not depend on evaluation order.
+    grid point.
     """
     if solver not in SOLVERS:
         raise DomainError(f"unknown solver {solver!r}")
     fit = SOLVERS[solver]
     folds = kfold_split(data.n, grid.folds, labels=data.labels, seed=seed)
     points = grid.points()
-    acc = np.zeros((len(points), len(folds)))
-    failed = np.zeros(len(points), dtype=bool)
 
     splits = []
     for f, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(data.n), val_idx)
         splits.append((data.subset(train_idx), data.subset(val_idx)))
 
-    def run_point(pi):
-        l1, l2 = points[pi]
+    table = []
+    mean_scores = {}
+    for l1, l2 in points:
         hp = grid.hyperparams(l1, l2)
+        acc = np.zeros(len(folds))
         for f, (train, val) in enumerate(splits):
             try:
                 res = fit(train, hp, opts)
-                acc[pi, f] = evaluate(res.model, val).accuracy
+                acc[f] = evaluate(res.model, val).accuracy
             except HsvmError:
-                failed[pi] = True
-                return
-
-    workers = _n_workers()
-    if workers == 1:
-        for pi in range(len(points)):
-            run_point(pi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_point, range(len(points))))
-
-    table = []
-    mean_scores = {}
-    for pi, (l1, l2) in enumerate(points):
-        if failed[pi]:
-            acc[pi, :] = 0.0
-        for f in range(len(folds)):
-            table.append(CVRecord(l1, l2, f, float(acc[pi, f])))
-        mean_scores[(l1, l2)] = float(acc[pi].mean())
+                acc[:] = 0.0
+                break
+        table.extend(CVRecord(l1, l2, f, float(a)) for f, a in enumerate(acc))
+        mean_scores[(l1, l2)] = float(acc.mean())
 
     best = max(points, key=lambda pt: (mean_scores[pt], pt[0], pt[1]))
     return GridSearchResult(best_lambda1=best[0], best_lambda2=best[1],

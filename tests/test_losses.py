@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsvm import (
@@ -71,12 +71,16 @@ class TestHuberLoss:
         assert abs(hi - lo) <= 2 * h * 1.001 + 1e-12
 
     @given(st.floats(-20, 20), st.floats(-0.001, 0.001), st.floats(0.05, 5))
+    @example(t=-8.0, h=1e-10, delta=1.246668848349545)
     @settings(max_examples=200, deadline=None)
     def test_first_order_expansion(self, t, h, delta):
-        # |phi(t+h) - phi(t) - h phi'(t)| <= h^2 / (2 delta)
+        # |phi(t+h) - phi(t) - h phi'(t)| <= h^2 / (2 delta), up to the
+        # rounding of t + h and of the two loss values. Every operand is at
+        # most 1 + |t| in size, so a few ulps of 1 + |t| bound it; at t = -8
+        # one such ulp already exceeds h^2 / (2 delta).
         lhs = abs(huber_loss(t + h, delta) - huber_loss(t, delta)
                   - h * huber_grad(t, delta))
-        assert lhs <= h * h / (2 * delta) + 1e-15
+        assert lhs <= h * h / (2 * delta) + 4 * np.spacing(1.0 + abs(t))
 
 
 class TestHuberGrad:
@@ -262,6 +266,22 @@ class TestMultiObjective:
         data = Dataset(np.zeros((2, 2)), np.array([1, 2]))
         with pytest.raises(ConstraintError):
             MultiModel(b=np.array([1.0, 0.0]), W=np.zeros((2, 2)))
+
+    def test_model_made_infeasible_after_construction_rejected(self):
+        data = Dataset(np.ones((2, 2)), np.array([1, 2]))
+        hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
+        model = MultiModel(b=np.zeros(2), W=np.zeros((2, 2)))
+        model.W[0, 0] = 1e-6  # row sum 1e-6, beyond the 1e-8 tolerance
+        with pytest.raises(ConstraintError):
+            multi_objective(model, data, hp)
+        with pytest.raises(ConstraintError):
+            multi_smooth_grad(model, data, hp.delta)
+        model.W[0, 0] = 0.0
+        model.b = np.array([1e-6, 0.0])
+        with pytest.raises(ConstraintError):
+            multi_objective(model, data, hp)
+        with pytest.raises(ConstraintError):
+            multi_smooth_grad(model, data, hp.delta)
 
     def test_two_sample_hand_enumeration(self):
         # J = 2, symmetric samples: enumerate the two wrong-class terms.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,8 +102,7 @@ class TestDualResidual:
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def kkt_residuals(z, lam, result):
-    w, sigma = result.w, result.sigma
+def kkt_residuals(z, lam, w, sigma):
     feas = abs(w.sum())
     nz = w != 0
     stat = 0.0
@@ -111,6 +112,16 @@ def kkt_residuals(z, lam, result):
     if (~nz).any():
         zero_ok = max(0.0, (np.abs(z[~nz] - sigma) - lam).max())
     return feas, stat, zero_ok
+
+
+def implied_multiplier(z, lam, w):
+    """The sigma a candidate w implies: z_i - w_i - lam sign(w_i) averaged
+    over its support, or the midpoint of [max z - lam, min z + lam] when
+    w = 0. Any disagreement shows up in the KKT residuals."""
+    nz = w != 0
+    if nz.any():
+        return float(np.mean(z[nz] - w[nz] - lam * np.sign(w[nz])))
+    return 0.5 * (z.max() + z.min())
 
 
 class TestEqConstrainedL1Prox:
@@ -129,6 +140,13 @@ class TestEqConstrainedL1Prox:
         r = eq_constrained_l1_prox(np.full(5, c), 0.8)
         np.testing.assert_array_equal(r.w, np.zeros(5))
         assert r.sigma == pytest.approx(c, abs=1e-12)  # flat-segment midpoint
+
+    def test_flat_root_segment_midpoint(self):
+        # max z - min z <= 2 lam: gamma' vanishes on [0.9, 1.0], w* = 0
+        r = eq_constrained_l1_prox(np.array([0.0, 0.0, 0.0, 1.9]), 1.0)
+        np.testing.assert_array_equal(r.w, np.zeros(4))
+        assert r.sigma == pytest.approx(0.95, abs=1e-15)
+        assert r.interval[0] <= r.sigma <= r.interval[1]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -157,7 +175,7 @@ class TestEqConstrainedL1Prox:
             r = eq_constrained_l1_prox(z, lam)
             w_ref, _ = bruteforce_eq_prox(z, lam)
             assert np.abs(r.w - w_ref).max() <= 1e-12
-            feas, stat, zero_ok = kkt_residuals(z, lam, r)
+            feas, stat, zero_ok = kkt_residuals(z, lam, r.w, r.sigma)
             assert feas <= 1e-10 and stat <= 1e-10 and zero_ok <= 1e-10
 
     def test_nonexpansive(self):
@@ -244,6 +262,7 @@ class TestMultiWStep:
         np.testing.assert_allclose(W[0], ref, atol=1e-14)
 
     def test_rows_match_scalar_path(self):
+        # every row against the brute-force oracle and the KKT conditions
         rng = np.random.default_rng(10)
         for _ in range(20):
             p, J = int(rng.integers(1, 8)), int(rng.integers(2, 7))
@@ -255,12 +274,50 @@ class TestMultiWStep:
             lam = l1 / (L + l2)
             for i in range(p):
                 z = (L * W_hat[i] - g[i]) / (L + l2)
-                ref = eq_constrained_l1_prox(z, lam)
-                np.testing.assert_allclose(W[i], ref.w, atol=1e-12)
-                feas, stat, zero_ok = kkt_residuals(
-                    z, lam, ref.__class__(w=W[i], sigma=ref.sigma,
-                                          interval=ref.interval))
-                assert feas <= 1e-10
+                w_ref, _ = bruteforce_eq_prox(z, lam)
+                assert np.abs(W[i] - w_ref).max() <= 1e-12
+                sigma = implied_multiplier(z, lam, W[i])
+                assert max(kkt_residuals(z, lam, W[i], sigma)) <= 1e-10
+
+    @pytest.mark.parametrize("J", [20, 50])
+    def test_kkt_beyond_oracle_range(self, J):
+        # J too large for the brute-force oracle: certify by KKT alone, on
+        # rounded rows (breakpoint ties) and constant rows (flat roots)
+        rng = np.random.default_rng(J)
+        Z = rng.normal(size=(300, J)) * rng.uniform(0.1, 5, size=(300, 1))
+        Z[100:200] = np.round(Z[100:200], 1)
+        Z[200:220] = Z[200:220, :1]
+        Z[220:240] = np.round(Z[220:240])
+        for lam in (0.01, 0.3, 2.5):
+            W = multi_w_step(Z, np.zeros_like(Z), 1.0, lam, 0.0)
+            assert np.all(W[200:220] == 0.0)
+            for z, w in zip(Z, W):
+                sigma = implied_multiplier(z, lam, w)
+                assert max(kkt_residuals(z, lam, w, sigma)) <= 1e-10
+
+    def test_memory_linear_in_classes(self):
+        # one p x 2J x J float64 temporary would take 80 MB here
+        rng = np.random.default_rng(16)
+        W_hat = rng.normal(size=(2000, 50))
+        g = rng.normal(size=(2000, 50))
+        tracemalloc.start()
+        try:
+            multi_w_step(W_hat, g, 1.3, 0.2, 0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_common_row_offset(self):
+        # the prox commutes with adding a constant to a row; dyadic inputs
+        # make Z0 + 2^20 exact, so only the kernel's rounding is measured
+        rng = np.random.default_rng(18)
+        Z0 = np.round(rng.normal(size=(200, 30)) * 1024) / 1024
+        zero = np.zeros_like(Z0)
+        W0 = multi_w_step(Z0, zero, 1.0, 0.3, 0.0)
+        W = multi_w_step(Z0 + 2.0 ** 20, zero, 1.0, 0.3, 0.0)
+        assert np.abs(W - W0).max() <= 1e-12
+        assert np.abs(W.sum(axis=1)).max() <= 1e-10
 
     def test_row_sums_vanish(self):
         rng = np.random.default_rng(12)

@@ -89,17 +89,6 @@ class TestGridSearch:
         grid_fixed = Grid([0.1], [0.5], lambda3=2.0)
         assert grid_fixed.hyperparams(0.1, 0.5).lambda3 == 2.0
 
-    def test_results_independent_of_thread_count(self, monkeypatch):
-        data = gen_binary_gaussian(SynthSpec(kind="binary_gaussian", n=30,
-                                             p=12, s=3, seed=5))
-        grid = Grid([0.05, 0.1], [0.5, 1.0], lambda3="lambda2", folds=3)
-        seq = grid_search(data, grid, seed=1)
-        monkeypatch.setenv("HSVM_THREADS", "4")
-        par = grid_search(data, grid, seed=1)
-        assert seq.best_lambda1 == par.best_lambda1
-        assert seq.best_lambda2 == par.best_lambda2
-        assert seq.mean_scores == par.mean_scores
-
     def test_csv_has_summary_line(self):
         data = separable_data(6, n=20)
         res = grid_search(data, Grid([0.1], [1.0], folds=4), seed=0)
