@@ -14,7 +14,12 @@ Three training entry points share one iteration skeleton:
 Per iteration the data matrix is touched by one gradient (transpose)
 product and one forward margin product per candidate evaluation; the
 extrapolated margins are formed from the two cached margin vectors, never
-from a fresh product. The step constant only grows within an iteration
+from a fresh product. On a dense matrix the forward product reads only
+the columns of the features the candidate uses, once those are at most
+1/32 of all features: proximal gradient identifies the solution's support
+after finitely many steps, so on sparse problems this holds for all but
+the first few products. The transpose product reads the whole matrix.
+The step constant only grows within an iteration
 (L_k = min(eta^{n_k} L_{k-1}, L_global)) and each accepted step satisfies
 the sufficient-decrease inequality; the extrapolation weight is capped at
 sqrt(L_{k-1}/L_k), re-extrapolating when backtracking raised L.
@@ -23,7 +28,9 @@ sqrt(L_{k-1}/L_k), re-extrapolating when backtracking raised L.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
@@ -179,8 +186,9 @@ def detect_support(recent_patterns: Sequence, stable_iters: int):
         raise DomainError("stable_iters must be positive")
     if len(recent_patterns) < stable_iters:
         return None
-    tail = [tuple(p) for p in recent_patterns[-stable_iters:]]
-    if all(t == tail[0] for t in tail):
+    tail = [np.asarray(p) for p in islice(
+        recent_patterns, len(recent_patterns) - stable_iters, None)]
+    if all(np.array_equal(t, tail[0]) for t in tail):
         return np.asarray(tail[0], dtype=np.int64)
     return None
 
@@ -229,12 +237,17 @@ class _Problem:
         self.dim = dim
 
 
-def _run_pg_loop(prob: _Problem, hp: Hyperparams, opts: SolverOptions,
-                 L_global: float, stage: int = 1,
+def _run_pg_loop(prob: _Problem, opts: SolverOptions, L_global: float,
+                 stage: int = 1,
                  support_of: Optional[Callable] = None,
                  support_window: Optional[int] = None,
                  feasibility_check: Optional[Callable] = None):
-    """Shared iteration loop; see the module docstring for the scheme."""
+    """Shared iteration loop; see the module docstring for the scheme.
+
+    With ``support_of`` and ``support_window`` the loop also stops once the
+    last ``support_window`` supports agree; only those are kept, so a
+    support that never settles costs no memory per iteration.
+    """
     u0 = np.zeros(prob.dim)
     m0 = prob.margins_of(u0)
     f0 = prob.smooth_from_margins(m0)
@@ -248,7 +261,7 @@ def _run_pg_loop(prob: _Problem, hp: Hyperparams, opts: SolverOptions,
         F_curr=f0 + prob.penalty(u0))
     trace = SolverTrace()
     iterates = [] if opts.record_iterates else None
-    patterns: list[tuple] = []
+    patterns: deque = deque(maxlen=support_window)
     grad_products = 0
     counter = 0
     stop_reason = "max_iter"
@@ -345,7 +358,7 @@ def _run_pg_loop(prob: _Problem, hp: Hyperparams, opts: SolverOptions,
             iterates.append(cand.copy())
 
         if support_window is not None and support_of is not None:
-            patterns.append(tuple(support_of(cand)))
+            patterns.append(support_of(cand))
             if detect_support(patterns, support_window) is not None:
                 stop_reason = "support_stable"
                 break
@@ -361,6 +374,33 @@ def _run_pg_loop(prob: _Problem, hp: Hyperparams, opts: SolverOptions,
     return st, trace, stop_reason, support, iterates, grad_products
 
 
+# A dense forward product X @ V gathers the columns of X at the nonzero
+# rows of V once at most 1/32 of those rows are nonzero. Gathering random
+# columns of a 2000 x 20000 C-order X costs 0.46x the full product at
+# p/32, 0.8x at p/16 and 1.65x at p/8.
+_SUPPORT_FRACTION = 32
+
+
+def _support_product(X, V):
+    """``X @ V`` for V of shape (p,) or (p, J). A dense X with at most p/32
+    nonzero rows of V is read only at those columns.
+
+    A sparse X always takes the plain product, which already scales with
+    nnz(X). Sparse is recognised by ``tocsr`` rather than by type, so a
+    wrapper that forwards attributes to the matrix takes the same path as
+    the matrix itself. The nonzero count is checked first because it is
+    far cheaper than finding the nonzero rows of a dense V.
+    """
+    if (hasattr(X, "tocsr")
+            or np.count_nonzero(V) * _SUPPORT_FRACTION > V.size):
+        return X @ V
+    active = V if V.ndim == 1 else V.any(axis=1)
+    rows = np.flatnonzero(active)
+    if rows.size * _SUPPORT_FRACTION > V.shape[0]:
+        return X @ V
+    return X[:, rows] @ V[rows]
+
+
 def _binary_problem(data: Dataset, hp: Hyperparams):
     X = data.X
     y = data.labels.astype(float)
@@ -369,7 +409,7 @@ def _binary_problem(data: Dataset, hp: Hyperparams):
     delta = hp.delta
 
     def margins_of(u):
-        return y * (u[0] + np.asarray(X @ u[1:]).ravel())
+        return y * (u[0] + np.asarray(_support_product(X, u[1:])).ravel())
 
     def smooth_from_margins(m):
         return float(np.mean(huber_loss(m, delta)))
@@ -413,7 +453,7 @@ def fit_binary(data: Dataset, hp: Hyperparams,
     run_opts = opts
     if opts.backtracking and opts.L0 is None:
         run_opts = replace(opts, L0=min(2.0 * L_f / data.n, L_f))
-    out = _run_pg_loop(_binary_problem(data, hp), hp, run_opts, L_f)
+    out = _run_pg_loop(_binary_problem(data, hp), run_opts, L_f)
     return _binary_result(*out)
 
 
@@ -435,7 +475,7 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     stage1_opts = replace(opts, backtracking=False, extrapolation="none",
                           tol=opts.stage1_tol)
     st1, trace1, reason1, support, iters1, gp1 = _run_pg_loop(
-        _binary_problem(data, hp), hp, stage1_opts, L_f, stage=1,
+        _binary_problem(data, hp), stage1_opts, L_f, stage=1,
         support_of=lambda u: np.flatnonzero(u[1:]),
         support_window=opts.support_stable_iters)
     if support is None:
@@ -484,7 +524,7 @@ def fit_multi(data: Dataset, hp: Hyperparams,
 
     def margins_of(u):
         b, W = unpack(u)
-        return (np.asarray(X @ W) + b).ravel()
+        return (np.asarray(_support_product(X, W)) + b).ravel()
 
     def smooth_from_margins(m):
         return multi_smooth_from_margins(m.reshape(n, J), data.labels, delta)
@@ -520,7 +560,7 @@ def fit_multi(data: Dataset, hp: Hyperparams,
     prob = _Problem(margins_of, smooth_from_margins, grad_from_margins,
                     penalty, prox, nnz_of, dim=J + p * J)
     st, trace, stop_reason, _, iterates, gp = _run_pg_loop(
-        prob, hp, run_opts, L_m, feasibility_check=feasibility_check)
+        prob, run_opts, L_m, feasibility_check=feasibility_check)
     b, W = unpack(st.u_curr)
     model = MultiModel(b=b.copy(), W=W.copy())
     return FitResult(

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hsvm import (
     Dataset,
@@ -23,6 +25,7 @@ from hsvm import (
 from hsvm.data import SynthSpec, gen_binary_gaussian, gen_fourclass
 from hsvm.model import evaluate
 from hsvm.oracles import grid_minimize, projected_subgradient
+from hsvm.solver import _Problem, _run_pg_loop, _support_product
 
 
 def binary_data(seed=0, n=60, p=20, s=5, rho=0.0):
@@ -93,6 +96,43 @@ class TestDetectSupport:
 
     def test_too_few_patterns(self):
         assert detect_support([(1,)], 3) is None
+
+
+class TestSupportHistory:
+    def test_memory_bounded_when_support_never_settles(self):
+        # support_of alternates between two disjoint 1000-index sets, so
+        # stage 1 runs to max_iter; the kept supports must not grow with it
+        dim = 20_000
+        target = np.linspace(-1.0, 1.0, dim)
+        prob = _Problem(
+            margins_of=lambda u: u,
+            smooth_from_margins=lambda m: 0.5 * float(np.sum((m - target)**2)),
+            grad_from_margins=lambda m: m - target,
+            penalty=lambda u: 0.0,
+            prox=lambda u_hat, grad, L: u_hat - grad / L,
+            nnz_of=lambda u: int(np.count_nonzero(u)),
+            dim=dim)
+        calls = [0]
+
+        def support_of(u):
+            calls[0] += 1
+            return np.arange(1000) + 1000 * (calls[0] % 2)
+
+        def peak(max_iter):
+            opts = SolverOptions(max_iter=max_iter, consec_stop=10 ** 6,
+                                 backtracking=False, extrapolation="none")
+            tracemalloc.start()
+            try:
+                st, _, reason, support, _, _ = _run_pg_loop(
+                    prob, opts, 1.0, support_of=support_of, support_window=3)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert st.k == max_iter and reason == "max_iter"
+            assert support is None
+            return top
+
+        assert peak(400) <= 1.5 * peak(100)
 
 
 class TestLineSearch:
@@ -383,3 +423,132 @@ class TestLinearConvergence:
         assert np.median(ratios) < 0.995
         slope = np.polyfit(np.arange(d.size), np.log(d), 1)[0]
         assert slope < 0
+
+
+class _ForwardingMatrix:
+    """Forwards attribute lookups to a wrapped matrix and records which of
+    ``@`` and column indexing were used."""
+
+    def __init__(self, a):
+        self.a = a
+        self.used = []
+
+    def __matmul__(self, other):
+        self.used.append("matmul")
+        return self.a @ other
+
+    def __getitem__(self, key):
+        self.used.append("getitem")
+        return self.a[key]
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.a, name)
+
+
+P_SUPPORT = 320    # p/32 = 10
+
+
+def _support_operand(rng, p, shape, k):
+    V = np.zeros((p,) + shape)
+    rows = rng.choice(p, size=k, replace=False)
+    V[rows] = rng.normal(size=(k,) + shape)
+    return V
+
+
+def _layouts(X):
+    return {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X),
+            "csr": sp.csr_array(X)}
+
+
+class TestSupportProduct:
+    @pytest.mark.parametrize("layout", ["C", "F", "csr"])
+    @pytest.mark.parametrize("shape", [(), (4,)])
+    @pytest.mark.parametrize("k", [1, P_SUPPORT // 32 - 1, P_SUPPORT // 32 + 1,
+                                   P_SUPPORT])
+    def test_matches_plain_product(self, layout, shape, k):
+        rng = np.random.default_rng(k)
+        X = _layouts(rng.normal(size=(50, P_SUPPORT)))[layout]
+        V = _support_operand(rng, P_SUPPORT, shape, k)
+        got = _support_product(X, V)
+        want = X @ V
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "csr"])
+    @pytest.mark.parametrize("shape", [(), (4,)])
+    def test_zero_operand_gives_exact_zeros(self, layout, shape):
+        rng = np.random.default_rng(0)
+        X = _layouts(rng.normal(size=(50, P_SUPPORT)))[layout]
+        got = _support_product(X, np.zeros((P_SUPPORT,) + shape))
+        assert got.shape == (50,) + shape
+        assert not np.any(got)
+
+    @pytest.mark.parametrize("shape", [(), (4,)])
+    def test_dense_gathers_only_below_threshold(self, shape):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(50, P_SUPPORT))
+        for k, path in [(P_SUPPORT // 32, ["getitem"]),
+                        (P_SUPPORT // 32 + 1, ["matmul"])]:
+            proxy = _ForwardingMatrix(X)
+            _support_product(proxy, _support_operand(rng, P_SUPPORT, shape, k))
+            assert proxy.used == path
+
+    def test_rows_counted_not_entries(self):
+        # 40 nonzero entries spread over 40 of 320 rows pass the entry count
+        # (40 * 32 <= 1280) but not the row count
+        V = np.zeros((P_SUPPORT, 4))
+        V[np.arange(40) * 8, 0] = 1.0
+        proxy = _ForwardingMatrix(np.ones((5, P_SUPPORT)))
+        np.testing.assert_array_equal(_support_product(proxy, V),
+                                      np.ones((5, P_SUPPORT)) @ V)
+        assert proxy.used == ["matmul"]
+
+    def test_sparse_never_gathers(self):
+        rng = np.random.default_rng(2)
+        X = sp.csr_array(rng.normal(size=(50, P_SUPPORT)))
+        proxy = _ForwardingMatrix(X)
+        _support_product(proxy, _support_operand(rng, P_SUPPORT, (), 1))
+        assert proxy.used == ["matmul"]
+
+
+def _as_csr(data):
+    return Dataset(sp.csr_array(data.X), data.labels, kind=data.kind,
+                   n_classes=data.n_classes)
+
+
+class TestSupportProductFits:
+    """A dense problem whose iterates use fewer than p/32 features takes
+    the column-gather product; the same fit on CSR takes the plain one."""
+
+    N, P = 200, 4000
+
+    @pytest.mark.parametrize("fit", [fit_binary, fit_binary_two_stage])
+    def test_binary_matches_csr(self, fit):
+        data = binary_data(seed=1, n=self.N, p=self.P, s=10)
+        hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
+        dense, ref = fit(data, hp), fit(_as_csr(data), hp)
+        assert not dense.two_stage_fallback and dense.converged
+        assert (dense.trace.column("nnz") * 32 <= self.P).mean() > 0.5
+        assert dense.iterations == ref.iterations
+        np.testing.assert_array_equal(np.flatnonzero(dense.model.w),
+                                      np.flatnonzero(ref.model.w))
+        assert dense.final_objective == pytest.approx(ref.final_objective,
+                                                      rel=1e-10)
+
+    def test_multi_matches_csr(self):
+        data = gen_fourclass(SynthSpec(kind="four_class", n=self.N, p=self.P,
+                                       s=8, seed=1))
+        hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
+        dense, ref = fit_multi(data, hp), fit_multi(_as_csr(data), hp)
+        assert dense.converged
+        assert (dense.trace.column("nnz") * 32 <= self.P).mean() > 0.5
+        assert dense.iterations == ref.iterations
+
+        def rows(W):
+            return np.flatnonzero(W.any(axis=1))
+
+        np.testing.assert_array_equal(rows(dense.model.W), rows(ref.model.W))
+        assert dense.final_objective == pytest.approx(ref.final_objective,
+                                                      rel=1e-10)
