@@ -211,8 +211,13 @@ def _parse_float_list(text):
 
 
 def cmd_cv(args) -> int:
+    lambda3 = args.lambda3
+    if lambda3 != "lambda2":
+        try:
+            lambda3 = float(lambda3)
+        except ValueError:
+            raise _UsageError(f"malformed --lambda3 {lambda3!r}") from None
     data = load_libsvm(args.data)
-    lambda3 = args.lambda3 if args.lambda3 == "lambda2" else float(args.lambda3)
     grid = Grid(_parse_float_list(args.lambda1_grid),
                 _parse_float_list(args.lambda2_grid),
                 lambda3=lambda3, delta=args.delta, folds=args.folds)

@@ -11,18 +11,27 @@ Three training entry points share one iteration skeleton:
 * ``fit_multi``    -- M-PGH: the same loop over (b, W) with the closed-form
   zero-sum intercept step and the row-decomposed dual prox.
 
+Each model is one problem object (``_BinaryProblem``, ``_MultiProblem``)
+over a flat parameter vector u. It owns the label check, the global
+Lipschitz constant and the default initial step constant, and provides
+``margins``, ``smooth``, ``grad``, ``penalty``, ``prox``, ``nnz`` and
+``model``. ``_run_pg_loop`` runs on such an object and returns the
+``FitResult``.
+
 Per iteration the data matrix is touched by one gradient (transpose)
-product and one forward margin product per candidate evaluation; the
-extrapolated margins are formed from the two cached margin vectors, never
-from a fresh product. On a dense matrix the forward product reads only
-the columns of the features the candidate uses, once those are at most
-1/32 of all features: proximal gradient identifies the solution's support
-after finitely many steps, so on sparse problems this holds for all but
-the first few products. The transpose product reads the whole matrix.
-The step constant only grows within an iteration
+product and one forward margin product per candidate evaluation.
+``line_search`` returns the accepted candidate's margins along with it,
+and the extrapolated margins are formed from the two cached margin
+vectors, never from a fresh product. On a dense matrix the forward
+product reads only the columns of the features the candidate uses, once
+those are at most 1/32 of all features: proximal gradient identifies the
+solution's support after finitely many steps, so on sparse problems this
+holds for all but the first few products. The transpose product reads
+the whole matrix. The step constant only grows within an iteration
 (L_k = min(eta^{n_k} L_{k-1}, L_global)) and each accepted step satisfies
-the sufficient-decrease inequality; the extrapolation weight is capped at
-sqrt(L_{k-1}/L_k), re-extrapolating when backtracking raised L.
+the sufficient-decrease inequality; the extrapolation weight
+(``extrapolation_weight``) is capped at sqrt(L_{k-1}/L_k),
+re-extrapolating when backtracking raised L.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import IO, Callable, Optional, Sequence
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -78,6 +87,12 @@ class SolverOptions:
     check_margin_drift: bool = False
 
     def __post_init__(self):
+        # Every comparison with NaN is false, so the range checks below
+        # would let a NaN through.
+        reals = (self.eta, self.tol, self.stage1_tol,
+                 1.0 if self.L0 is None else self.L0)
+        if not all(math.isfinite(v) for v in reals):
+            raise DomainError("eta, tol, stage1_tol and L0 must be finite")
         if self.eta <= 1:
             raise DomainError("eta must exceed 1")
         if self.tol <= 0 or self.stage1_tol <= 0:
@@ -130,22 +145,6 @@ class SolverTrace:
 
 
 @dataclass
-class SolverState:
-    """Mutable loop state: current/previous iterates and margins, the FISTA
-    scalar, and the accepted step constants."""
-
-    u_curr: np.ndarray
-    u_prev: np.ndarray
-    t_curr: float
-    L_curr: float
-    L_prev: float
-    margins_curr: np.ndarray
-    margins_prev: np.ndarray
-    k: int
-    F_curr: float
-
-
-@dataclass
 class FitResult:
     model: object
     trace: SolverTrace
@@ -193,185 +192,137 @@ def detect_support(recent_patterns: Sequence, stable_iters: int):
     return None
 
 
-def line_search(u_hat, f_hat, grad, prox_step, smooth_value,
-                L_start, L_global, eta):
+def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
     """Backtracking on the step constant: starting from L_start, multiply
-    by eta (capped at L_global) until the proximal candidate u+ satisfies
+    by eta (capped at L_global) until the proximal candidate
+    u+ = prob.prox(u_hat, grad, L) satisfies
 
         f(u+) <= f(u_hat) + <grad, u+ - u_hat> + (L/2) ||u+ - u_hat||^2.
 
     The cap always satisfies the test, so termination is guaranteed.
-    Returns (L, candidate, f(candidate), gap, evals).
+    Returns (L, candidate, margins of candidate, f(candidate), gap, evals).
     """
     L = min(L_start, L_global)
     evals = 0
     while True:
-        cand = prox_step(L)
-        f_cand = smooth_value(cand)
+        cand = prob.prox(u_hat, grad, L)
+        m_cand = prob.margins(cand)
+        f_cand = prob.smooth(m_cand)
         evals += 1
         d = cand - u_hat
         bound = f_hat + float(grad @ d) + 0.5 * L * float(d @ d)
         gap = bound - f_cand
         # Tiny slack absorbs roundoff when the bound holds with equality.
         if gap >= -1e-12 * (1.0 + abs(bound)) or L >= L_global:
-            return L, cand, f_cand, gap, evals
+            return L, cand, m_cand, f_cand, gap, evals
         L = min(eta * L, L_global)
 
 
-class _Problem:
-    """Objective plumbing shared by the binary and multi-class engines.
-
-    ``margins_of`` performs the single forward data product per candidate;
-    ``grad_at`` performs the transpose product. Both count into the
-    instrumentation counters read by the trace.
-    """
-
-    def __init__(self, margins_of, smooth_from_margins, grad_from_margins,
-                 penalty, prox, nnz_of, dim):
-        self.margins_of = margins_of
-        self.smooth_from_margins = smooth_from_margins
-        self.grad_from_margins = grad_from_margins
-        self.penalty = penalty
-        self.prox = prox
-        self.nnz_of = nnz_of
-        self.dim = dim
+def _step(prob, u_base, m_base, L_start, eta):
+    """One proximal gradient step from ``u_base`` (whose margins are
+    ``m_base``): smooth value, one transpose product, then the line
+    search. Returns what ``line_search`` returns."""
+    f_base = prob.smooth(m_base)
+    grad = prob.grad(m_base)
+    return line_search(prob, u_base, f_base, grad, L_start, prob.L_global,
+                       eta)
 
 
-def _run_pg_loop(prob: _Problem, opts: SolverOptions, L_global: float,
-                 stage: int = 1,
-                 support_of: Optional[Callable] = None,
-                 support_window: Optional[int] = None,
-                 feasibility_check: Optional[Callable] = None):
+def _run_pg_loop(prob, opts: SolverOptions,
+                 support_window: Optional[int] = None) -> FitResult:
     """Shared iteration loop; see the module docstring for the scheme.
 
-    With ``support_of`` and ``support_window`` the loop also stops once the
-    last ``support_window`` supports agree; only those are kept, so a
-    support that never settles costs no memory per iteration.
+    With ``support_window`` the loop also stops once the last
+    ``support_window`` values of ``prob.support`` agree; only those are
+    kept, so a support that never settles costs no memory per iteration.
     """
-    u0 = np.zeros(prob.dim)
-    m0 = prob.margins_of(u0)
-    f0 = prob.smooth_from_margins(m0)
+    u = np.zeros(prob.dim)
+    m = prob.margins(u)
+    F = prob.smooth(m) + prob.penalty(u)
+    u_prev, m_prev = u, m
+    t = 1.0
     if opts.backtracking:
-        L_init = min(opts.L0, L_global) if opts.L0 is not None else L_global
+        L = min(opts.L0 if opts.L0 is not None else prob.L0, prob.L_global)
     else:
-        L_init = L_global
-    st = SolverState(
-        u_curr=u0, u_prev=u0.copy(), t_curr=1.0, L_curr=L_init,
-        L_prev=L_init, margins_curr=m0, margins_prev=m0.copy(), k=0,
-        F_curr=f0 + prob.penalty(u0))
+        L = prob.L_global
     trace = SolverTrace()
     iterates = [] if opts.record_iterates else None
     patterns: deque = deque(maxlen=support_window)
+    support = None
     grad_products = 0
     counter = 0
     stop_reason = "max_iter"
     use_extrap = opts.extrapolation == "fista_capped"
 
     for k in range(1, opts.max_iter + 1):
-        products = 0
         evals = 0
-        t_prev = st.t_curr
-        t_curr = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
-        fista_w = (t_prev - 1.0) / t_curr
-
-        holder = {}
-
-        def smooth_value(u):
-            m = prob.margins_of(u)
-            holder["margins"] = m
-            return prob.smooth_from_margins(m)
-
-        L_start = st.L_curr if opts.backtracking else L_global
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        L_start = L
         while True:
-            omega = (min(fista_w, math.sqrt(st.L_curr / L_start))
+            omega = (extrapolation_weight(t, t_next, L, L_start)
                      if use_extrap else 0.0)
-            m_hat = (st.margins_curr
-                     + omega * (st.margins_curr - st.margins_prev))
-            u_hat = st.u_curr + omega * (st.u_curr - st.u_prev)
-            f_hat = prob.smooth_from_margins(m_hat)
-            grad = prob.grad_from_margins(m_hat)
+            m_hat = m + omega * (m - m_prev)
+            u_hat = u + omega * (u - u_prev)
+            L_acc, cand, m_cand, f_cand, gap, ev = _step(
+                prob, u_hat, m_hat, L_start, opts.eta)
             grad_products += 1
-
-            def prox_step(L, u_hat=u_hat, grad=grad):
-                return prob.prox(u_hat, grad, L)
-
-            L_acc, cand, f_cand, gap, ev = line_search(
-                u_hat, f_hat, grad, prox_step, smooth_value,
-                L_start, L_global, opts.eta)
             evals += ev
-            products += ev
-            if not use_extrap or L_acc == L_start:
-                break
-            if omega <= math.sqrt(st.L_curr / L_acc) + 1e-15:
+            if (not use_extrap or L_acc == L_start
+                    or omega <= math.sqrt(L / L_acc) + 1e-15):
                 break
             # Backtracking raised L beyond the extrapolation cap;
             # re-extrapolate with the tighter weight at the new constant.
             L_start = L_acc
-        omega_used = omega
-        m_cand = holder["margins"]
         F_cand = f_cand + prob.penalty(cand)
 
-        restarted = False
-        if opts.monotone and F_cand > st.F_curr:
+        restarted = opts.monotone and F_cand > F
+        if restarted:
             # Extrapolated step increased F: re-update from the previous
             # iterate (omega = 0) and reset the momentum scalar.
-            restarted = True
-            f_curr = prob.smooth_from_margins(st.margins_curr)
-            grad0 = prob.grad_from_margins(st.margins_curr)
+            L_acc, cand, m_cand, f_cand, gap, ev = _step(
+                prob, u, m, L_acc, opts.eta)
             grad_products += 1
-
-            def prox_step0(L, grad0=grad0):
-                return prob.prox(st.u_curr, grad0, L)
-
-            L_acc, cand, f_cand, gap, ev2 = line_search(
-                st.u_curr, f_curr, grad0, prox_step0, smooth_value,
-                L_acc, L_global, opts.eta)
-            evals += ev2
-            products += ev2
-            m_cand = holder["margins"]
+            evals += ev
             F_cand = f_cand + prob.penalty(cand)
-            omega_used = 0.0
-            t_curr = 1.0
+            omega = 0.0
+            t_next = 1.0
 
-        step_norm = float(np.linalg.norm(cand - st.u_curr))
-        F_prev = st.F_curr
-        u_prev_iter = st.u_curr
-        st.u_prev, st.u_curr = st.u_curr, cand
-        st.margins_prev, st.margins_curr = st.margins_curr, m_cand
-        st.L_prev, st.L_curr = st.L_curr, L_acc
-        st.t_curr = t_curr
-        st.F_curr = F_cand
-        st.k = k
+        step_norm = float(np.linalg.norm(cand - u))
+        F_prev, F = F, F_cand
+        u_prev, u = u, cand
+        m_prev, m = m, m_cand
+        L = L_acc
+        t = t_next
 
-        if feasibility_check is not None:
-            feasibility_check(cand)
         if opts.check_margin_drift and k % 100 == 0:
-            fresh = prob.margins_of(cand)
-            if np.abs(fresh - m_cand).max() > 1e-8:
+            if np.abs(prob.margins(u) - m).max() > 1e-8:
                 raise StateError("margin cache drifted beyond 1e-8")
 
         trace.append(TraceRow(
-            k=k, F=F_cand, L=L_acc, omega=omega_used, step_norm=step_norm,
-            restarted=restarted, nnz=prob.nnz_of(cand), stage=stage,
-            n_products=products, ls_evals=evals, suff_gap=gap))
+            k=k, F=F, L=L, omega=omega, step_norm=step_norm,
+            restarted=restarted, nnz=prob.nnz(u), n_products=evals,
+            ls_evals=evals, suff_gap=gap))
         if iterates is not None:
-            iterates.append(cand.copy())
+            iterates.append(u.copy())
 
-        if support_window is not None and support_of is not None:
-            patterns.append(support_of(cand))
-            if detect_support(patterns, support_window) is not None:
+        if support_window is not None:
+            patterns.append(prob.support(u))
+            support = detect_support(patterns, support_window)
+            if support is not None:
                 stop_reason = "support_stable"
                 break
 
-        stop, counter = check_stop(F_prev, F_cand, u_prev_iter, cand,
+        stop, counter = check_stop(F_prev, F, u_prev, u,
                                    opts.tol, counter, opts.consec_stop)
         if stop:
             stop_reason = "converged"
             break
 
-    support = (detect_support(patterns, support_window)
-               if support_window is not None else None)
-    return st, trace, stop_reason, support, iterates, grad_products
+    return FitResult(
+        model=prob.model(u), trace=trace, iterations=k,
+        converged=stop_reason == "converged", final_objective=F,
+        stop_reason=stop_reason, support=support, iterates=iterates,
+        grad_products=grad_products)
 
 
 # A dense forward product X @ V gathers the columns of X at the nonzero
@@ -401,60 +352,115 @@ def _support_product(X, V):
     return X[:, rows] @ V[rows]
 
 
-def _binary_problem(data: Dataset, hp: Hyperparams):
-    X = data.X
-    y = data.labels.astype(float)
-    n = data.n
-    p = data.n_features
-    delta = hp.delta
+class _BinaryProblem:
+    """B-PGH objective over u = (b, w): the mean huberized hinge loss of
+    the margins y (b + X w) plus the elastic-net penalty. The default
+    initial step constant is 2 L_f / n, clamped to the global L_f."""
 
-    def margins_of(u):
-        return y * (u[0] + np.asarray(_support_product(X, u[1:])).ravel())
+    def __init__(self, data: Dataset, hp: Hyperparams):
+        if data.kind != "binary":
+            raise LabelError("binary solvers require +1/-1 labels")
+        self.X = data.X
+        self.y = data.labels.astype(float)
+        self.n = data.n
+        self.hp = hp
+        self.dim = data.n_features + 1
+        self.L_global = lipschitz_binary(data, hp.delta)
+        self.L0 = min(2.0 * self.L_global / data.n, self.L_global)
 
-    def smooth_from_margins(m):
-        return float(np.mean(huber_loss(m, delta)))
+    def margins(self, u):
+        fwd = np.asarray(_support_product(self.X, u[1:])).ravel()
+        return self.y * (u[0] + fwd)
 
-    def grad_from_margins(m):
-        coef = huber_grad(m, delta) * y / n
-        return np.concatenate([[coef.sum()], np.asarray(X.T @ coef).ravel()])
+    def smooth(self, m):
+        return float(np.mean(huber_loss(m, self.hp.delta)))
 
-    def penalty(u):
-        return binary_penalty(u[0], u[1:], hp)
+    def grad(self, m):
+        coef = huber_grad(m, self.hp.delta) * self.y / self.n
+        return np.concatenate([[coef.sum()],
+                               np.asarray(self.X.T @ coef).ravel()])
 
-    def prox(u_hat, grad, L):
-        b, w = binary_prox_step(u_hat[0], u_hat[1:], grad[0], grad[1:], L, hp)
+    def penalty(self, u):
+        return binary_penalty(u[0], u[1:], self.hp)
+
+    def prox(self, u_hat, grad, L):
+        b, w = binary_prox_step(u_hat[0], u_hat[1:], grad[0], grad[1:], L,
+                                self.hp)
         return np.concatenate([[b], w])
 
-    def nnz_of(u):
+    def nnz(self, u):
         return int(np.count_nonzero(u[1:]))
 
-    return _Problem(margins_of, smooth_from_margins, grad_from_margins,
-                    penalty, prox, nnz_of, dim=p + 1)
+    def support(self, u):
+        return np.flatnonzero(u[1:])
+
+    def model(self, u):
+        return BinaryModel(b=float(u[0]), w=u[1:].copy())
 
 
-def _binary_result(st, trace, stop_reason, support, iterates, grad_products,
-                   fallback=False) -> FitResult:
-    model = BinaryModel(b=float(st.u_curr[0]), w=st.u_curr[1:].copy())
-    return FitResult(
-        model=model, trace=trace, iterations=st.k,
-        converged=stop_reason == "converged", final_objective=st.F_curr,
-        stop_reason=stop_reason, two_stage_fallback=fallback,
-        support=support, iterates=iterates, grad_products=grad_products)
+class _MultiProblem:
+    """M-PGH objective over u = (b, vec W) with b of length J and W of
+    shape (p, J). The prox keeps both in the zero-sum subspace, which is
+    checked on every candidate. The default initial step constant is
+    L_m / (n J), clamped to the global L_m."""
+
+    def __init__(self, data: Dataset, hp: Hyperparams):
+        if data.kind != "multiclass":
+            raise LabelError("fit_multi requires labels in 1..J")
+        J = data.n_classes
+        if J < 2:
+            raise LabelError("need at least two classes")
+        self.data = data
+        self.X = data.X
+        self.hp = hp
+        self.J = J
+        self.dim = J + data.n_features * J
+        self.L_global = lipschitz_multi(data, hp.delta, J)
+        self.L0 = min(self.L_global / (data.n * J), self.L_global)
+
+    def _split(self, u):
+        return u[:self.J], u[self.J:].reshape(-1, self.J)
+
+    def margins(self, u):
+        b, W = self._split(u)
+        return (np.asarray(_support_product(self.X, W)) + b).ravel()
+
+    def smooth(self, m):
+        return multi_smooth_from_margins(m.reshape(-1, self.J),
+                                         self.data.labels, self.hp.delta)
+
+    def grad(self, m):
+        gb, gW = multi_grad_from_margins(m.reshape(-1, self.J), self.data,
+                                         self.hp.delta)
+        return np.concatenate([gb, gW.ravel()])
+
+    def penalty(self, u):
+        return multi_penalty(*self._split(u), self.hp)
+
+    def prox(self, u_hat, grad, L):
+        bh, Wh = self._split(u_hat)
+        gb, gW = self._split(grad)
+        b = multi_b_step(bh, gb, L, self.hp.lambda3)
+        W = multi_w_step(Wh, gW, L, self.hp.lambda1, self.hp.lambda2)
+        if np.abs(W.sum(axis=1)).max(initial=0.0) > 1e-10:
+            raise ConstraintError("weight rows left the zero-sum subspace")
+        if abs(b.sum()) > 1e-12:
+            raise ConstraintError("intercepts left the zero-sum subspace")
+        return np.concatenate([b, W.ravel()])
+
+    def nnz(self, u):
+        return int(np.count_nonzero(u[self.J:]))
+
+    def model(self, u):
+        b, W = self._split(u)
+        return MultiModel(b=b.copy(), W=W.copy())
 
 
 def fit_binary(data: Dataset, hp: Hyperparams,
                opts: Optional[SolverOptions] = None) -> FitResult:
     """Train the binary model by extrapolated proximal gradient descent,
     starting from the zero vector."""
-    opts = opts or SolverOptions()
-    if data.kind != "binary":
-        raise LabelError("fit_binary requires +1/-1 labels")
-    L_f = lipschitz_binary(data, hp.delta)
-    run_opts = opts
-    if opts.backtracking and opts.L0 is None:
-        run_opts = replace(opts, L0=min(2.0 * L_f / data.n, L_f))
-    out = _run_pg_loop(_binary_problem(data, hp), run_opts, L_f)
-    return _binary_result(*out)
+    return _run_pg_loop(_BinaryProblem(data, hp), opts or SolverOptions())
 
 
 def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
@@ -467,106 +473,36 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     never stabilizes within the iteration budget.
     """
     opts = opts or SolverOptions()
-    if data.kind != "binary":
-        raise LabelError("fit_binary_two_stage requires +1/-1 labels")
     if opts.tol >= opts.stage1_tol:
         raise DomainError("two-stage use requires tol < stage1_tol")
-    L_f = lipschitz_binary(data, hp.delta)
-    stage1_opts = replace(opts, backtracking=False, extrapolation="none",
-                          tol=opts.stage1_tol)
-    st1, trace1, reason1, support, iters1, gp1 = _run_pg_loop(
-        _binary_problem(data, hp), stage1_opts, L_f, stage=1,
-        support_of=lambda u: np.flatnonzero(u[1:]),
+    res1 = _run_pg_loop(
+        _BinaryProblem(data, hp),
+        replace(opts, backtracking=False, extrapolation="none",
+                tol=opts.stage1_tol),
         support_window=opts.support_stable_iters)
+    support = res1.support
     if support is None:
-        result = fit_binary(data, hp, opts)
-        result.two_stage_fallback = True
-        return result
+        return replace(fit_binary(data, hp, opts), two_stage_fallback=True)
 
     # Stage 2 on the reduced problem; indices map back via `support`.
-    reduced = data.restrict_features(support)
-    res2 = fit_binary(reduced, hp, opts)
+    res2 = fit_binary(data.restrict_features(support), hp, opts)
     w_full = np.zeros(data.n_features)
     w_full[support] = res2.model.w
-    model = BinaryModel(b=res2.model.b, w=w_full)
-
     trace = SolverTrace()
-    for row in trace1.rows:
-        trace.append(row)
-    offset = len(trace1)
-    for row in res2.trace.rows:
-        trace.append(replace(row, k=row.k + offset, stage=2))
-    return FitResult(
-        model=model, trace=trace, iterations=st1.k + res2.iterations,
-        converged=res2.converged, final_objective=res2.final_objective,
-        stop_reason=res2.stop_reason, support=support,
-        iterates=res2.iterates, grad_products=gp1 + res2.grad_products)
+    trace.rows = res1.trace.rows + [
+        replace(row, k=row.k + res1.iterations, stage=2)
+        for row in res2.trace.rows]
+    return replace(
+        res2, model=BinaryModel(b=res2.model.b, w=w_full), trace=trace,
+        iterations=res1.iterations + res2.iterations, support=support,
+        grad_products=res1.grad_products + res2.grad_products)
 
 
 def fit_multi(data: Dataset, hp: Hyperparams,
               opts: Optional[SolverOptions] = None) -> FitResult:
     """Train the multi-class model; every iterate satisfies the zero-sum
     constraints by construction of the two prox steps."""
-    opts = opts or SolverOptions()
-    if data.kind != "multiclass":
-        raise LabelError("fit_multi requires labels in 1..J")
-    J = data.n_classes
-    if J < 2:
-        raise LabelError("need at least two classes")
-    p = data.n_features
-    n = data.n
-    X = data.X
-    delta = hp.delta
-    L_m = lipschitz_multi(data, delta, J)
-
-    def unpack(u):
-        return u[:J], u[J:].reshape(p, J)
-
-    def margins_of(u):
-        b, W = unpack(u)
-        return (np.asarray(_support_product(X, W)) + b).ravel()
-
-    def smooth_from_margins(m):
-        return multi_smooth_from_margins(m.reshape(n, J), data.labels, delta)
-
-    def grad_from_margins(m):
-        gb, gW = multi_grad_from_margins(m.reshape(n, J), data, delta)
-        return np.concatenate([gb, gW.ravel()])
-
-    def penalty(u):
-        b, W = unpack(u)
-        return multi_penalty(b, W, hp)
-
-    def prox(u_hat, grad, L):
-        bh, Wh = unpack(u_hat)
-        gb, gW = unpack(grad)
-        b = multi_b_step(bh, gb, L, hp.lambda3)
-        W = multi_w_step(Wh, gW, L, hp.lambda1, hp.lambda2)
-        return np.concatenate([b, W.ravel()])
-
-    def nnz_of(u):
-        return int(np.count_nonzero(u[J:]))
-
-    def feasibility_check(u):
-        b, W = unpack(u)
-        if np.abs(W.sum(axis=1)).max(initial=0.0) > 1e-10:
-            raise ConstraintError("weight rows left the zero-sum subspace")
-        if abs(b.sum()) > 1e-12:
-            raise ConstraintError("intercepts left the zero-sum subspace")
-
-    run_opts = opts
-    if opts.backtracking and opts.L0 is None:
-        run_opts = replace(opts, L0=min(L_m / (n * J), L_m))
-    prob = _Problem(margins_of, smooth_from_margins, grad_from_margins,
-                    penalty, prox, nnz_of, dim=J + p * J)
-    st, trace, stop_reason, _, iterates, gp = _run_pg_loop(
-        prob, run_opts, L_m, feasibility_check=feasibility_check)
-    b, W = unpack(st.u_curr)
-    model = MultiModel(b=b.copy(), W=W.copy())
-    return FitResult(
-        model=model, trace=trace, iterations=st.k,
-        converged=stop_reason == "converged", final_objective=st.F_curr,
-        stop_reason=stop_reason, iterates=iterates, grad_products=gp)
+    return _run_pg_loop(_MultiProblem(data, hp), opts or SolverOptions())
 
 
 ABLATION_SETTINGS = ("ours", "fixed_L_no_monotone", "backtrack_no_monotone")

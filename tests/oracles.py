@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, HsvmError
+from hsvm.errors import DomainError, HsvmError
 
 
 def finite_diff_grad(fun, point, h=1e-5) -> np.ndarray:

@@ -41,7 +41,8 @@ from hsvm.losses import (
     multi_smooth_from_margins,
 )
 from hsvm.model import MultiModel
-from hsvm.oracles import bruteforce_eq_prox, finite_diff_grad
+
+from oracles import bruteforce_eq_prox, finite_diff_grad
 
 
 def report(num, ok, detail):

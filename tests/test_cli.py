@@ -89,6 +89,16 @@ class TestTrain:
         assert code == 2
         assert "converged=False" in out
 
+    def test_nan_tolerance_usage_error(self, tmp_path, capsys):
+        prefix = gen_binary(tmp_path, capsys)
+        code, _, err = run(capsys, "train", "--data", prefix + ".train.libsvm",
+                           "--solver", "bpgh", "--lambda1", "0.1",
+                           "--lambda2", "1", "--lambda3", "1", "--tol", "nan",
+                           "--model-out", str(tmp_path / "m4"))
+        assert code == 1
+        assert "finite" in err
+        assert not os.path.exists(tmp_path / "m4")
+
     def test_missing_data_file_io_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--data", str(tmp_path / "nope"),
                          "--solver", "bpgh", "--lambda1", "0.1",
@@ -163,6 +173,14 @@ class TestCV:
                            "--lambda1-grid", "0.1,oops", "--lambda2-grid", "1")
         assert code == 1
         assert "malformed grid" in err
+
+    def test_malformed_lambda3(self, tmp_path, capsys):
+        prefix = gen_binary(tmp_path, capsys, n=30)
+        code, _, err = run(capsys, "cv", "--data", prefix + ".train.libsvm",
+                           "--lambda1-grid", "0.1", "--lambda2-grid", "1",
+                           "--lambda3", "abc")
+        assert code == 1
+        assert "malformed --lambda3 'abc'" in err
 
     def test_too_many_folds_usage_error(self, tmp_path, capsys):
         prefix = gen_binary(tmp_path, capsys, n=4, s=2, p=6)

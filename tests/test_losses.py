@@ -22,7 +22,8 @@ from hsvm import (
 )
 from hsvm.errors import ConstraintError
 from hsvm.losses import binary_margins, multi_margins
-from hsvm.oracles import finite_diff_grad, reference_binary_grad
+
+from oracles import finite_diff_grad, reference_binary_grad
 
 
 def random_binary(rng, n, p):

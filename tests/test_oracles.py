@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hsvm import Dataset, DomainError, Hyperparams
-from hsvm.oracles import (
+from oracles import (
     bruteforce_eq_prox,
     finite_diff_grad,
     grid_minimize,

@@ -15,7 +15,8 @@ from hsvm import (
     multi_w_step,
     shrink,
 )
-from hsvm.oracles import bruteforce_eq_prox
+
+from oracles import bruteforce_eq_prox
 
 
 class TestShrink:

@@ -24,13 +24,22 @@ from hsvm import (
 )
 from hsvm.data import SynthSpec, gen_binary_gaussian, gen_fourclass
 from hsvm.model import evaluate
-from hsvm.oracles import grid_minimize, projected_subgradient
-from hsvm.solver import _Problem, _run_pg_loop, _support_product
+from hsvm.solver import _run_pg_loop, _support_product
+
+from oracles import grid_minimize, projected_subgradient
 
 
 def binary_data(seed=0, n=60, p=20, s=5, rho=0.0):
     return gen_binary_gaussian(
         SynthSpec(kind="binary_gaussian", n=n, p=p, s=s, rho=rho, seed=seed))
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("field", ["tol", "stage1_tol", "eta", "L0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            SolverOptions(**{field: value})
 
 
 class TestExtrapolationWeight:
@@ -98,38 +107,64 @@ class TestDetectSupport:
         assert detect_support([(1,)], 3) is None
 
 
+class _Quadratic:
+    """f(u) = (c/2)|u - target|^2 with identity margins and no penalty: a
+    duck-typed problem for the engine and the line search. The
+    majorization with step constant L holds exactly when L >= c."""
+
+    def __init__(self, target, c=1.0, L_global=1.0):
+        self.target = np.asarray(target, dtype=float)
+        self.c = c
+        self.dim = self.target.size
+        self.L_global = L_global
+        self.L0 = L_global
+
+    def margins(self, u):
+        return u
+
+    def smooth(self, m):
+        return 0.5 * self.c * float(np.sum((m - self.target) ** 2))
+
+    def grad(self, m):
+        return self.c * (m - self.target)
+
+    def penalty(self, u):
+        return 0.0
+
+    def prox(self, u_hat, grad, L):
+        return u_hat - grad / L
+
+    def nnz(self, u):
+        return int(np.count_nonzero(u))
+
+    def model(self, u):
+        return u.copy()
+
+
 class TestSupportHistory:
     def test_memory_bounded_when_support_never_settles(self):
-        # support_of alternates between two disjoint 1000-index sets, so
+        # support alternates between two disjoint 1000-index sets, so
         # stage 1 runs to max_iter; the kept supports must not grow with it
-        dim = 20_000
-        target = np.linspace(-1.0, 1.0, dim)
-        prob = _Problem(
-            margins_of=lambda u: u,
-            smooth_from_margins=lambda m: 0.5 * float(np.sum((m - target)**2)),
-            grad_from_margins=lambda m: m - target,
-            penalty=lambda u: 0.0,
-            prox=lambda u_hat, grad, L: u_hat - grad / L,
-            nnz_of=lambda u: int(np.count_nonzero(u)),
-            dim=dim)
+        prob = _Quadratic(np.linspace(-1.0, 1.0, 20_000))
         calls = [0]
 
-        def support_of(u):
+        def support(u):
             calls[0] += 1
             return np.arange(1000) + 1000 * (calls[0] % 2)
+
+        prob.support = support
 
         def peak(max_iter):
             opts = SolverOptions(max_iter=max_iter, consec_stop=10 ** 6,
                                  backtracking=False, extrapolation="none")
             tracemalloc.start()
             try:
-                st, _, reason, support, _, _ = _run_pg_loop(
-                    prob, opts, 1.0, support_of=support_of, support_window=3)
+                res = _run_pg_loop(prob, opts, support_window=3)
                 _, top = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert st.k == max_iter and reason == "max_iter"
-            assert support is None
+            assert res.iterations == max_iter and res.stop_reason == "max_iter"
+            assert res.support is None
             return top
 
         assert peak(400) <= 1.5 * peak(100)
@@ -143,29 +178,18 @@ class TestLineSearch:
         grad = c * u_hat
         f_hat = 0.5 * c * float(u_hat @ u_hat)
 
-        def prox_step(L):
-            return u_hat - grad / L
-
-        def smooth(u):
-            return 0.5 * c * float(u @ u)
-
-        L, cand, f_cand, gap, evals = line_search(
-            u_hat, f_hat, grad, prox_step, smooth, c, 10 * c, 1.5)
+        L, cand, m_cand, f_cand, gap, evals = line_search(
+            _Quadratic(np.zeros(2), c), u_hat, f_hat, grad, c, 10 * c, 1.5)
         assert L == c and evals == 1
         assert gap >= -1e-12 * (1 + abs(f_hat))
 
     def test_cap_accepts_immediately(self):
         u_hat = np.zeros(2)
         grad = np.ones(2)
+        prob = _Quadratic(np.zeros(2), 200.0)  # curvature far above the cap
 
-        def prox_step(L):
-            return u_hat - grad / L
-
-        def smooth(u):
-            return 100.0 * float(u @ u)  # curvature far above the cap
-
-        L, _, _, _, evals = line_search(u_hat, 0.0, grad, prox_step, smooth,
-                                        5.0, 5.0, 1.5)
+        L, _, _, _, _, evals = line_search(prob, u_hat, 0.0, grad,
+                                           5.0, 5.0, 1.5)
         assert L == 5.0 and evals == 1
 
     def test_grows_until_sufficient(self):
@@ -174,16 +198,20 @@ class TestLineSearch:
         grad = c * u_hat
         f_hat = 0.5 * c
 
-        def prox_step(L):
-            return u_hat - grad / L
-
-        def smooth(u):
-            return 0.5 * c * float(u @ u)
-
-        L, _, _, _, evals = line_search(u_hat, f_hat, grad, prox_step, smooth,
-                                        1.0, 1000.0, 2.0)
+        L, _, _, _, _, evals = line_search(_Quadratic(np.zeros(1), c), u_hat,
+                                           f_hat, grad, 1.0, 1000.0, 2.0)
         assert L >= c and evals > 1
         assert L <= 1000.0
+
+    def test_returns_margins_of_accepted_candidate(self):
+        prob = _Quadratic(np.array([1.0, -2.0, 0.5]), c=3.0, L_global=4.0)
+        u_hat = np.zeros(3)
+        m_hat = prob.margins(u_hat)
+        _, cand, m_cand, f_cand, _, evals = line_search(
+            prob, u_hat, prob.smooth(m_hat), prob.grad(m_hat), 0.5, 4.0, 2.0)
+        assert evals > 1
+        np.testing.assert_array_equal(m_cand, prob.margins(cand))
+        assert f_cand == prob.smooth(m_cand)
 
 
 class TestFitBinary:
