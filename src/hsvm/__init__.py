@@ -26,17 +26,11 @@ from .errors import (
     StateError,
 )
 from .losses import (
-    BinaryObjectiveParts,
     Hyperparams,
-    MultiObjectiveParts,
-    binary_objective,
-    binary_smooth_grad,
     huber_grad,
     huber_loss,
     lipschitz_binary,
     lipschitz_multi,
-    multi_objective,
-    multi_smooth_grad,
 )
 from .model import (
     BinaryModel,
@@ -58,7 +52,10 @@ from .prox import (
     shrink,
 )
 from .solver import (
+    BinaryObjective,
     FitResult,
+    MultiObjective,
+    ObjectiveParts,
     SolverOptions,
     SolverTrace,
     ablation_run,
@@ -69,6 +66,7 @@ from .solver import (
     fit_binary_two_stage,
     fit_multi,
     line_search,
+    objective,
 )
 from .stats import (
     RankTable,

@@ -8,6 +8,7 @@ files and 0-based in memory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -268,8 +269,9 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
     """Parse LIBSVM text: ``label idx:val idx:val ...`` per line.
 
     Indices must be 1-based and strictly ascending within a line. Labels
-    must be integral; a file whose labels are all 0 is treated as unlabeled
-    test data. ``n_features`` overrides the inferred width (max index).
+    must be integral and values finite; a file whose labels are all 0 is
+    treated as unlabeled test data. ``n_features`` overrides the inferred
+    width (max index).
     """
     if hasattr(source, "read"):
         lines = iter(source)
@@ -290,6 +292,8 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
             lab = float(tokens[0])
         except ValueError:
             raise ParseError(f"bad label token {tokens[0]!r}", line_no) from None
+        if not math.isfinite(lab):
+            raise ParseError(f"label {tokens[0]!r} is not finite", line_no)
         if lab != int(lab):
             raise ParseError(f"label {tokens[0]!r} is not an integer", line_no)
         labels.append(int(lab))
@@ -304,6 +308,9 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
             except ValueError:
                 raise ParseError(f"malformed feature token {tok!r}",
                                  line_no) from None
+            if not math.isfinite(val):
+                raise ParseError(f"feature value {val_s!r} is not finite",
+                                 line_no)
             if idx < 1:
                 raise ParseError(f"feature index {idx} < 1", line_no)
             if idx <= prev:

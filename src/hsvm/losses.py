@@ -1,4 +1,4 @@
-"""Huberized hinge loss and the smooth/penalty split of both objectives.
+"""Huberized hinge loss, penalties and Lipschitz constants of both objectives.
 
 The binary objective is F(b, w) = f + g with
 
@@ -17,7 +17,9 @@ largest score and the argmax decision rule is Fisher consistent.
 phi is zero above 1, quadratic on
 (1 - delta, 1] and linear below, so it is C^1 with a (1/delta)-Lipschitz
 derivative; both smooth parts therefore have Lipschitz gradients with the
-explicit constants computed below.
+explicit constants computed below. The objectives themselves, with their
+margins and gradients, are ``hsvm.solver.BinaryObjective`` and
+``hsvm.solver.MultiObjective``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, DomainError, LabelError, ShapeError, StateError
-from .model import FEASIBILITY_TOL, BinaryModel, MultiModel
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -53,75 +54,35 @@ class Hyperparams:
             raise DomainError("delta must be positive")
 
 
-@dataclass(frozen=True)
-class BinaryObjectiveParts:
-    smooth: float
-    penalty: float
-    total: float
-
-
-@dataclass(frozen=True)
-class MultiObjectiveParts:
-    smooth: float
-    penalty: float
-    total: float
-
-
 def _check_delta(delta):
     if not np.isfinite(delta) or delta <= 0:
         raise DomainError("delta must be positive and finite")
 
 
-def huber_loss(t, delta):
-    """Smoothed hinge penalty: 0 above 1, (1-t)^2/(2 delta) on
-    (1-delta, 1], and 1 - t - delta/2 below. Accepts scalars or arrays."""
+def _clipped_hinge(t, delta):
+    """s = max(1 - t, 0), once ``delta`` and every entry of ``t`` have
+    been checked; phi and phi' are both functions of min(s, delta)."""
     _check_delta(delta)
     t_in = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_in)):
         raise DomainError("loss argument must be finite")
-    t1 = np.atleast_1d(t_in)
-    out = np.zeros_like(t1)
-    quad = (t1 > 1.0 - delta) & (t1 <= 1.0)
-    lin = t1 <= 1.0 - delta
-    r = 1.0 - t1[quad]
-    out[quad] = r * r / (2.0 * delta)
-    out[lin] = (1.0 - t1[lin]) - 0.5 * delta
-    return float(out[0]) if t_in.ndim == 0 else out.reshape(t_in.shape)
+    return np.maximum(1.0 - t_in, 0.0)
+
+
+def huber_loss(t, delta):
+    """Smoothed hinge penalty: 0 above 1, (1-t)^2/(2 delta) on
+    (1-delta, 1], and 1 - t - delta/2 below. Accepts scalars or arrays."""
+    s = _clipped_hinge(t, delta)
+    r = np.minimum(s, delta)
+    out = np.where(s < delta, r * r / (2.0 * delta), s - 0.5 * delta)
+    return float(out) if out.ndim == 0 else out
 
 
 def huber_grad(t, delta):
     """Derivative of :func:`huber_loss`: 0 above 1, (t-1)/delta on
     (1-delta, 1], and -1 below. Always lies in [-1, 0]."""
-    _check_delta(delta)
-    t_in = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_in)):
-        raise DomainError("loss argument must be finite")
-    t1 = np.atleast_1d(t_in)
-    out = np.zeros_like(t1)
-    quad = (t1 > 1.0 - delta) & (t1 <= 1.0)
-    lin = t1 <= 1.0 - delta
-    out[quad] = (t1[quad] - 1.0) / delta
-    out[lin] = -1.0
-    return float(out[0]) if t_in.ndim == 0 else out.reshape(t_in.shape)
-
-
-def _require_binary(data):
-    if data.kind != "binary":
-        raise LabelError("expected a binary dataset (+1/-1 labels)")
-
-
-def _require_multiclass(data):
-    if data.kind != "multiclass":
-        raise LabelError("expected a multi-class dataset (labels in 1..J)")
-
-
-def binary_margins(b, w, data) -> np.ndarray:
-    """Classification margins y_i (b + x_i' w) for every sample."""
-    w = np.asarray(w, dtype=float)
-    if w.size != data.n_features:
-        raise ShapeError(
-            f"w has {w.size} entries, data has {data.n_features} features")
-    return data.labels * (b + np.asarray(data.X @ w).ravel())
+    out = -np.minimum(_clipped_hinge(t, delta), delta) / delta
+    return float(out) if out.ndim == 0 else out
 
 
 def binary_penalty(b, w, hp: Hyperparams) -> float:
@@ -131,48 +92,13 @@ def binary_penalty(b, w, hp: Hyperparams) -> float:
                  + 0.5 * hp.lambda3 * b * b)
 
 
-def binary_objective(model: BinaryModel, data, hp: Hyperparams) -> BinaryObjectiveParts:
-    """Evaluate F = f + g at a binary model."""
-    _require_binary(data)
-    m = binary_margins(model.b, model.w, data)
-    smooth = float(np.mean(huber_loss(m, hp.delta)))
-    penalty = binary_penalty(model.b, model.w, hp)
-    return BinaryObjectiveParts(smooth=smooth, penalty=penalty,
-                                total=smooth + penalty)
-
-
-def binary_smooth_grad(margins, data, delta):
-    """Gradient of f from cached margins: (1/n) sum_i phi'(m_i) (y_i; y_i x_i).
-
-    ``margins`` must correspond to the point being differentiated.
-    """
-    values = np.asarray(margins, dtype=float)
-    if values.shape != (data.n,):
-        raise StateError(
-            f"margin cache has shape {values.shape}, expected ({data.n},)")
-    coef = huber_grad(values, delta) * data.labels / data.n
-    grad_b = float(coef.sum())
-    grad_w = np.asarray(data.X.T @ coef).ravel()
-    return grad_b, grad_w
-
-
 def lipschitz_binary(data, delta) -> float:
-    """Gradient Lipschitz constant (1/(n delta)) sum_i y_i^2 (1 + ||x_i||^2)."""
+    """Gradient Lipschitz constant (1/(n delta)) sum_i (1 + ||x_i||^2);
+    the y_i^2 factor of the chain rule is 1 for +1/-1 labels."""
     _check_delta(delta)
     if data.n < 1:
         raise DomainError("need at least one sample")
-    y2 = data.labels.astype(float) ** 2
-    return float((y2 * (1.0 + data.row_sqnorms())).sum() / (data.n * delta))
-
-
-def multi_margins(b, W, data) -> np.ndarray:
-    """Class scores b_j + x_i' w_j as an (n, J) array."""
-    W = np.asarray(W, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if W.shape != (data.n_features, b.size):
-        raise ShapeError(
-            f"W has shape {W.shape}, expected ({data.n_features}, {b.size})")
-    return np.asarray(data.X @ W) + b
+    return float((1.0 + data.row_sqnorms()).sum() / (data.n * delta))
 
 
 def multi_penalty(b, W, hp: Hyperparams) -> float:
@@ -190,39 +116,15 @@ def multi_smooth_from_margins(scores, labels, delta) -> float:
     return float(loss.sum() / labels.size)
 
 
-def multi_objective(model: MultiModel, data, hp: Hyperparams) -> MultiObjectiveParts:
-    """Evaluate H = l + G at a feasible multi-class model."""
-    _require_multiclass(data)
-    if model.feasibility_residual() > FEASIBILITY_TOL:
-        raise ConstraintError("model violates the zero-sum constraints")
-    m = multi_margins(model.b, model.W, data)
-    smooth = multi_smooth_from_margins(m, data.labels, hp.delta)
-    penalty = multi_penalty(model.b, model.W, hp)
-    return MultiObjectiveParts(smooth=smooth, penalty=penalty,
-                               total=smooth + penalty)
-
-
 def multi_grad_from_margins(scores, data, delta):
     """Gradient of the smooth part from cached class scores; the chain
     rule through the negated wrong-class margin flips the sign of phi'."""
-    if scores.shape[0] != data.n:
-        raise StateError(
-            f"margin cache has {scores.shape[0]} rows, expected {data.n}")
     G = -huber_grad(-scores, delta)
     G[np.arange(data.n), data.labels - 1] = 0.0  # skip j == y_i
     G /= data.n
     grad_b = G.sum(axis=0)
     grad_W = np.asarray(data.X.T @ G)
     return grad_b, grad_W
-
-
-def multi_smooth_grad(model: MultiModel, data, delta):
-    """Gradient of l at a feasible model; returns (J,) and (p, J) parts."""
-    _require_multiclass(data)
-    if model.feasibility_residual() > FEASIBILITY_TOL:
-        raise ConstraintError("model violates the zero-sum constraints")
-    m = multi_margins(model.b, model.W, data)
-    return multi_grad_from_margins(m, data, delta)
 
 
 def lipschitz_multi(data, delta, n_classes=None) -> float:

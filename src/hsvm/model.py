@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Optional
 
@@ -121,6 +122,18 @@ def save_model(model, hp, stream: IO[str]) -> None:
             stream.write(f"w {r + 1} {c + 1} {model.W[r, c]:.17g}\n")
 
 
+def _number(tok, line, kind=float):
+    """``kind(tok)``; a malformed or non-finite token raises
+    ``FormatError`` naming ``line``."""
+    try:
+        value = kind(tok)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"malformed number {tok!r} in {line!r}")
+    return value
+
+
 def load_model(stream: IO[str]):
     """Inverse of :func:`save_model`; returns ``(model, hyperparams)``.
 
@@ -144,6 +157,8 @@ def load_model(stream: IO[str]):
         j = int(head[3].removeprefix("J="))
     except ValueError:
         raise FormatError(f"bad header {lines[0]!r}") from None
+    if p < 0 or j < 2:
+        raise FormatError(f"bad header {lines[0]!r}")
     if len(lines) < 3:
         raise FormatError("truncated model file")
     hp_fields = {}
@@ -151,15 +166,15 @@ def load_model(stream: IO[str]):
         key, sep, val = tok.partition("=")
         if not sep:
             raise FormatError(f"bad hyperparameter token {tok!r}")
-        hp_fields[key] = float(val)
+        hp_fields[key] = _number(val, lines[1])
     try:
         hp = Hyperparams(**hp_fields)
-    except TypeError:
+    except (TypeError, DomainError):
         raise FormatError("bad hyperparameter line") from None
     b_tokens = lines[2].split()
     if not b_tokens or b_tokens[0] != "b":
         raise FormatError("missing intercept line")
-    b_vals = [float(v) for v in b_tokens[1:]]
+    b_vals = [_number(v, lines[2]) for v in b_tokens[1:]]
     expected_b = 1 if kind == "binary" else j
     if len(b_vals) != expected_b:
         raise FormatError(
@@ -172,10 +187,10 @@ def load_model(stream: IO[str]):
             toks = ln.split()
             if len(toks) != 3 or toks[0] != "w":
                 raise FormatError(f"bad weight line {ln!r}")
-            i = int(toks[1]) - 1
+            i = _number(toks[1], ln, int) - 1
             if not 0 <= i < p:
                 raise FormatError(f"weight index out of range in {ln!r}")
-            w[i] = float(toks[2])
+            w[i] = _number(toks[2], ln)
         return BinaryModel(b=b_vals[0], w=w), hp
     W = np.zeros((p, j))
     for ln in lines[3:]:
@@ -184,10 +199,10 @@ def load_model(stream: IO[str]):
         toks = ln.split()
         if len(toks) != 4 or toks[0] != "w":
             raise FormatError(f"bad weight line {ln!r}")
-        r, c = int(toks[1]) - 1, int(toks[2]) - 1
+        r, c = _number(toks[1], ln, int) - 1, _number(toks[2], ln, int) - 1
         if not (0 <= r < p and 0 <= c < j):
             raise FormatError(f"weight index out of range in {ln!r}")
-        W[r, c] = float(toks[3])
+        W[r, c] = _number(toks[3], ln)
     try:
         return MultiModel(b=np.asarray(b_vals), W=W), hp
     except ConstraintError:

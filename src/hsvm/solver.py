@@ -11,12 +11,12 @@ Three training entry points share one iteration skeleton:
 * ``fit_multi``    -- M-PGH: the same loop over (b, W) with the closed-form
   zero-sum intercept step and the row-decomposed dual prox.
 
-Each model is one problem object (``_BinaryProblem``, ``_MultiProblem``)
-over a flat parameter vector u. It owns the label check, the global
-Lipschitz constant and the default initial step constant, and provides
-``margins``, ``smooth``, ``grad``, ``penalty``, ``prox``, ``nnz`` and
-``model``. ``_run_pg_loop`` runs on such an object and returns the
-``FitResult``.
+Each model is one objective object (``BinaryObjective``, ``MultiObjective``)
+over a flat parameter vector u, the only code for its margins and
+gradient. It owns the label check, the global Lipschitz constant and the
+default initial step constant, and provides ``margins``, ``smooth``,
+``grad``, ``penalty``, ``prox``, ``nnz``, ``model`` and its inverse
+``point``. ``_run_pg_loop`` runs on it; ``objective`` evaluates a model.
 
 Per iteration the data matrix is touched by one gradient (transpose)
 product and one forward margin product per candidate evaluation.
@@ -45,7 +45,7 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ConstraintError, DomainError, LabelError, StateError
+from .errors import ConstraintError, DomainError, LabelError, ShapeError, StateError
 from .losses import (
     Hyperparams,
     binary_penalty,
@@ -57,10 +57,12 @@ from .losses import (
     multi_penalty,
     multi_smooth_from_margins,
 )
-from .model import BinaryModel, MultiModel
+from .model import FEASIBILITY_TOL, BinaryModel, MultiModel
 from .prox import binary_prox_step, multi_b_step, multi_w_step
 
 EXTRAPOLATION_MODES = ("fista_capped", "none")
+
+SUPPORT_STABLE_ITERS = 3  # equal consecutive supports that end B-PGH-2 stage 1
 
 
 @dataclass
@@ -82,7 +84,6 @@ class SolverOptions:
     backtracking: bool = True
     consec_stop: int = 3
     stage1_tol: float = 1e-3
-    support_stable_iters: int = 3
     record_iterates: bool = False
     check_margin_drift: bool = False
 
@@ -97,7 +98,7 @@ class SolverOptions:
             raise DomainError("eta must exceed 1")
         if self.tol <= 0 or self.stage1_tol <= 0:
             raise DomainError("tolerances must be positive")
-        if self.max_iter < 1 or self.consec_stop < 1 or self.support_stable_iters < 1:
+        if self.max_iter < 1 or self.consec_stop < 1:
             raise DomainError("iteration counts must be positive")
         if self.extrapolation not in EXTRAPOLATION_MODES:
             raise DomainError(f"unknown extrapolation mode {self.extrapolation!r}")
@@ -352,14 +353,14 @@ def _support_product(X, V):
     return X[:, rows] @ V[rows]
 
 
-class _BinaryProblem:
-    """B-PGH objective over u = (b, w): the mean huberized hinge loss of
-    the margins y (b + X w) plus the elastic-net penalty. The default
-    initial step constant is 2 L_f / n, clamped to the global L_f."""
+class BinaryObjective:
+    """B-PGH objective F = f + g over u = (b, w): the mean huberized hinge
+    loss of the margins y (b + X w) plus the elastic-net penalty. The
+    default initial step constant is 2 L_f / n, clamped to the global L_f."""
 
     def __init__(self, data: Dataset, hp: Hyperparams):
         if data.kind != "binary":
-            raise LabelError("binary solvers require +1/-1 labels")
+            raise LabelError("the binary objective requires +1/-1 labels")
         self.X = data.X
         self.y = data.labels.astype(float)
         self.n = data.n
@@ -397,16 +398,22 @@ class _BinaryProblem:
     def model(self, u):
         return BinaryModel(b=float(u[0]), w=u[1:].copy())
 
+    def point(self, model: BinaryModel):
+        """The u with ``self.model(u) == model``."""
+        if model.w.size != self.dim - 1:
+            raise ShapeError(f"w has {model.w.size} entries, not {self.dim - 1}")
+        return np.concatenate([[model.b], model.w])
 
-class _MultiProblem:
-    """M-PGH objective over u = (b, vec W) with b of length J and W of
-    shape (p, J). The prox keeps both in the zero-sum subspace, which is
-    checked on every candidate. The default initial step constant is
+
+class MultiObjective:
+    """M-PGH objective H = l + G over u = (b, vec W) with b of length J and
+    W of shape (p, J). The prox keeps both in the zero-sum subspace, which
+    is checked on every candidate. The default initial step constant is
     L_m / (n J), clamped to the global L_m."""
 
     def __init__(self, data: Dataset, hp: Hyperparams):
         if data.kind != "multiclass":
-            raise LabelError("fit_multi requires labels in 1..J")
+            raise LabelError("the multi-class objective requires labels in 1..J")
         J = data.n_classes
         if J < 2:
             raise LabelError("need at least two classes")
@@ -455,12 +462,40 @@ class _MultiProblem:
         b, W = self._split(u)
         return MultiModel(b=b.copy(), W=W.copy())
 
+    def point(self, model: MultiModel):
+        """The u with ``self.model(u) == model``, for a feasible model."""
+        shape = (self.data.n_features, self.J)
+        if model.W.shape != shape:
+            raise ShapeError(f"W has shape {model.W.shape}, expected {shape}")
+        if model.feasibility_residual() > FEASIBILITY_TOL:
+            raise ConstraintError("model violates the zero-sum constraints")
+        return np.concatenate([model.b, model.W.ravel()])
+
+
+@dataclass(frozen=True)
+class ObjectiveParts:
+    smooth: float
+    penalty: float
+    total: float
+
+
+def objective(model, data: Dataset, hp: Hyperparams) -> ObjectiveParts:
+    """Evaluate F = f + g at a ``BinaryModel`` or H = l + G at a feasible
+    ``MultiModel``, with the objective object the solver runs on."""
+    cls = BinaryObjective if isinstance(model, BinaryModel) else MultiObjective
+    obj = cls(data, hp)
+    u = obj.point(model)
+    smooth = obj.smooth(obj.margins(u))
+    penalty = obj.penalty(u)
+    return ObjectiveParts(smooth=smooth, penalty=penalty,
+                          total=smooth + penalty)
+
 
 def fit_binary(data: Dataset, hp: Hyperparams,
                opts: Optional[SolverOptions] = None) -> FitResult:
     """Train the binary model by extrapolated proximal gradient descent,
     starting from the zero vector."""
-    return _run_pg_loop(_BinaryProblem(data, hp), opts or SolverOptions())
+    return _run_pg_loop(BinaryObjective(data, hp), opts or SolverOptions())
 
 
 def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
@@ -476,10 +511,10 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     if opts.tol >= opts.stage1_tol:
         raise DomainError("two-stage use requires tol < stage1_tol")
     res1 = _run_pg_loop(
-        _BinaryProblem(data, hp),
+        BinaryObjective(data, hp),
         replace(opts, backtracking=False, extrapolation="none",
                 tol=opts.stage1_tol),
-        support_window=opts.support_stable_iters)
+        support_window=SUPPORT_STABLE_ITERS)
     support = res1.support
     if support is None:
         return replace(fit_binary(data, hp, opts), two_stage_fallback=True)
@@ -502,7 +537,7 @@ def fit_multi(data: Dataset, hp: Hyperparams,
               opts: Optional[SolverOptions] = None) -> FitResult:
     """Train the multi-class model; every iterate satisfies the zero-sum
     constraints by construction of the two prox steps."""
-    return _run_pg_loop(_MultiProblem(data, hp), opts or SolverOptions())
+    return _run_pg_loop(MultiObjective(data, hp), opts or SolverOptions())
 
 
 ABLATION_SETTINGS = ("ours", "fixed_L_no_monotone", "backtrack_no_monotone")

@@ -146,6 +146,38 @@ class TestPredict:
         assert not lines[-1].startswith("accuracy")
 
 
+    def test_malformed_model_number_io_error(self, tmp_path, capsys):
+        prefix = gen_binary(tmp_path, capsys)
+        model = self.train_model(tmp_path, capsys, prefix)
+        lines = open(model).read().splitlines()
+        with open(model, "w") as fh:
+            fh.write("\n".join(lines[:3] + ["w x 1.0"]) + "\n")
+        code, _, err = run(capsys, "predict", "--model", model,
+                           "--data", prefix + ".test.libsvm",
+                           "--out", str(tmp_path / "pred3.txt"))
+        assert code == 3
+        assert "malformed number 'x'" in err
+
+    def test_non_finite_value_io_error(self, tmp_path, capsys):
+        prefix = gen_binary(tmp_path, capsys)
+        model = self.train_model(tmp_path, capsys, prefix)
+        raw = str(tmp_path / "nan.libsvm")
+        with open(raw, "w") as fh:
+            fh.write("1 1:0.5\n-1 1:nan\n")
+        out_file = tmp_path / "pred4.txt"
+        code, _, err = run(capsys, "predict", "--model", model, "--data", raw,
+                           "--out", str(out_file))
+        assert code == 3
+        assert "line 2" in err
+        assert not out_file.exists()
+        code, _, err = run(capsys, "train", "--data", raw, "--solver", "bpgh",
+                           "--lambda1", "0.1", "--lambda2", "1",
+                           "--lambda3", "1",
+                           "--model-out", str(tmp_path / "m5"))
+        assert code == 3
+        assert "line 2" in err
+
+
 class TestCV:
     def test_single_point_echoed(self, tmp_path, capsys):
         prefix = gen_binary(tmp_path, capsys, n=30)

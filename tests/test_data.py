@@ -84,6 +84,12 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             parse_libsvm("1.5 1:1\n")
 
+    @pytest.mark.parametrize("second", [
+        "-1 2:nan", "-1 2:-inf", "-1 2:1e999", "nan 2:1", "inf 2:1"])
+    def test_non_finite_rejected_with_line(self, second):
+        with pytest.raises(ParseError, match="line 2.*not finite"):
+            parse_libsvm(f"+1 1:1\n{second}\n")
+
     def test_feature_override(self):
         d = parse_libsvm("+1 2:1\n", n_features=10)
         assert d.n_features == 10

@@ -5,23 +5,21 @@ from hypothesis import strategies as st
 
 from hsvm import (
     BinaryModel,
+    BinaryObjective,
     Dataset,
     DomainError,
     Hyperparams,
     LabelError,
     MultiModel,
-    StateError,
-    binary_objective,
-    binary_smooth_grad,
+    MultiObjective,
+    ShapeError,
     huber_grad,
     huber_loss,
     lipschitz_binary,
     lipschitz_multi,
-    multi_objective,
-    multi_smooth_grad,
+    objective,
 )
 from hsvm.errors import ConstraintError
-from hsvm.losses import binary_margins, multi_margins
 
 from oracles import finite_diff_grad, reference_binary_grad
 
@@ -112,7 +110,7 @@ class TestBinaryObjective:
         rng = np.random.default_rng(0)
         data = random_binary(rng, 13, 4)
         hp = Hyperparams(1.0, 1.0, 1.0, 1.0)
-        parts = binary_objective(BinaryModel(0.0, np.zeros(4)), data, hp)
+        parts = objective(BinaryModel(0.0, np.zeros(4)), data, hp)
         assert parts.smooth == pytest.approx(0.5, abs=1e-15)
         assert parts.penalty == 0.0
         assert parts.total == parts.smooth + parts.penalty
@@ -120,14 +118,14 @@ class TestBinaryObjective:
     def test_margin_beyond_one_is_free(self):
         data = Dataset(np.array([[2.0]]), np.array([1]))
         hp = Hyperparams(0.0, 0.0, 0.0, 1.0)
-        parts = binary_objective(BinaryModel(0.0, np.array([1.0])), data, hp)
+        parts = objective(BinaryModel(0.0, np.array([1.0])), data, hp)
         assert parts.smooth == 0.0
 
     def test_penalty_terms(self):
         data = random_binary(np.random.default_rng(1), 5, 3)
         hp = Hyperparams(2.0, 3.0, 4.0, 1.0)
         w = np.array([1.0, -2.0, 0.5])
-        parts = binary_objective(BinaryModel(1.5, w), data, hp)
+        parts = objective(BinaryModel(1.5, w), data, hp)
         expect = 2.0 * 3.5 + 1.5 * (w @ w) + 2.0 * 1.5 ** 2
         assert parts.penalty == pytest.approx(expect, rel=1e-14)
 
@@ -137,7 +135,7 @@ class TestBinaryObjective:
         hp = Hyperparams(0.3, 0.7, 0.2, 0.5)
 
         def F(u):
-            return binary_objective(BinaryModel(u[0], u[1:]), data, hp).total
+            return objective(BinaryModel(u[0], u[1:]), data, hp).total
 
         for _ in range(50):
             u = rng.normal(size=7)
@@ -146,53 +144,55 @@ class TestBinaryObjective:
             mid = theta * u + (1 - theta) * v
             assert F(mid) <= theta * F(u) + (1 - theta) * F(v) + 1e-12
 
+    def test_point_inverts_model(self):
+        rng = np.random.default_rng(8)
+        obj = BinaryObjective(random_binary(rng, 6, 4), Hyperparams(1, 1, 1))
+        u = rng.normal(size=5)
+        np.testing.assert_array_equal(obj.point(obj.model(u)), u)
+
+    def test_feature_count_mismatch(self):
+        data = random_binary(np.random.default_rng(9), 6, 4)
+        with pytest.raises(ShapeError):
+            objective(BinaryModel(0.0, np.zeros(3)), data, Hyperparams(1, 1, 1))
+
+
+def binary_grad_at(data, u, delta):
+    obj = BinaryObjective(data, Hyperparams(0.0, 0.0, 0.0, delta))
+    return obj.grad(obj.margins(u))
+
 
 class TestBinaryGrad:
     def test_single_sample_at_zero(self):
         data = Dataset(np.zeros((1, 3)), np.array([1]))
-        m = binary_margins(0.0, np.zeros(3), data)
-        gb, gw = binary_smooth_grad(m, data, 1.0)
-        assert gb == pytest.approx(-1.0)
-        np.testing.assert_array_equal(gw, np.zeros(3))
+        g = binary_grad_at(data, np.zeros(4), 1.0)
+        assert g[0] == pytest.approx(-1.0)
+        np.testing.assert_array_equal(g[1:], np.zeros(3))
 
     def test_flat_region_zero_grad(self):
         rng = np.random.default_rng(3)
         data = random_binary(rng, 8, 4)
-        margins = np.full(8, 2.0)
-        gb, gw = binary_smooth_grad(margins, data, 1.0)
-        assert gb == 0.0
-        np.testing.assert_array_equal(gw, np.zeros(4))
-
-    def test_cache_length_mismatch(self):
-        data = random_binary(np.random.default_rng(4), 6, 2)
-        with pytest.raises(StateError):
-            binary_smooth_grad(np.zeros(5), data, 1.0)
+        obj = BinaryObjective(data, Hyperparams(0.0, 0.0, 0.0, 1.0))
+        g = obj.grad(np.full(8, 2.0))
+        np.testing.assert_array_equal(g, np.zeros(5))
 
     @pytest.mark.parametrize("delta", [0.01, 0.1, 1.0])
     def test_matches_finite_differences(self, delta):
         rng = np.random.default_rng(17)
         data = random_binary(rng, 20, 10)
-        b, w = rng.normal(), rng.normal(size=10) * 0.4
-        m = binary_margins(b, w, data)
-        gb, gw = binary_smooth_grad(m, data, delta)
-        grad = np.concatenate([[gb], gw])
-
-        def f(u):
-            mm = binary_margins(u[0], u[1:], data)
-            return float(np.mean(huber_loss(mm, delta)))
-
-        fd = finite_diff_grad(f, np.concatenate([[b], w]), h=1e-5)
+        obj = BinaryObjective(data, Hyperparams(0.0, 0.0, 0.0, delta))
+        u = np.concatenate([[rng.normal()], rng.normal(size=10) * 0.4])
+        grad = obj.grad(obj.margins(u))
+        fd = finite_diff_grad(lambda v: obj.smooth(obj.margins(v)), u, h=1e-5)
         assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def test_matches_cache_free_reference(self):
         rng = np.random.default_rng(23)
         data = random_binary(rng, 15, 6)
         b, w = 0.3, rng.normal(size=6) * 0.5
-        m = binary_margins(b, w, data)
-        gb, gw = binary_smooth_grad(m, data, 0.7)
+        g = binary_grad_at(data, np.concatenate([[b], w]), 0.7)
         rb, rw = reference_binary_grad(b, w, data, 0.7)
-        assert gb == pytest.approx(rb, rel=1e-12)
-        np.testing.assert_allclose(gw, rw, rtol=1e-12, atol=1e-15)
+        assert g[0] == pytest.approx(rb, rel=1e-12)
+        np.testing.assert_allclose(g[1:], rw, rtol=1e-12, atol=1e-15)
 
     def test_gradient_lipschitz_bound(self):
         rng = np.random.default_rng(29)
@@ -202,10 +202,8 @@ class TestBinaryGrad:
         for _ in range(30):
             u1 = rng.normal(size=9)
             u2 = rng.normal(size=9)
-            g1 = np.concatenate(binary_smooth_grad(
-                binary_margins(u1[0], u1[1:], data), data, delta), axis=None)
-            g2 = np.concatenate(binary_smooth_grad(
-                binary_margins(u2[0], u2[1:], data), data, delta), axis=None)
+            g1 = binary_grad_at(data, u1, delta)
+            g2 = binary_grad_at(data, u2, delta)
             assert np.linalg.norm(g1 - g2) <= L * np.linalg.norm(u1 - u2) + 1e-12
 
 
@@ -258,8 +256,7 @@ class TestMultiObjective:
         data = Dataset(rng.normal(size=(12, 5)), rng.integers(1, 5, 12),
                        n_classes=4)
         hp = Hyperparams(1.0, 1.0, 1.0, 1.0)
-        parts = multi_objective(MultiModel(np.zeros(4), np.zeros((5, 4))),
-                                data, hp)
+        parts = objective(MultiModel(np.zeros(4), np.zeros((5, 4))), data, hp)
         assert parts.smooth == pytest.approx(1.5, abs=1e-14)  # (J-1)/2
         assert parts.penalty == 0.0
 
@@ -271,18 +268,19 @@ class TestMultiObjective:
     def test_model_made_infeasible_after_construction_rejected(self):
         data = Dataset(np.ones((2, 2)), np.array([1, 2]))
         hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
+        obj = MultiObjective(data, hp)
         model = MultiModel(b=np.zeros(2), W=np.zeros((2, 2)))
         model.W[0, 0] = 1e-6  # row sum 1e-6, beyond the 1e-8 tolerance
         with pytest.raises(ConstraintError):
-            multi_objective(model, data, hp)
+            objective(model, data, hp)
         with pytest.raises(ConstraintError):
-            multi_smooth_grad(model, data, hp.delta)
+            obj.point(model)
         model.W[0, 0] = 0.0
         model.b = np.array([1e-6, 0.0])
         with pytest.raises(ConstraintError):
-            multi_objective(model, data, hp)
+            objective(model, data, hp)
         with pytest.raises(ConstraintError):
-            multi_smooth_grad(model, data, hp.delta)
+            obj.point(model)
 
     def test_two_sample_hand_enumeration(self):
         # J = 2, symmetric samples: enumerate the two wrong-class terms.
@@ -294,7 +292,7 @@ class TestMultiObjective:
         # sample 1 (y=1): wrong class 2 score = -0.5 - 2 = -2.5
         # sample 2 (y=2): wrong class 1 score = 0.5 - 2 = -1.5
         expect = 0.5 * (huber_loss(2.5, 1.0) + huber_loss(1.5, 1.0))
-        parts = multi_objective(MultiModel(b, W), data, hp)
+        parts = objective(MultiModel(b, W), data, hp)
         assert parts.smooth == pytest.approx(expect, rel=1e-14)
 
     def test_total_is_sum(self):
@@ -302,26 +300,45 @@ class TestMultiObjective:
         data = Dataset(rng.normal(size=(9, 4)), rng.integers(1, 4, 9),
                        n_classes=3)
         hp = Hyperparams(0.2, 0.4, 0.6, 0.8)
-        parts = multi_objective(feasible_multi(rng, 4, 3), data, hp)
+        parts = objective(feasible_multi(rng, 4, 3), data, hp)
         assert parts.total == pytest.approx(parts.smooth + parts.penalty,
                                             rel=1e-15)
+
+    def test_point_inverts_model(self):
+        rng = np.random.default_rng(32)
+        data = Dataset(rng.normal(size=(9, 4)), rng.integers(1, 4, 9),
+                       n_classes=3)
+        obj = MultiObjective(data, Hyperparams(1, 1, 1))
+        model = feasible_multi(rng, 4, 3)
+        back = obj.model(obj.point(model))
+        np.testing.assert_array_equal(back.b, model.b)
+        np.testing.assert_array_equal(back.W, model.W)
+
+    @pytest.mark.parametrize("p, J", [(4, 4), (3, 3)])
+    def test_shape_mismatch(self, p, J):
+        rng = np.random.default_rng(33)
+        data = Dataset(rng.normal(size=(9, 4)), rng.integers(1, 4, 9),
+                       n_classes=3)
+        with pytest.raises(ShapeError):
+            objective(feasible_multi(rng, p, J), data, Hyperparams(1, 1, 1))
+
+
+def multi_grad_at(data, model, delta):
+    """(grad_b, grad_W) of the multi-class smooth part at ``model``."""
+    obj = MultiObjective(data, Hyperparams(0.0, 0.0, 0.0, delta))
+    g = obj.grad(obj.margins(obj.point(model)))
+    return g[:obj.J], g[obj.J:].reshape(-1, obj.J)
 
 
 class TestMultiGrad:
     def test_far_wrong_scores_zero_grad(self):
         # wrong-class scores far below -1 contribute nothing
         data = Dataset(np.zeros((3, 2)), np.array([1, 2, 3]))
-        b = np.zeros(3)
-        W = np.zeros((2, 3))
-        model = MultiModel(b, W)
-        m = multi_margins(b, W, data) - 5.0  # every score at -5
-        from hsvm.losses import multi_grad_from_margins
-        gb, gW = multi_grad_from_margins(m + 10.0, data, 1.0)
+        obj = MultiObjective(data, Hyperparams(0.0, 0.0, 0.0, 1.0))
+        m = obj.margins(np.zeros(obj.dim)) - 5.0  # every score at -5
         # scores at +5: wrong-class margins -5, linear region -> nonzero
-        assert np.any(gb != 0)
-        gb2, gW2 = multi_grad_from_margins(m, data, 1.0)
-        np.testing.assert_array_equal(gb2, np.zeros(3))
-        np.testing.assert_array_equal(gW2, np.zeros((2, 3)))
+        assert np.any(obj.grad(m + 10.0)[:3] != 0)
+        np.testing.assert_array_equal(obj.grad(m), np.zeros(obj.dim))
 
     @pytest.mark.parametrize("delta", [0.01, 0.1, 1.0])
     def test_matches_finite_differences(self, delta):
@@ -329,20 +346,10 @@ class TestMultiGrad:
         n, p, J = 14, 7, 4
         data = Dataset(rng.normal(size=(n, p)), rng.integers(1, J + 1, n),
                        n_classes=J)
-        model = feasible_multi(rng, p, J)
-        gb, gW = multi_smooth_grad(model, data, delta)
-        grad = np.concatenate([gb, gW.ravel()])
-
-        from hsvm.losses import multi_smooth_from_margins
-
-        def f(u):
-            b = u[:J]
-            W = u[J:].reshape(p, J)
-            return multi_smooth_from_margins(
-                multi_margins(b, W, data), data.labels, delta)
-
-        u0 = np.concatenate([model.b, model.W.ravel()])
-        fd = finite_diff_grad(f, u0, h=1e-5)
+        obj = MultiObjective(data, Hyperparams(0.0, 0.0, 0.0, delta))
+        u0 = obj.point(feasible_multi(rng, p, J))
+        grad = obj.grad(obj.margins(u0))
+        fd = finite_diff_grad(lambda v: obj.smooth(obj.margins(v)), u0, h=1e-5)
         assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def test_single_sample_hand_enumeration(self):
@@ -352,10 +359,9 @@ class TestMultiGrad:
         b = np.array([0.1, 0.2, -0.3])
         b -= b.mean()
         W = np.array([[0.5, 0.0, -0.5], [0.2, -0.4, 0.2]])
-        model = MultiModel(b, W)
         delta = 1.0
-        scores = multi_margins(b, W, data)[0]
-        gb, gW = multi_smooth_grad(model, data, delta)
+        scores = b + X[0] @ W
+        gb, gW = multi_grad_at(data, MultiModel(b, W), delta)
         for j in (0, 2):  # wrong classes for label 2
             d = -huber_grad(-scores[j], delta)
             assert gb[j] == pytest.approx(d, rel=1e-14)
@@ -367,4 +373,6 @@ class TestMultiGrad:
         data = Dataset(np.zeros((2, 2)), np.array([1, -1]))
         rng = np.random.default_rng(0)
         with pytest.raises(LabelError):
-            multi_smooth_grad(feasible_multi(rng, 2, 2), data, 1.0)
+            multi_grad_at(data, feasible_multi(rng, 2, 2), 1.0)
+        with pytest.raises(LabelError):
+            objective(feasible_multi(rng, 2, 2), data, Hyperparams(1, 1, 1))

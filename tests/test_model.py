@@ -119,6 +119,32 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_model(io.StringIO("NOPE binary p=2 J=2\nlambda1=1\nb 0\n"))
 
+    @pytest.mark.parametrize("line, bad", [
+        (1, "lambda1=zz lambda2=1 lambda3=1 delta=1"), (2, "b abc"),
+        (3, "w x 1.0"), (3, "w 1 1.0.0"), (3, "w 1 nan")])
+    def test_malformed_number_rejected(self, line, bad):
+        lines = ["HSVM binary p=2 J=2", "lambda1=1 lambda2=1 lambda3=1 delta=1",
+                 "b 0", "w 1 0.5"]
+        lines[line] = bad
+        with pytest.raises(FormatError, match="malformed number"):
+            load_model(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize("head, hp_line", [
+        ("HSVM binary p=-1 J=2", "lambda1=1 lambda2=1 lambda3=1 delta=1"),
+        ("HSVM multi p=2 J=1", "lambda1=1 lambda2=1 lambda3=1 delta=1"),
+        ("HSVM binary p=2 J=2", "lambda1=-1 lambda2=1 lambda3=1 delta=1")])
+    def test_out_of_range_header_or_hyperparameter_rejected(self, head, hp_line):
+        with pytest.raises(FormatError):
+            load_model(io.StringIO(f"{head}\n{hp_line}\nb 0\n"))
+
+    def test_malformed_multi_index_rejected(self):
+        text = ("HSVM multi p=1 J=2\n"
+                "lambda1=1 lambda2=1 lambda3=1 delta=1\n"
+                "b 0 0\n"
+                "w 1 y 0.5\n")
+        with pytest.raises(FormatError, match="malformed number"):
+            load_model(io.StringIO(text))
+
     def test_corrupt_constraints_rejected(self):
         text = ("HSVM multi p=1 J=2\n"
                 "lambda1=1 lambda2=1 lambda3=1 delta=1\n"

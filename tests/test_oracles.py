@@ -112,7 +112,7 @@ class TestProjectedSubgradient:
             projected_subgradient(data, Hyperparams(0.1, 1, 1, 1), 10)
 
     def test_direct_objective_matches_module(self):
-        from hsvm import MultiModel, multi_objective
+        from hsvm import MultiModel, objective
         rng = np.random.default_rng(3)
         data = Dataset(rng.normal(size=(10, 4)), rng.integers(1, 4, 10))
         hp = Hyperparams(0.2, 0.5, 0.7, 0.9)
@@ -121,5 +121,5 @@ class TestProjectedSubgradient:
         W = rng.normal(size=(4, 3))
         W -= W.mean(axis=1, keepdims=True)
         direct = multi_objective_direct(b, W, data, hp)
-        parts = multi_objective(MultiModel(b, W), data, hp)
+        parts = objective(MultiModel(b, W), data, hp)
         assert direct == pytest.approx(parts.total, rel=1e-12)
