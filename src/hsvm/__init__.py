@@ -23,7 +23,6 @@ from .errors import (
     LabelError,
     ParseError,
     ShapeError,
-    StateError,
 )
 from .losses import (
     Hyperparams,
@@ -60,7 +59,6 @@ from .solver import (
     SolverTrace,
     ablation_run,
     check_stop,
-    detect_support,
     extrapolation_weight,
     fit_binary,
     fit_binary_two_stage,

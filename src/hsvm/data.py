@@ -383,15 +383,6 @@ def write_sidecar(spec: SynthSpec, data: Dataset, path) -> None:
         fh.write("\n")
 
 
-def read_sidecar(path):
-    """Return (spec, true_support 0-based) recorded by ``write_sidecar``."""
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    support = np.asarray([i - 1 for i in payload.pop("true_support")],
-                         dtype=np.int64)
-    return SynthSpec(**payload), support
-
-
 @dataclass(frozen=True)
 class FeatureStats:
     """Training-set per-feature statistics used by ``standardize``."""

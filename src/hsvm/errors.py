@@ -21,10 +21,6 @@ class ConstraintError(HsvmError, ValueError):
     """A model violates its feasibility constraints beyond tolerance."""
 
 
-class StateError(HsvmError, RuntimeError):
-    """Cached state is inconsistent with the data it was derived from."""
-
-
 class ParseError(HsvmError, ValueError):
     """Malformed data file contents."""
 

@@ -37,15 +37,13 @@ re-extrapolating when backtracking raised L.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
-from itertools import islice
-from typing import IO, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConstraintError, DomainError, LabelError, ShapeError, StateError
+from .errors import ConstraintError, DomainError, LabelError, ShapeError
 from .losses import (
     Hyperparams,
     binary_penalty,
@@ -85,7 +83,6 @@ class SolverOptions:
     consec_stop: int = 3
     stage1_tol: float = 1e-3
     record_iterates: bool = False
-    check_margin_drift: bool = False
 
     def __post_init__(self):
         # Every comparison with NaN is false, so the range checks below
@@ -179,20 +176,6 @@ def check_stop(F_prev, F_curr, u_prev, u_curr, tol, counter, consec=3):
     return counter >= consec, counter
 
 
-def detect_support(recent_patterns: Sequence, stable_iters: int):
-    """The common nonzero pattern once the last ``stable_iters`` recorded
-    patterns are identical, else None."""
-    if stable_iters < 1:
-        raise DomainError("stable_iters must be positive")
-    if len(recent_patterns) < stable_iters:
-        return None
-    tail = [np.asarray(p) for p in islice(
-        recent_patterns, len(recent_patterns) - stable_iters, None)]
-    if all(np.array_equal(t, tail[0]) for t in tail):
-        return np.asarray(tail[0], dtype=np.int64)
-    return None
-
-
 def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
     """Backtracking on the step constant: starting from L_start, multiply
     by eta (capped at L_global) until the proximal candidate
@@ -233,8 +216,8 @@ def _run_pg_loop(prob, opts: SolverOptions,
                  support_window: Optional[int] = None) -> FitResult:
     """Shared iteration loop; see the module docstring for the scheme.
 
-    With ``support_window`` the loop also stops once the last
-    ``support_window`` values of ``prob.support`` agree; only those are
+    With ``support_window`` the loop also stops once ``support_window``
+    consecutive values of ``prob.support`` agree; only the last one is
     kept, so a support that never settles costs no memory per iteration.
     """
     u = np.zeros(prob.dim)
@@ -248,8 +231,8 @@ def _run_pg_loop(prob, opts: SolverOptions,
         L = prob.L_global
     trace = SolverTrace()
     iterates = [] if opts.record_iterates else None
-    patterns: deque = deque(maxlen=support_window)
     support = None
+    last_support, same_support = None, 0
     grad_products = 0
     counter = 0
     stop_reason = "max_iter"
@@ -295,10 +278,6 @@ def _run_pg_loop(prob, opts: SolverOptions,
         L = L_acc
         t = t_next
 
-        if opts.check_margin_drift and k % 100 == 0:
-            if np.abs(prob.margins(u) - m).max() > 1e-8:
-                raise StateError("margin cache drifted beyond 1e-8")
-
         trace.append(TraceRow(
             k=k, F=F, L=L, omega=omega, step_norm=step_norm,
             restarted=restarted, nnz=prob.nnz(u), n_products=evals,
@@ -307,9 +286,12 @@ def _run_pg_loop(prob, opts: SolverOptions,
             iterates.append(u.copy())
 
         if support_window is not None:
-            patterns.append(prob.support(u))
-            support = detect_support(patterns, support_window)
-            if support is not None:
+            current = prob.support(u)
+            same_support = (same_support + 1
+                            if np.array_equal(current, last_support) else 1)
+            last_support = current
+            if same_support >= support_window:
+                support = current
                 stop_reason = "support_stable"
                 break
 

@@ -1,11 +1,11 @@
 """Nonparametric comparison of classifiers across datasets: Wilcoxon
 signed-ranks z, the Friedman statistic, rank-based control comparisons and
-Holm's step-down correction.
+Holm's step-down correction (Demsar 2006).
 
-Tail probabilities are computed locally (erfc for the normal, a
-series/continued-fraction regularized incomplete gamma for the chi-square)
-so the package carries no statistical-table dependency; both match a
-high-precision oracle to 1e-10.
+The normal tails use ``math.erfc`` and the chi-square tail SciPy's
+``chdtrc``; both match a high-precision oracle to 1e-10. Ties get midranks
+from ``np.unique``. ``scipy.stats`` is not used: importing it would add
+about 1 s to ``import hsvm``, which takes about 0.26 s without it.
 """
 
 from __future__ import annotations
@@ -31,80 +31,24 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _gamma_series(a, x):
-    # Lower regularized incomplete gamma by power series; x < a + 1.
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(1000):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_cf(a, x):
-    # Upper regularized incomplete gamma by Lentz continued fraction; x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def gamma_upper_regularized(a: float, x: float) -> float:
-    """Q(a, x), the normalized upper incomplete gamma function."""
-    if a <= 0:
-        raise DomainError("shape parameter must be positive")
-    if x < 0:
-        raise DomainError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
-
-
 def chi2_sf(x: float, df: float) -> float:
     """Chi-square upper tail with ``df`` degrees of freedom."""
     if df <= 0:
         raise DomainError("degrees of freedom must be positive")
     if x <= 0:
         return 1.0
-    return gamma_upper_regularized(df / 2.0, x / 2.0)
+    # Imported on first use: scipy.special adds 0.14 s to ``import hsvm``.
+    from scipy.special import chdtrc
+    return float(chdtrc(df, x))
 
 
 def average_ranks(values, descending=False) -> np.ndarray:
     """Ranks 1..n with ties replaced by their average (midranks)."""
     x = np.asarray(values, dtype=float)
     key = -x if descending else x
-    order = np.argsort(key, kind="stable")
-    ranks = np.empty(x.size)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and key[order[j + 1]] == key[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(key, return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 @dataclass(frozen=True)
@@ -121,6 +65,8 @@ class RankTable:
                            np.asarray(self.values, dtype=float))
         if self.values.ndim != 2:
             raise ShapeError("rank table must be 2-dimensional")
+        if not np.isfinite(self.values).all():
+            raise DomainError("scores must be finite")
         if self.kind not in (RAW_SCORES, RANKS):
             raise DomainError(f"unknown table kind {self.kind!r}")
         if self.kind == RANKS:
@@ -157,6 +103,8 @@ def wilcoxon_z(scores_a, scores_b):
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise ShapeError("need two equal-length score vectors")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("scores must be finite")
     n = a.size
     d = a - b
     ranks = average_ranks(np.abs(d))
@@ -208,7 +156,7 @@ def holm(p_values, alpha: float):
     p = np.asarray(p_values, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ShapeError("need a nonempty p-value vector")
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):  # also false for NaN
         raise DomainError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")

@@ -13,7 +13,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .data import Dataset
-from .errors import DomainError, HsvmError
+from .errors import DomainError, HsvmError, ShapeError
 from .losses import Hyperparams
 from .model import evaluate
 from .solver import SolverOptions, fit_binary, fit_binary_two_stage, fit_multi
@@ -66,19 +66,17 @@ def kfold_split(n, k, labels=None, seed=0):
     if k > n:
         raise DomainError("cannot make more folds than samples")
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    cursor = 0
     if labels is None:
         groups = [np.arange(n)]
     else:
         labels = np.asarray(labels)
+        if labels.shape != (n,):
+            raise ShapeError("need one label per sample")
         groups = [np.flatnonzero(labels == v) for v in np.unique(labels)]
-    for idx in groups:
-        idx = idx[rng.permutation(idx.size)]
-        for i in idx:
-            folds[cursor % k].append(int(i))
-            cursor += 1
-    return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
+    # Deal the label groups' shuffled indices, in turn, round the folds.
+    order = np.concatenate([idx[rng.permutation(idx.size)] for idx in groups])
+    fold_of = np.arange(order.size) % k
+    return [np.sort(order[fold_of == f]).astype(np.int64) for f in range(k)]
 
 
 @dataclass(frozen=True)

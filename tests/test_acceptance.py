@@ -191,8 +191,7 @@ def test_criterion_5_monotonicity_and_linear_rate():
     hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
     ref = fit_binary(data, hp, SolverOptions(tol=1e-12, max_iter=50_000))
     u_star = np.concatenate([[ref.model.b], ref.model.w])
-    res = fit_binary(data, hp, SolverOptions(tol=1e-9, record_iterates=True,
-                                             check_margin_drift=True))
+    res = fit_binary(data, hp, SolverOptions(tol=1e-9, record_iterates=True))
     F = res.trace.column("F")
     monotone = bool(np.all(np.diff(F) <= 1e-12))
     d = np.array([np.linalg.norm(u - u_star) for u in res.iterates])[19:]

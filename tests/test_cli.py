@@ -318,6 +318,16 @@ class TestStats:
         assert code == 1
         assert "ragged" in err
 
+    def test_non_finite_score_usage_error(self, tmp_path, capsys):
+        path = str(tmp_path / "nonfinite.csv")
+        with open(path, "w") as fh:
+            fh.write("A,B,C\n0.9,0.8,nan\n0.9,0.8,0.5\n"
+                     "0.9,0.8,0.5\n0.9,inf,0.5\n")
+        code, out, err = run(capsys, "--format", "csv", "stats",
+                             "--scores", path)
+        assert code == 1
+        assert "finite" in err and out == ""
+
 
 class TestPipelineDeterminism:
     def test_gen_train_predict_bit_identical(self, tmp_path, capsys):

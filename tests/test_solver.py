@@ -13,7 +13,6 @@ from hsvm import (
     SolverOptions,
     ablation_run,
     check_stop,
-    detect_support,
     extrapolation_weight,
     fit_binary,
     fit_binary_two_stage,
@@ -92,21 +91,6 @@ class TestCheckStop:
         assert stop
 
 
-class TestDetectSupport:
-    def test_stable_pattern(self):
-        pats = [(1, 3), (1, 3), (1, 3)]
-        np.testing.assert_array_equal(detect_support(pats, 3), [1, 3])
-
-    def test_unstable_pattern(self):
-        assert detect_support([(1,), (1, 2), (1,)], 3) is None
-
-    def test_window_one_returns_last(self):
-        np.testing.assert_array_equal(detect_support([(5,), (2, 4)], 1), [2, 4])
-
-    def test_too_few_patterns(self):
-        assert detect_support([(1,)], 3) is None
-
-
 class _Quadratic:
     """f(u) = (c/2)|u - target|^2 with identity margins and no penalty: a
     duck-typed problem for the engine and the line search. The
@@ -168,6 +152,18 @@ class TestSupportHistory:
             return top
 
         assert peak(400) <= 1.5 * peak(100)
+
+    def test_stops_on_third_equal_support_in_a_row(self):
+        # (1,) and (2,) each repeat only twice, so the run goes on until
+        # (3,) has been seen three times in a row, at iteration 7
+        script = iter([[1], [1], [2], [2], [3], [3], [3], [3]])
+        prob = _Quadratic(np.linspace(-1.0, 1.0, 8))
+        prob.support = lambda u: np.asarray(next(script), dtype=np.int64)
+        opts = SolverOptions(max_iter=50, consec_stop=10 ** 6,
+                             backtracking=False, extrapolation="none")
+        res = _run_pg_loop(prob, opts, support_window=3)
+        assert res.stop_reason == "support_stable" and res.iterations == 7
+        np.testing.assert_array_equal(res.support, [3])
 
 
 class TestLineSearch:
@@ -293,8 +289,7 @@ class TestFitBinary:
 
     def test_margin_products_bounded_by_evals(self):
         data = binary_data(seed=8)
-        opts = SolverOptions(check_margin_drift=True)
-        res = fit_binary(data, Hyperparams(0.1, 1.0, 1.0, 1.0), opts)
+        res = fit_binary(data, Hyperparams(0.1, 1.0, 1.0, 1.0))
         products = res.trace.column("n_products")
         evals = res.trace.column("ls_evals")
         assert np.all(products <= evals)

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import hsvm
 from hsvm import (
     DomainError,
     RankTable,
@@ -14,7 +18,7 @@ from hsvm import (
     normal_cdf,
     wilcoxon_z,
 )
-from hsvm.stats import average_ranks, gamma_upper_regularized
+from hsvm.stats import average_ranks
 
 mpmath.mp.dps = 40
 
@@ -48,10 +52,21 @@ class TestTailProbabilities:
                 assert abs(chi2_sf(x, df) - ref) <= 1e-10
 
     def test_gamma_q_edges(self):
-        assert gamma_upper_regularized(1.0, 0.0) == 1.0
+        assert chi2_sf(0.0, 2) == 1.0
         assert chi2_sf(-1.0, 3) == 1.0
         with pytest.raises(DomainError):
-            gamma_upper_regularized(0.0, 1.0)
+            chi2_sf(1.0, 0)
+
+    def test_import_loads_neither_scipy_stats_nor_special(self):
+        # chi2_sf imports scipy.special on first use; an eager import of
+        # it, or of scipy.stats, would slow every ``import hsvm``.
+        code = ("import sys, hsvm; "
+                "print(sorted({'scipy.stats', 'scipy.special'} & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(hsvm.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestAverageRanks:
@@ -73,6 +88,18 @@ class TestAverageRanks:
             k = int(rng.integers(2, 9))
             vals = rng.choice([0.1, 0.2, 0.3, 0.4], size=k)
             assert average_ranks(vals).sum() == pytest.approx(k * (k + 1) / 2)
+
+    def test_matches_midrank_definition(self):
+        # rank_i = #{x_j < x_i} + (#{x_j == x_i} + 1) / 2
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            x = rng.integers(0, 5, size=int(rng.integers(1, 12))).astype(float)
+            below = (x[None, :] < x[:, None]).sum(axis=1)
+            equal = (x[None, :] == x[:, None]).sum(axis=1)
+            np.testing.assert_array_equal(average_ranks(x),
+                                          below + 0.5 * (equal + 1))
+            np.testing.assert_array_equal(average_ranks(x, descending=True),
+                                          average_ranks(-x))
 
 
 class TestWilcoxon:
@@ -119,6 +146,15 @@ class TestWilcoxon:
         with pytest.raises(Exception):
             wilcoxon_z(np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        a = np.array([0.9, 0.8, 0.7, 0.6])
+        b = np.array([0.5, bad, 0.5, 0.5])
+        with pytest.raises(DomainError, match="finite"):
+            wilcoxon_z(a, b)
+        with pytest.raises(DomainError, match="finite"):
+            wilcoxon_z(b, a)
+
 
 class TestFriedman:
     def test_reproduces_published_statistic(self):
@@ -147,6 +183,14 @@ class TestFriedman:
     def test_single_method_rejected(self):
         with pytest.raises(DomainError):
             friedman(RankTable(np.ones((3, 1)), kind="ranks"))
+
+    @pytest.mark.parametrize("kind", ["raw_scores", "ranks"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_table_rejected(self, kind, bad):
+        values = np.tile(np.array([1.0, 2.0, 3.0]), (4, 1))
+        values[2, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            RankTable(values, kind=kind)
 
 
 class TestCompareToControl:
@@ -201,6 +245,8 @@ class TestHolm:
     def test_invalid_p_rejected(self):
         with pytest.raises(DomainError):
             holm(np.array([0.5, 1.2]), 0.05)
+        with pytest.raises(DomainError):
+            holm(np.array([0.001, math.nan]), 0.05)
 
 
 class TestEndToEndFromScores:

@@ -3,7 +3,14 @@ import io
 import numpy as np
 import pytest
 
-from hsvm import Dataset, DomainError, Grid, grid_search, kfold_split
+from hsvm import (
+    Dataset,
+    DomainError,
+    Grid,
+    ShapeError,
+    grid_search,
+    kfold_split,
+)
 from hsvm.data import SynthSpec, gen_binary_gaussian
 
 
@@ -38,6 +45,38 @@ class TestKfoldSplit:
     def test_too_many_folds(self):
         with pytest.raises(DomainError):
             kfold_split(3, 5)
+
+    @pytest.mark.parametrize("labels", [[1, 1, 2], [], [[1, 2, 1, 2, 1]]])
+    def test_label_count_must_match_n(self, labels):
+        with pytest.raises(ShapeError):
+            kfold_split(5, 2, labels=labels)
+
+    def test_matches_per_index_reference(self):
+        # Deal each label group's shuffled indices one at a time round
+        # the folds, drawing from the RNG in the same order.
+        def reference(n, k, labels, seed):
+            rng = np.random.default_rng(seed)
+            folds = [[] for _ in range(k)]
+            groups = ([np.arange(n)] if labels is None else
+                      [np.flatnonzero(labels == v) for v in np.unique(labels)])
+            cursor = 0
+            for idx in groups:
+                for i in idx[rng.permutation(idx.size)]:
+                    folds[cursor % k].append(int(i))
+                    cursor += 1
+            return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
+
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            n = int(rng.integers(2, 60))
+            k = int(rng.integers(2, min(n, 10) + 1))
+            labels = None if rng.random() < 0.3 else rng.integers(1, 4, size=n)
+            seed = int(rng.integers(0, 1000))
+            folds = kfold_split(n, k, labels, seed)
+            assert len(folds) == k
+            for got, want in zip(folds, reference(n, k, labels, seed)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
 
 def separable_data(seed=0, n=60):
