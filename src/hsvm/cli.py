@@ -69,14 +69,12 @@ def _add_solver_flags(p):
     p.add_argument("--extrapolation", choices=["fista_capped", "none"],
                    default="fista_capped")
     p.add_argument("--no-monotone", action="store_true")
-    p.add_argument("--stage1-tol", type=float, default=1e-3)
 
 
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(
         eta=args.eta, L0=args.L0, tol=args.tol, max_iter=args.max_iter,
-        extrapolation=args.extrapolation, monotone=not args.no_monotone,
-        stage1_tol=args.stage1_tol)
+        extrapolation=args.extrapolation, monotone=not args.no_monotone)
 
 
 def build_parser() -> _Parser:

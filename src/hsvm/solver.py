@@ -5,9 +5,10 @@ Three training entry points share one iteration skeleton:
 * ``fit_binary``   -- B-PGH: extrapolated proximal gradient with
   backtracking on the step constant and a monotone re-update whenever the
   extrapolated step increases the objective.
-* ``fit_binary_two_stage`` -- B-PGH-2: a support-identification stage run
-  with the fixed global step constant and no extrapolation, followed by a
-  full-accuracy solve restricted to the detected support.
+* ``fit_binary_two_stage`` -- B-PGH-2: B-PGH on a working set of
+  features. The set starts as the features whose gradient at zero exceeds
+  lambda1 in magnitude, and grows by every frozen feature that fails the
+  full-problem optimality check |grad_j f| <= lambda1, until none fails.
 * ``fit_multi``    -- M-PGH: the same loop over (b, W) with the closed-form
   zero-sum intercept step and the row-decomposed dual prox.
 
@@ -27,11 +28,12 @@ product reads only the columns of the features the candidate uses, once
 those are at most 1/32 of all features: proximal gradient identifies the
 solution's support after finitely many steps, so on sparse problems this
 holds for all but the first few products. The transpose product reads
-the whole matrix. The step constant only grows within an iteration
-(L_k = min(eta^{n_k} L_{k-1}, L_global)) and each accepted step satisfies
-the sufficient-decrease inequality; the extrapolation weight
-(``extrapolation_weight``) is capped at sqrt(L_{k-1}/L_k),
-re-extrapolating when backtracking raised L.
+the whole matrix; B-PGH-2 runs the loop on a copy of the working-set
+columns, and only its screen and checks read all of them. The step
+constant only grows within an iteration (L_k = min(eta^{n_k} L_{k-1},
+L_global)) and each accepted step satisfies the sufficient-decrease
+inequality; the extrapolation weight (``extrapolation_weight``) is capped
+at sqrt(L_{k-1}/L_k), re-extrapolating when backtracking raised L.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .prox import binary_prox_step, multi_b_step, multi_w_step
 
 EXTRAPOLATION_MODES = ("fista_capped", "none")
 
-SUPPORT_STABLE_ITERS = 3  # equal consecutive supports that end B-PGH-2 stage 1
+CONSEC_STOP = 3  # consecutive small-progress iterations that end a solve
 
 
 @dataclass
@@ -70,7 +72,7 @@ class SolverOptions:
     ``L0 = None`` selects the defaults 2 L_f / n (binary) and L_m / (n J)
     (multi), both clamped to the global constant. ``backtracking = False``
     pins the step constant to the global Lipschitz constant, as used by the
-    first stage of the two-stage method and by the fixed-step ablation.
+    fixed-step ablation.
     """
 
     eta: float = 1.5
@@ -80,23 +82,20 @@ class SolverOptions:
     extrapolation: str = "fista_capped"
     monotone: bool = True
     backtracking: bool = True
-    consec_stop: int = 3
-    stage1_tol: float = 1e-3
     record_iterates: bool = False
 
     def __post_init__(self):
         # Every comparison with NaN is false, so the range checks below
         # would let a NaN through.
-        reals = (self.eta, self.tol, self.stage1_tol,
-                 1.0 if self.L0 is None else self.L0)
+        reals = (self.eta, self.tol, 1.0 if self.L0 is None else self.L0)
         if not all(math.isfinite(v) for v in reals):
-            raise DomainError("eta, tol, stage1_tol and L0 must be finite")
+            raise DomainError("eta, tol and L0 must be finite")
         if self.eta <= 1:
             raise DomainError("eta must exceed 1")
-        if self.tol <= 0 or self.stage1_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.max_iter < 1 or self.consec_stop < 1:
-            raise DomainError("iteration counts must be positive")
+        if self.tol <= 0:
+            raise DomainError("tol must be positive")
+        if self.max_iter < 1:
+            raise DomainError("max_iter must be positive")
         if self.extrapolation not in EXTRAPOLATION_MODES:
             raise DomainError(f"unknown extrapolation mode {self.extrapolation!r}")
         if self.L0 is not None and self.L0 <= 0:
@@ -112,7 +111,7 @@ class TraceRow:
     step_norm: float
     restarted: bool
     nnz: int
-    stage: int = 1
+    stage: int = 1           # B-PGH-2 working-set round; 1 for other solvers
     n_products: int = 1      # forward margin products spent this iteration
     ls_evals: int = 1        # candidate evaluations (1 + retries)
     suff_gap: float = 0.0    # majorization bound minus smooth value at accept
@@ -149,9 +148,9 @@ class FitResult:
     iterations: int
     converged: bool
     final_objective: float
-    stop_reason: str = "max_iter"
-    two_stage_fallback: bool = False
-    support: Optional[np.ndarray] = None
+    stop_reason: str = "max_iter"   # or "converged"
+    two_stage_fallback: bool = False  # always False, kept for its readers
+    support: Optional[np.ndarray] = None  # B-PGH-2's final working set
     iterates: Optional[list] = None
     grad_products: int = 0
 
@@ -166,7 +165,8 @@ def extrapolation_weight(t_prev, t_curr, L_prev, L_curr) -> float:
     return min((t_prev - 1.0) / t_curr, math.sqrt(L_prev / L_curr))
 
 
-def check_stop(F_prev, F_curr, u_prev, u_curr, tol, counter, consec=3):
+def check_stop(F_prev, F_curr, u_prev, u_curr, tol, counter,
+               consec=CONSEC_STOP):
     """Relative-progress stopping rule; both ratios must stay below tol for
     ``consec`` consecutive iterations. Returns (stop, updated counter)."""
     du = np.linalg.norm(np.ravel(u_prev) - np.ravel(u_curr))
@@ -212,14 +212,8 @@ def _step(prob, u_base, m_base, L_start, eta):
                        eta)
 
 
-def _run_pg_loop(prob, opts: SolverOptions,
-                 support_window: Optional[int] = None) -> FitResult:
-    """Shared iteration loop; see the module docstring for the scheme.
-
-    With ``support_window`` the loop also stops once ``support_window``
-    consecutive values of ``prob.support`` agree; only the last one is
-    kept, so a support that never settles costs no memory per iteration.
-    """
+def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
+    """Shared iteration loop; see the module docstring for the scheme."""
     u = np.zeros(prob.dim)
     m = prob.margins(u)
     F = prob.smooth(m) + prob.penalty(u)
@@ -231,8 +225,6 @@ def _run_pg_loop(prob, opts: SolverOptions,
         L = prob.L_global
     trace = SolverTrace()
     iterates = [] if opts.record_iterates else None
-    support = None
-    last_support, same_support = None, 0
     grad_products = 0
     counter = 0
     stop_reason = "max_iter"
@@ -285,18 +277,8 @@ def _run_pg_loop(prob, opts: SolverOptions,
         if iterates is not None:
             iterates.append(u.copy())
 
-        if support_window is not None:
-            current = prob.support(u)
-            same_support = (same_support + 1
-                            if np.array_equal(current, last_support) else 1)
-            last_support = current
-            if same_support >= support_window:
-                support = current
-                stop_reason = "support_stable"
-                break
-
         stop, counter = check_stop(F_prev, F, u_prev, u,
-                                   opts.tol, counter, opts.consec_stop)
+                                   opts.tol, counter, CONSEC_STOP)
         if stop:
             stop_reason = "converged"
             break
@@ -304,7 +286,7 @@ def _run_pg_loop(prob, opts: SolverOptions,
     return FitResult(
         model=prob.model(u), trace=trace, iterations=k,
         converged=stop_reason == "converged", final_objective=F,
-        stop_reason=stop_reason, support=support, iterates=iterates,
+        stop_reason=stop_reason, iterates=iterates,
         grad_products=grad_products)
 
 
@@ -373,9 +355,6 @@ class BinaryObjective:
 
     def nnz(self, u):
         return int(np.count_nonzero(u[1:]))
-
-    def support(self, u):
-        return np.flatnonzero(u[1:])
 
     def model(self, u):
         return BinaryModel(b=float(u[0]), w=u[1:].copy())
@@ -482,37 +461,41 @@ def fit_binary(data: Dataset, hp: Hyperparams,
 
 def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
                          opts: Optional[SolverOptions] = None) -> FitResult:
-    """Two-stage solve: detect the weight support with the fixed global
-    step constant and no extrapolation at the loose stage tolerance, then
-    re-solve at full tolerance with the complement frozen at zero.
+    """B-PGH on a working set S of features, certified on the full problem.
 
-    Falls back to the plain solver (flagged on the result) if the support
-    never stabilizes within the iteration budget.
+    S starts as {j : |grad_j f(0)| > lambda1}, the support of the first
+    fixed-step proximal gradient iterate from zero. Each round (``stage``
+    on the trace) runs ``fit_binary`` on the columns in S, the other
+    weights frozen at zero, then adds to S every frozen j that fails the
+    optimality check |grad_j f| <= lambda1 (1 + tol) at the result. The
+    rounds end when none fails, or when one does not converge.
     """
     opts = opts or SolverOptions()
-    if opts.tol >= opts.stage1_tol:
-        raise DomainError("two-stage use requires tol < stage1_tol")
-    res1 = _run_pg_loop(
-        BinaryObjective(data, hp),
-        replace(opts, backtracking=False, extrapolation="none",
-                tol=opts.stage1_tol),
-        support_window=SUPPORT_STABLE_ITERS)
-    support = res1.support
-    if support is None:
-        return replace(fit_binary(data, hp, opts), two_stage_fallback=True)
-
-    # Stage 2 on the reduced problem; indices map back via `support`.
-    res2 = fit_binary(data.restrict_features(support), hp, opts)
-    w_full = np.zeros(data.n_features)
-    w_full[support] = res2.model.w
-    trace = SolverTrace()
-    trace.rows = res1.trace.rows + [
-        replace(row, k=row.k + res1.iterations, stage=2)
-        for row in res2.trace.rows]
-    return replace(
-        res2, model=BinaryModel(b=res2.model.b, w=w_full), trace=trace,
-        iterations=res1.iterations + res2.iterations, support=support,
-        grad_products=res1.grad_products + res2.grad_products)
+    prob = BinaryObjective(data, hp)
+    grad = prob.grad(prob.margins(np.zeros(prob.dim)))
+    support = np.flatnonzero(np.abs(grad[1:]) > hp.lambda1)
+    trace, iterations, grad_products = SolverTrace(), 0, 1
+    for stage in range(1, data.n_features + 2):  # each adds a feature
+        res = fit_binary(data.restrict_features(support), hp, opts)
+        trace.rows += [replace(row, k=row.k + iterations, stage=stage)
+                       for row in res.trace.rows]
+        iterations += res.iterations
+        grad_products += res.grad_products
+        u = np.zeros(prob.dim)
+        u[0] = res.model.b
+        u[1 + support] = res.model.w
+        if not res.converged:
+            break
+        grad = prob.grad(prob.margins(u))
+        grad_products += 1
+        violates = np.abs(grad[1:]) > hp.lambda1 * (1.0 + opts.tol)
+        violates[support] = False
+        if not violates.any():
+            break
+        support = np.union1d(support, np.flatnonzero(violates))
+    return replace(res, model=prob.model(u), trace=trace,
+                   iterations=iterations, support=support,
+                   grad_products=grad_products)
 
 
 def fit_multi(data: Dataset, hp: Hyperparams,

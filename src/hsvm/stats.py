@@ -153,6 +153,8 @@ def holm(p_values, alpha: float):
     of comparisons, i counted from 0); the first failure stops the
     procedure. Returns a boolean reject flag per input position.
     """
+    if not 0 < alpha < 1:  # also false for NaN
+        raise DomainError("alpha must lie in (0, 1)")
     p = np.asarray(p_values, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ShapeError("need a nonempty p-value vector")

@@ -89,6 +89,16 @@ class TestTrain:
         assert code == 2
         assert "converged=False" in out
 
+    def test_two_stage_exit_two_on_iteration_cap(self, tmp_path, capsys):
+        prefix = gen_binary(tmp_path, capsys)
+        code, out, _ = run(capsys, "train", "--data", prefix + ".train.libsvm",
+                           "--solver", "bpgh2", "--lambda1", "0.1",
+                           "--lambda2", "1", "--lambda3", "1",
+                           "--max-iter", "2",
+                           "--model-out", str(tmp_path / "m3"))
+        assert code == 2
+        assert "converged=False iterations=2" in out
+
     def test_nan_tolerance_usage_error(self, tmp_path, capsys):
         prefix = gen_binary(tmp_path, capsys)
         code, _, err = run(capsys, "train", "--data", prefix + ".train.libsvm",
@@ -296,6 +306,16 @@ class TestStats:
                    for l in out.splitlines()
                    if l.startswith("control,") and "method" not in l}
         assert rejects == {"B": "0", "C": "1", "D": "1", "E": "1"}
+
+    @pytest.mark.parametrize("alpha", ["7", "1", "0", "-1", "nan"])
+    def test_alpha_outside_unit_interval_usage_error(self, tmp_path, capsys,
+                                                     alpha):
+        path = self.write_ranks(tmp_path)
+        code, out, err = run(capsys, "--format", "csv", "stats",
+                             "--scores", path, "--kind", "ranks",
+                             "--alpha", alpha)
+        assert code == 1
+        assert "alpha" in err and out == ""
 
     def test_identical_columns_zero_chi2(self, tmp_path, capsys):
         path = str(tmp_path / "flat.csv")

@@ -248,6 +248,12 @@ class TestHolm:
         with pytest.raises(DomainError):
             holm(np.array([0.001, math.nan]), 0.05)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -1.0, math.nan,
+                                       math.inf])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(DomainError, match="alpha"):
+            holm(self.P_PUBLISHED, alpha)
+
 
 class TestEndToEndFromScores:
     def test_ranking_pipeline_matches_manual(self):
