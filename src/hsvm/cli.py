@@ -150,17 +150,22 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
+    if args.n_test < 0:
+        raise _UsageError(f"--n-test must be nonnegative, got {args.n_test}")
     kind = "binary_gaussian" if args.kind == "binary" else "four_class"
     spec = SynthSpec(kind=kind, n=args.n, p=args.p, s=args.s, rho=args.rho,
                      seed=args.seed)
     train = generate(spec)
+    # The test set is generated before anything is written, so a size it
+    # rejects leaves no partial output.
+    test = (generate(replace(spec, n=args.n_test,
+                             seed=args.seed + TEST_SEED_OFFSET))
+            if args.n_test else None)
     save_libsvm(train, f"{args.out}.train.libsvm")
     write_sidecar(spec, train, f"{args.out}.meta.json")
     made = [f"{args.out}.train.libsvm", f"{args.out}.meta.json"]
-    if args.n_test:
-        test_spec = replace(spec, n=args.n_test,
-                            seed=args.seed + TEST_SEED_OFFSET)
-        save_libsvm(generate(test_spec), f"{args.out}.test.libsvm")
+    if test is not None:
+        save_libsvm(test, f"{args.out}.test.libsvm")
         made.append(f"{args.out}.test.libsvm")
     print("wrote " + " ".join(made))
     return 0

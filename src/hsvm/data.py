@@ -73,6 +73,7 @@ class Dataset:
         self._n_classes = int(n_classes)
         self._true_support = true_support
         self._row_sqnorms = None
+        self._col_sqnorms = None
 
     @staticmethod
     def _pad_features(X, p):
@@ -133,13 +134,32 @@ class Dataset:
 
     def row_sqnorms(self):
         """Squared euclidean norm of every sample row (computed once)."""
-        if self._row_sqnorms is None:
-            if sp.issparse(self._X):
-                sq = self._X.multiply(self._X).sum(axis=1)
-            else:
-                sq = (self._X ** 2).sum(axis=1)
-            self._row_sqnorms = np.asarray(sq).ravel()
+        self._sqnorms()
         return self._row_sqnorms
+
+    def col_sqnorms(self):
+        """Squared euclidean norm of every feature column (computed once,
+        in the same pass as the row norms)."""
+        self._sqnorms()
+        return self._col_sqnorms
+
+    def _sqnorms(self):
+        """Fill both norm caches. A dense X is squared 64 rows at a time,
+        so the pass needs no temporary the size of X."""
+        if self._row_sqnorms is not None:
+            return
+        X = self._X
+        if sp.issparse(X):
+            sq = X.multiply(X)
+            rows, cols = sq.sum(axis=1), sq.sum(axis=0)
+        else:
+            rows, cols = np.empty(X.shape[0]), np.zeros(X.shape[1])
+            for lo in range(0, X.shape[0], 64):
+                sq = np.square(X[lo:lo + 64])
+                sq.sum(axis=1, out=rows[lo:lo + 64])
+                cols += sq.sum(axis=0)
+        self._row_sqnorms = np.asarray(rows).ravel()
+        self._col_sqnorms = np.asarray(cols).ravel()
 
     def subset(self, indices) -> "Dataset":
         """New dataset containing the given sample rows."""

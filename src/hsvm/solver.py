@@ -27,9 +27,12 @@ vectors, never from a fresh product. On a dense matrix the forward
 product reads only the columns of the features the candidate uses, once
 those are at most 1/32 of all features: proximal gradient identifies the
 solution's support after finitely many steps, so on sparse problems this
-holds for all but the first few products. The transpose product reads
-the whole matrix; B-PGH-2 runs the loop on a copy of the working-set
-columns, and only its screen and checks read all of them. The step
+holds for all but the first few products. B-PGH's transpose product
+reads the whole matrix only when a frozen feature could enter the
+support (safe screening in the sense of Fercoq, Gramfort & Salmon 2015,
+used only to skip work; see ``BinaryObjective``). B-PGH-2 runs the loop
+on a copy of the working-set columns; its screen and checks always make
+full products. M-PGH's transpose product reads all of X. The step
 constant only grows within an iteration (L_k = min(eta^{n_k} L_{k-1},
 L_global)) and each accepted step satisfies the sufficient-decrease
 inequality; the extrapolation weight (``extrapolation_weight``) is capped
@@ -202,12 +205,14 @@ def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
         L = min(eta * L, L_global)
 
 
-def _step(prob, u_base, m_base, L_start, eta):
+def _step(prob, u_base, m_base, f_base, L_start, eta):
     """One proximal gradient step from ``u_base`` (whose margins are
-    ``m_base``): smooth value, one transpose product, then the line
-    search. Returns what ``line_search`` returns."""
-    f_base = prob.smooth(m_base)
-    grad = prob.grad(m_base)
+    ``m_base`` and smooth value ``f_base``, computed here when None): one
+    transpose product, then the line search. Returns what
+    ``line_search`` returns."""
+    if f_base is None:
+        f_base = prob.smooth(m_base)
+    grad = prob.grad(m_base, u_base)
     return line_search(prob, u_base, f_base, grad, L_start, prob.L_global,
                        eta)
 
@@ -216,7 +221,8 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
     """Shared iteration loop; see the module docstring for the scheme."""
     u = np.zeros(prob.dim)
     m = prob.margins(u)
-    F = prob.smooth(m) + prob.penalty(u)
+    f = prob.smooth(m)
+    F = f + prob.penalty(u)
     u_prev, m_prev = u, m
     t = 1.0
     if opts.backtracking:
@@ -237,10 +243,14 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
         while True:
             omega = (extrapolation_weight(t, t_next, L, L_start)
                      if use_extrap else 0.0)
-            m_hat = m + omega * (m - m_prev)
-            u_hat = u + omega * (u - u_prev)
+            if omega == 0.0:
+                # The base is u itself, whose smooth value f is known.
+                u_hat, m_hat, f_hat = u, m, f
+            else:
+                u_hat, m_hat, f_hat = (u + omega * (u - u_prev),
+                                       m + omega * (m - m_prev), None)
             L_acc, cand, m_cand, f_cand, gap, ev = _step(
-                prob, u_hat, m_hat, L_start, opts.eta)
+                prob, u_hat, m_hat, f_hat, L_start, opts.eta)
             grad_products += 1
             evals += ev
             if (not use_extrap or L_acc == L_start
@@ -256,7 +266,7 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
             # Extrapolated step increased F: re-update from the previous
             # iterate (omega = 0) and reset the momentum scalar.
             L_acc, cand, m_cand, f_cand, gap, ev = _step(
-                prob, u, m, L_acc, opts.eta)
+                prob, u, m, f, L_acc, opts.eta)
             grad_products += 1
             evals += ev
             F_cand = f_cand + prob.penalty(cand)
@@ -264,7 +274,7 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
             t_next = 1.0
 
         step_norm = float(np.linalg.norm(cand - u))
-        F_prev, F = F, F_cand
+        F_prev, F, f = F, F_cand, f_cand
         u_prev, u = u, cand
         m_prev, m = m, m_cand
         L = L_acc
@@ -320,7 +330,20 @@ def _support_product(X, V):
 class BinaryObjective:
     """B-PGH objective F = f + g over u = (b, w): the mean huberized hinge
     loss of the margins y (b + X w) plus the elastic-net penalty. The
-    default initial step constant is 2 L_f / n, clamped to the global L_f."""
+    default initial step constant is 2 L_f / n, clamped to the global L_f.
+
+    On a dense X the objective keeps a working block, refreshed at each
+    full transpose product made at a point u: the features
+    K = supp(w) | {j : |g_j| >= lambda1}, the C-order copy X[:, K], the
+    loss coefficients c_ref of that product and a radius rho (see
+    ``_refresh``). It exists only while |K| <= p/32. Once it does, the
+    forward product of any w with supp(w) in K reads X[:, K], and the
+    gradient at a u with supp(w) in K and ||c - c_ref|| < rho reads only
+    X[:, K] and returns exact zeros elsewhere. Those zeros change nothing:
+    by Cauchy-Schwarz every other |g_j| stays below lambda1, so its
+    weight, zero at u, stays zero after the prox, and its term of the
+    line search's <g, d> is zero either way.
+    """
 
     def __init__(self, data: Dataset, hp: Hyperparams):
         if data.kind != "binary":
@@ -332,18 +355,79 @@ class BinaryObjective:
         self.dim = data.n_features + 1
         self.L_global = lipschitz_binary(data, hp.delta)
         self.L0 = min(2.0 * self.L_global / data.n, self.L_global)
+        # Sparse is recognised as in _support_product; a sparse X already
+        # reads only its nonzeros and never gets a working block.
+        self._col_norms = (None if hasattr(self.X, "tocsr")
+                           else np.sqrt(data.col_sqnorms()))
+        self._K = None        # working features, or None without a block
+        self._XK = None       # C-order copy of X[:, K]
+        self._c_ref = None    # coefficients of the last full product
+        self._rho = 0.0       # certified radius around _c_ref
+
+    def _in_block(self, w):
+        """Whether supp(w) lies in the working features K (K is unique)."""
+        return np.count_nonzero(w) == np.count_nonzero(w[self._K])
 
     def margins(self, u):
-        fwd = np.asarray(_support_product(self.X, u[1:])).ravel()
+        w = u[1:]
+        if self._K is not None and self._in_block(w):
+            fwd = self._XK @ w[self._K]
+        else:
+            fwd = np.asarray(_support_product(self.X, w)).ravel()
         return self.y * (u[0] + fwd)
 
     def smooth(self, m):
         return float(np.mean(huber_loss(m, self.hp.delta)))
 
-    def grad(self, m):
+    def grad(self, m, u=None):
+        """Gradient at the point u with margins m. Without u (the two-stage
+        screen and checks) it is always the full product."""
         coef = huber_grad(m, self.hp.delta) * self.y / self.n
-        return np.concatenate([[coef.sum()],
-                               np.asarray(self.X.T @ coef).ravel()])
+        if (u is not None and self._K is not None
+                and self._in_block(u[1:])
+                and np.linalg.norm(coef - self._c_ref) < self._rho):
+            gw = np.zeros(self.dim - 1)
+            gw[self._K] = self._XK.T @ coef
+        else:
+            gw = np.asarray(self.X.T @ coef).ravel()
+            if u is not None and self._col_norms is not None:
+                self._refresh(u[1:], gw, coef)
+        return np.concatenate([[coef.sum()], gw])
+
+    def _refresh(self, w, gw, coef):
+        """Rebuild the working block from the full gradient ``gw`` at a
+        point with weights ``w`` and loss coefficients ``coef``.
+
+        For a frozen j (not in K) and coefficients c, Cauchy-Schwarz gives
+        |g_j(c)| <= |g_j(coef)| + ||X_j|| ||c - coef||. So ||c - coef|| < rho0,
+        rho0 = min_j (lambda1 - |g_j|) / ||X_j||, keeps every frozen |g_j|
+        below lambda1. rho0 is then shrunk by 4 (n + 2) eps (rho0 + ||coef||).
+        That covers the rounding of both gradients as a floating-point
+        product would compute them (Higham's dot-product bound,
+        gamma_n ||X_j|| ||c|| each, with ||c|| below ||coef|| + rho0), and
+        the rounding of the norms and of rho0, so a full product would give
+        |g_j| <= lambda1 and a zero prox output.
+        """
+        lam = self.hp.lambda1
+        # The support alone is counted first: on small dense problems it
+        # usually exceeds p/32 already, and the count is the cheap part.
+        keep = None
+        if np.count_nonzero(w) * _SUPPORT_FRACTION <= w.size:
+            keep = np.abs(gw) >= lam
+            keep |= w != 0
+        if keep is None or np.count_nonzero(keep) * _SUPPORT_FRACTION > w.size:
+            self._K = self._XK = self._c_ref = None
+            return
+        K = np.flatnonzero(keep)
+        frozen = ~keep
+        with np.errstate(divide="ignore"):
+            rho0 = np.min((lam - np.abs(gw[frozen])) / self._col_norms[frozen],
+                          initial=np.inf)
+        if self._K is None or not np.array_equal(K, self._K):
+            self._K, self._XK = K, np.ascontiguousarray(self.X[:, K])
+        slack = 4.0 * (self.n + 2) * np.finfo(float).eps
+        self._c_ref = coef
+        self._rho = (1.0 - slack) * rho0 - slack * np.linalg.norm(coef)
 
     def penalty(self, u):
         return binary_penalty(u[0], u[1:], self.hp)
@@ -397,7 +481,8 @@ class MultiObjective:
         return multi_smooth_from_margins(m.reshape(-1, self.J),
                                          self.data.labels, self.hp.delta)
 
-    def grad(self, m):
+    def grad(self, m, u=None):
+        """Gradient at the point u with margins m; reads only m."""
         gb, gW = multi_grad_from_margins(m.reshape(-1, self.J), self.data,
                                          self.hp.delta)
         return np.concatenate([gb, gW.ravel()])

@@ -48,6 +48,18 @@ class TestGen:
         assert code == 1
         assert "even" in err
 
+    @pytest.mark.parametrize("kind, n_test, message", [
+        ("binary", "-3", "--n-test"),
+        ("four_class", "5", "divisible by 4")])
+    def test_bad_test_size_writes_nothing(self, tmp_path, capsys, kind,
+                                          n_test, message):
+        code, _, err = run(capsys, "gen", "--kind", kind, "--n", "40",
+                           "--p", "30", "--s", "4", "--n-test", n_test,
+                           "--out", str(tmp_path / "f"))
+        assert code == 1
+        assert message in err
+        assert os.listdir(tmp_path) == []
+
     def test_missing_flag_usage_error(self, capsys):
         code, _, _ = run(capsys, "gen", "--kind", "binary", "--n", "10")
         assert code == 1

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,32 @@ class TestDataset:
         X = np.array([[3.0, 4.0], [0.0, 1.0]])
         d = Dataset(X, [1, -1])
         np.testing.assert_allclose(d.row_sqnorms(), [25.0, 1.0])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_row_and_col_sqnorms_match_full_square(self, order):
+        # 130 rows: two full 64-row chunks and a partial one
+        X = np.asarray(np.random.default_rng(0).normal(size=(130, 7)),
+                       order=order)
+        d = Dataset(X, np.ones(130, dtype=int))
+        np.testing.assert_array_equal(d.row_sqnorms(), (X ** 2).sum(axis=1))
+        np.testing.assert_allclose(d.col_sqnorms(), (X ** 2).sum(axis=0),
+                                   rtol=1e-14)
+        ds = Dataset(sp.csr_array(X), np.ones(130, dtype=int))
+        np.testing.assert_allclose(ds.row_sqnorms(), d.row_sqnorms(),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(ds.col_sqnorms(), d.col_sqnorms(),
+                                   rtol=1e-14)
+
+    def test_sqnorms_need_no_copy_of_x(self):
+        X = np.random.default_rng(1).normal(size=(2000, 2000))
+        d = Dataset(X, np.ones(2000, dtype=int))
+        tracemalloc.start()
+        try:
+            d.row_sqnorms()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 8
 
 
 class TestParseLibsvm:

@@ -20,6 +20,7 @@ from hsvm import (
     objective,
 )
 import hsvm.solver
+import hsvm.tuning
 from hsvm.data import SynthSpec, gen_binary_gaussian, gen_fourclass
 from hsvm.model import evaluate
 from hsvm.solver import BinaryObjective, _support_product
@@ -277,9 +278,9 @@ class TestFitBinaryTwoStage:
         grad_calls = [0]
         grad = BinaryObjective.grad
 
-        def counted(prob, m):
+        def counted(prob, m, u=None):
             grad_calls[0] += 1
-            return grad(prob, m)
+            return grad(prob, m, u)
 
         monkeypatch.setattr(BinaryObjective, "grad", counted)
         data = binary_data(seed=0, n=200, p=2000, s=20)
@@ -553,6 +554,131 @@ class TestSupportProductFits:
         np.testing.assert_array_equal(rows(dense.model.W), rows(ref.model.W))
         assert dense.final_objective == pytest.approx(ref.final_objective,
                                                       rel=1e-10)
+
+
+class TestWorkingBlock:
+    """The B-PGH transpose product reads only the working block X[:, K]
+    while its certificate holds; nothing the solve computes changes."""
+
+    HP = Hyperparams(0.1, 1.0, 1.0, 1.0)
+    # dense instances whose working set stays within p/32 features
+    CASES = [(1, 200, 4000, 10), (2, 200, 4000, 10), (3, 100, 6400, 8)]
+
+    @pytest.mark.parametrize("seed, n, p, s", CASES)
+    def test_certificate_holds_at_every_skipped_step(self, monkeypatch,
+                                                     seed, n, p, s):
+        data = binary_data(seed=seed, n=n, p=p, s=s)
+        grad = BinaryObjective.grad
+        skipped, worst = [0], [0.0]
+
+        def checked(prob, m, u=None):
+            c_ref, K = prob._c_ref, prob._K
+            g = grad(prob, m, u)
+            if c_ref is None or prob._c_ref is not c_ref:
+                return g        # a full product, which rebuilt the block
+            skipped[0] += 1
+            assert K.size * 32 <= p
+            coef = hsvm.solver.huber_grad(m, prob.hp.delta) * prob.y / prob.n
+            full = prob.X.T @ coef
+            frozen = np.ones(p, dtype=bool)
+            frozen[K] = False
+            assert not np.any(g[1:][frozen])
+            worst[0] = max(worst[0], np.abs(full[frozen]).max())
+            np.testing.assert_allclose(g[1:][K], full[K], rtol=1e-12,
+                                       atol=1e-15)
+            return g
+
+        with monkeypatch.context() as mp:
+            mp.setattr(BinaryObjective, "grad", checked)
+            res = fit_binary(data, self.HP)
+        assert skipped[0] >= res.iterations // 2
+        assert worst[0] <= self.HP.lambda1
+        with monkeypatch.context() as mp:
+            # no block is ever built, so every product is the full one
+            mp.setattr(BinaryObjective, "_refresh",
+                       lambda prob, w, gw, coef: None)
+            ref = fit_binary(data, self.HP)
+        assert res.iterations == ref.iterations
+        assert res.grad_products == ref.grad_products
+        np.testing.assert_array_equal(np.flatnonzero(res.model.w),
+                                      np.flatnonzero(ref.model.w))
+        assert res.final_objective == pytest.approx(ref.final_objective,
+                                                    rel=1e-12)
+
+    def test_point_outside_block_takes_full_products(self):
+        data = binary_data(seed=1, n=200, p=4000, s=10)
+        prob = BinaryObjective(data, self.HP)
+        u = prob.point(fit_binary(data, self.HP).model)
+        prob.grad(prob.margins(u), u)
+        assert prob._K is not None and prob._K.size * 32 <= 4000
+        # a weight off K so small that the coefficients barely move: only
+        # the support test can send this point to the full products
+        j = np.setdiff1d(np.arange(4000), prob._K)[0]
+        u[1 + j] = 1e-9
+        m = prob.margins(u)
+        np.testing.assert_allclose(m, prob.y * (u[0] + data.X @ u[1:]),
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(prob.grad(m, u), prob.grad(m))
+
+    def test_forwarding_matrix_gives_identical_fit(self, monkeypatch):
+        # the block path may use only what a wrapper of X forwards: @, .T,
+        # indexing and attributes, as the benchmark's traced matrix does
+        data = binary_data(seed=1, n=200, p=4000, s=10)
+        plain = fit_binary(data, self.HP)
+        proxies = []
+
+        def wrapped(ds):
+            proxies.append(_ForwardingMatrix(ds._X))
+            return proxies[-1]
+
+        monkeypatch.setattr(Dataset, "X", property(wrapped))
+        res = fit_binary(data, self.HP)
+        assert any("getitem" in proxy.used for proxy in proxies)
+        assert res.iterations == plain.iterations
+        assert res.final_objective == plain.final_objective
+        np.testing.assert_array_equal(res.model.w, plain.model.w)
+
+    def test_small_problem_never_builds_a_block(self, monkeypatch):
+        # 45 x 300 (a fold of the criterion-3 set): K always exceeds p/32,
+        # so the solve pays only for the gate
+        data = binary_data(seed=7, n=50, p=300, s=20)
+        fold = hsvm.tuning.kfold_split(50, 10, data.labels, seed=7)[0]
+        train = data.subset(np.setdiff1d(np.arange(50), fold))
+        grad = BinaryObjective.grad
+        blocks = []
+
+        def recorded(prob, m, u=None):
+            g = grad(prob, m, u)
+            blocks.append(prob._K)
+            return g
+
+        monkeypatch.setattr(BinaryObjective, "grad", recorded)
+        for lam1 in np.logspace(-2, -0.5, 4):
+            for lam2 in (0.1, 1.0, 10.0):
+                fit_binary(train, Hyperparams(lam1, lam2, lam2, 1.0))
+        assert blocks and all(K is None for K in blocks)
+
+    def test_csr_never_builds_a_block(self):
+        data = _as_csr(binary_data(seed=1, n=200, p=4000, s=10))
+        prob = BinaryObjective(data, self.HP)
+        res = hsvm.solver._run_pg_loop(prob, SolverOptions())
+        assert res.converged and prob._K is None
+
+    def test_known_smooth_value_reused_on_unextrapolated_steps(self,
+                                                              monkeypatch):
+        # without extrapolation every step starts at the current iterate,
+        # whose smooth value the previous line search returned
+        calls = [0]
+        loss = hsvm.solver.huber_loss
+
+        def counted(m, delta):
+            calls[0] += 1
+            return loss(m, delta)
+
+        monkeypatch.setattr(hsvm.solver, "huber_loss", counted)
+        res = fit_binary(binary_data(seed=3), self.HP,
+                         SolverOptions(extrapolation="none"))
+        assert calls[0] == 1 + res.trace.column("ls_evals").sum()
 
 
 # The hsvm.solver globals that the benchmark's traced run rebinds. Each must
