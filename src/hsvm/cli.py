@@ -27,7 +27,7 @@ from .data import (
 )
 from .errors import FormatError, HsvmError, ParseError
 from .losses import Hyperparams
-from .model import load_model, predict, save_model
+from .model import BinaryModel, load_model, predict, save_model
 from .solver import (
     ABLATION_SETTINGS,
     SolverOptions,
@@ -193,8 +193,20 @@ def cmd_predict(args) -> int:
     with open(args.model, "r", encoding="ascii") as fh:
         model, _ = load_model(fh)
     data = load_libsvm(args.data, n_features=model.n_features)
-    pred = predict(model, data)
     labelled = data.kind != UNLABELED
+    if labelled:
+        # Decided by the label values, not data.kind: a multi-class file
+        # whose rows are all class 1 reads as binary.
+        if isinstance(model, BinaryModel):
+            known, text = {-1, 1}, "+1 or -1"
+        else:
+            known = set(range(1, model.n_classes + 1))
+            text = f"1..{model.n_classes}"
+        bad = sorted(set(np.unique(data.labels).tolist()) - known)
+        if bad:
+            raise _UsageError(f"{args.data}: label {bad[0]} is not one the "
+                              f"model can predict ({text})")
+    pred = predict(model, data)
     with open(args.out, "w", encoding="ascii") as fh:
         for lab in pred:
             fh.write(f"{int(lab)}\n")

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 from .data import BINARY, MULTICLASS, Dataset
 from .errors import ConstraintError, DomainError, FormatError, ShapeError
+from .losses import Hyperparams
 
 FEASIBILITY_TOL = 1e-8
 
@@ -65,32 +66,35 @@ class MultiModel:
         return self.b.size
 
 
-def _scores_binary(model: BinaryModel, X):
-    if X.shape[-1] != model.n_features:
-        raise ShapeError(
-            f"model has {model.n_features} features, data has {X.shape[-1]}")
-    return np.asarray(X @ model.w).ravel() + model.b
+def _columns(model):
+    """The weights as a (p, k) matrix, so one path serves both kinds: a
+    binary ``w`` is the single column (k = 1), a multi-class ``W`` has J."""
+    return model.w[:, None] if isinstance(model, BinaryModel) else model.W
 
 
-def predict_binary(model: BinaryModel, X):
-    """Predict +1/-1 for one row or a matrix of rows. A score of exactly
-    zero maps to +1."""
-    single = not sp.issparse(X) and np.asarray(X).ndim == 1
-    scores = _scores_binary(model, np.atleast_2d(X) if single else X)
-    labels = np.where(scores >= 0.0, 1, -1).astype(np.int64)
-    return int(labels[0]) if single else labels
-
-
-def predict_multi(model: MultiModel, X):
-    """Predict the argmax class in 1..J; ties go to the smallest index."""
+def _predict(model, X, decide):
+    """``decide(rows)`` for a matrix of rows, or its one label for a single
+    row, after checking the feature count."""
     single = not sp.issparse(X) and np.asarray(X).ndim == 1
     X2 = np.atleast_2d(X) if single else X
     if X2.shape[-1] != model.n_features:
         raise ShapeError(
             f"model has {model.n_features} features, data has {X2.shape[-1]}")
-    scores = np.asarray(X2 @ model.W) + model.b
-    labels = (scores.argmax(axis=1) + 1).astype(np.int64)
+    labels = decide(X2).astype(np.int64)
     return int(labels[0]) if single else labels
+
+
+def predict_binary(model: BinaryModel, X):
+    """Predict +1/-1 for one row or a matrix of rows. A score of exactly
+    zero maps to +1."""
+    return _predict(model, X, lambda Z: np.where(
+        np.asarray(Z @ model.w).ravel() + model.b >= 0.0, 1, -1))
+
+
+def predict_multi(model: MultiModel, X):
+    """Predict the argmax class in 1..J; ties go to the smallest index."""
+    return _predict(model, X, lambda Z: (
+        np.asarray(Z @ model.W) + model.b).argmax(axis=1) + 1)
 
 
 def predict(model, data: Dataset):
@@ -101,25 +105,23 @@ def predict(model, data: Dataset):
 
 def save_model(model, hp, stream: IO[str]) -> None:
     """Text format: header, hyperparameter line, intercept line, then one
-    line per nonzero weight (1-based indices, 17 significant digits)."""
+    line per nonzero weight (1-based indices, 17 significant digits):
+    ``w <i> <v>`` for a binary model, ``w <r> <c> <v>`` for a multi-class
+    one."""
     if isinstance(model, BinaryModel):
-        kind, p, j = "binary", model.n_features, 2
+        kind, j, b = "binary", 2, [model.b]
     elif isinstance(model, MultiModel):
-        kind, p, j = "multi", model.n_features, model.n_classes
+        kind, j, b = "multi", model.n_classes, model.b
     else:
         raise FormatError(f"cannot save object of type {type(model).__name__}")
-    stream.write(f"HSVM {kind} p={p} J={j}\n")
+    cols = _columns(model)
+    stream.write(f"HSVM {kind} p={model.n_features} J={j}\n")
     stream.write(f"lambda1={hp.lambda1:.17g} lambda2={hp.lambda2:.17g} "
                  f"lambda3={hp.lambda3:.17g} delta={hp.delta:.17g}\n")
-    if kind == "binary":
-        stream.write(f"b {model.b:.17g}\n")
-        for i in np.flatnonzero(model.w):
-            stream.write(f"w {i + 1} {model.w[i]:.17g}\n")
-    else:
-        stream.write("b " + " ".join(f"{v:.17g}" for v in model.b) + "\n")
-        rows, cols = np.nonzero(model.W)
-        for r, c in zip(rows, cols):
-            stream.write(f"w {r + 1} {c + 1} {model.W[r, c]:.17g}\n")
+    stream.write("b " + " ".join(f"{v:.17g}" for v in b) + "\n")
+    for r, c in zip(*np.nonzero(cols)):
+        at = f"{r + 1}" if kind == "binary" else f"{r + 1} {c + 1}"
+        stream.write(f"w {at} {cols[r, c]:.17g}\n")
 
 
 def _number(tok, line, kind=float):
@@ -141,8 +143,6 @@ def load_model(stream: IO[str]):
     truncation or malformed line raises ``FormatError`` without producing a
     partial model.
     """
-    from .losses import Hyperparams
-
     lines = [ln.rstrip("\n") for ln in stream]
     if not lines:
         raise FormatError("empty model file")
@@ -157,7 +157,7 @@ def load_model(stream: IO[str]):
         j = int(head[3].removeprefix("J="))
     except ValueError:
         raise FormatError(f"bad header {lines[0]!r}") from None
-    if p < 0 or j < 2:
+    if p < 0 or j < 2 or (kind == "binary" and j != 2):
         raise FormatError(f"bad header {lines[0]!r}")
     if len(lines) < 3:
         raise FormatError("truncated model file")
@@ -175,36 +175,26 @@ def load_model(stream: IO[str]):
     if not b_tokens or b_tokens[0] != "b":
         raise FormatError("missing intercept line")
     b_vals = [_number(v, lines[2]) for v in b_tokens[1:]]
-    expected_b = 1 if kind == "binary" else j
-    if len(b_vals) != expected_b:
-        raise FormatError(
-            f"expected {expected_b} intercept value(s), got {len(b_vals)}")
-    if kind == "binary":
-        w = np.zeros(p)
-        for ln in lines[3:]:
-            if not ln.strip():
-                continue
-            toks = ln.split()
-            if len(toks) != 3 or toks[0] != "w":
-                raise FormatError(f"bad weight line {ln!r}")
-            i = _number(toks[1], ln, int) - 1
-            if not 0 <= i < p:
-                raise FormatError(f"weight index out of range in {ln!r}")
-            w[i] = _number(toks[2], ln)
-        return BinaryModel(b=b_vals[0], w=w), hp
-    W = np.zeros((p, j))
+    binary = kind == "binary"
+    k = 1 if binary else j
+    if len(b_vals) != k:
+        raise FormatError(f"expected {k} intercept value(s), got {len(b_vals)}")
+    cols = np.zeros((p, k))
     for ln in lines[3:]:
         if not ln.strip():
             continue
         toks = ln.split()
-        if len(toks) != 4 or toks[0] != "w":
+        if len(toks) != (3 if binary else 4) or toks[0] != "w":
             raise FormatError(f"bad weight line {ln!r}")
-        r, c = _number(toks[1], ln, int) - 1, _number(toks[2], ln, int) - 1
-        if not (0 <= r < p and 0 <= c < j):
+        r = _number(toks[1], ln, int) - 1
+        c = 0 if binary else _number(toks[2], ln, int) - 1
+        if not (0 <= r < p and 0 <= c < k):
             raise FormatError(f"weight index out of range in {ln!r}")
-        W[r, c] = _number(toks[3], ln)
+        cols[r, c] = _number(toks[-1], ln)
+    if binary:
+        return BinaryModel(b=b_vals[0], w=cols[:, 0]), hp
     try:
-        return MultiModel(b=np.asarray(b_vals), W=W), hp
+        return MultiModel(b=np.asarray(b_vals), W=cols), hp
     except ConstraintError:
         raise FormatError(
             "stored multi-class model violates zero-sum constraints") from None
@@ -244,17 +234,8 @@ def evaluate(model, test: Dataset, true_support=None) -> Metrics:
     accuracy = float(np.mean(pred == test.labels))
     if true_support is None:
         true_support = test.true_support
-    if isinstance(model, BinaryModel):
-        support = np.flatnonzero(model.w)
-        nnz = support.size
-        n_t = n_f = None
-        if true_support is not None:
-            truth = set(true_support.tolist())
-            n_t = len(truth & set(support.tolist()))
-            n_f = support.size - n_t
-        return Metrics(accuracy=accuracy, nnz=int(nnz), n_t=n_t, n_f=n_f)
-    nnz = int(np.count_nonzero(model.W))
-    row_support = np.flatnonzero(np.any(model.W != 0.0, axis=1))
+    cols = _columns(model)
+    row_support = np.flatnonzero(np.any(cols != 0.0, axis=1))
     n_t = n_f = iz = None
     if true_support is not None:
         truth = set(true_support.tolist())
@@ -262,5 +243,7 @@ def evaluate(model, test: Dataset, true_support=None) -> Metrics:
         n_t = len(truth & got)
         n_f = len(got - truth)
         iz = len(truth - got)
-    return Metrics(accuracy=accuracy, nnz=nnz, n_t=n_t, n_f=n_f,
-                   nnz_rows=int(row_support.size), incorrect_zeros=iz)
+    per_row = ({} if isinstance(model, BinaryModel) else
+               dict(nnz_rows=int(row_support.size), incorrect_zeros=iz))
+    return Metrics(accuracy=accuracy, nnz=int(np.count_nonzero(cols)),
+                   n_t=n_t, n_f=n_f, **per_row)

@@ -73,9 +73,9 @@ class SolverOptions:
     """Run configuration shared by all solvers.
 
     ``L0 = None`` selects the defaults 2 L_f / n (binary) and L_m / (n J)
-    (multi), both clamped to the global constant. ``backtracking = False``
-    pins the step constant to the global Lipschitz constant, as used by the
-    fixed-step ablation.
+    (multi). Any ``L0`` is clamped to the global constant, and the line
+    search accepts at that cap, so ``L0`` at the global constant is a fixed
+    step: the fixed-step ablation runs that way.
     """
 
     eta: float = 1.5
@@ -84,7 +84,6 @@ class SolverOptions:
     max_iter: int = 5000
     extrapolation: str = "fista_capped"
     monotone: bool = True
-    backtracking: bool = True
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -225,10 +224,7 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
     F = f + prob.penalty(u)
     u_prev, m_prev = u, m
     t = 1.0
-    if opts.backtracking:
-        L = min(opts.L0 if opts.L0 is not None else prob.L0, prob.L_global)
-    else:
-        L = prob.L_global
+    L = min(opts.L0 if opts.L0 is not None else prob.L0, prob.L_global)
     trace = SolverTrace()
     iterates = [] if opts.record_iterates else None
     grad_products = 0
@@ -590,23 +586,24 @@ def fit_multi(data: Dataset, hp: Hyperparams,
     return _run_pg_loop(MultiObjective(data, hp), opts or SolverOptions())
 
 
-ABLATION_SETTINGS = ("ours", "fixed_L_no_monotone", "backtrack_no_monotone")
+# setting -> (fixed step, monotone); all extrapolate with the capped weight.
+_ABLATION = {"ours": (False, True),
+             "fixed_L_no_monotone": (True, False),
+             "backtrack_no_monotone": (False, False)}
+ABLATION_SETTINGS = tuple(_ABLATION)
 
 
 def ablation_run(data: Dataset, hp: Hyperparams, setting: str,
                  opts: Optional[SolverOptions] = None) -> FitResult:
     """Run fit_binary under one of the step-rule/monotonicity settings
-    compared in the solver ablation; all share the stopping rule."""
-    opts = opts or SolverOptions()
-    if setting == "ours":
-        run = replace(opts, backtracking=True, monotone=True,
-                      extrapolation="fista_capped")
-    elif setting == "fixed_L_no_monotone":
-        run = replace(opts, backtracking=False, monotone=False,
-                      extrapolation="fista_capped")
-    elif setting == "backtrack_no_monotone":
-        run = replace(opts, backtracking=True, monotone=False,
-                      extrapolation="fista_capped")
-    else:
+    compared in the solver ablation; all share the stopping rule. A fixed
+    step starts at the global constant, where the line search accepts at
+    once."""
+    if setting not in _ABLATION:
         raise DomainError(f"unknown ablation setting {setting!r}")
+    fixed, monotone = _ABLATION[setting]
+    run = replace(opts or SolverOptions(), monotone=monotone,
+                  extrapolation="fista_capped")
+    if fixed:
+        run = replace(run, L0=lipschitz_binary(data, hp.delta))
     return fit_binary(data, hp, run)

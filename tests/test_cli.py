@@ -167,6 +167,51 @@ class TestPredict:
         assert len(lines) == 2
         assert not lines[-1].startswith("accuracy")
 
+    def label_mismatch_setup(self, tmp_path, capsys):
+        """A bpgh and an mpgh model, each with the other kind's test file."""
+        files = {}
+        for kind, solver in (("binary", "bpgh"), ("four_class", "mpgh")):
+            prefix = str(tmp_path / kind)
+            code, _, _ = run(capsys, "gen", "--kind", kind, "--n", "40",
+                             "--p", "30", "--s", "4", "--n-test", "20",
+                             "--out", prefix)
+            assert code == 0
+            model = str(tmp_path / f"{solver}.model")
+            code, _, _ = run(capsys, "train", "--data", prefix + ".train.libsvm",
+                             "--solver", solver, "--lambda1", "0.05",
+                             "--lambda2", "1", "--lambda3", "1",
+                             "--model-out", model)
+            assert code in (0, 2)
+            files[kind] = (model, prefix + ".test.libsvm")
+        return files
+
+    def test_labels_the_model_cannot_predict_rejected(self, tmp_path, capsys):
+        files = self.label_mismatch_setup(tmp_path, capsys)
+        for model_kind, data_kind, label in (("binary", "four_class", "2"),
+                                             ("four_class", "binary", "-1")):
+            out_file = tmp_path / f"pred_{model_kind}.txt"
+            code, out, err = run(capsys, "predict",
+                                 "--model", files[model_kind][0],
+                                 "--data", files[data_kind][1],
+                                 "--out", str(out_file))
+            assert code == 1
+            assert f"label {label} " in err
+            assert "accuracy" not in out
+            assert not out_file.exists()
+
+    def test_multi_model_predicts_file_of_class_one_only(self, tmp_path,
+                                                         capsys):
+        files = self.label_mismatch_setup(tmp_path, capsys)
+        lines = open(files["four_class"][1]).read().splitlines()
+        ones = [ln for ln in lines if ln.split()[0] == "1"]
+        raw = tmp_path / "ones.libsvm"
+        raw.write_text("\n".join(ones) + "\n")
+        out_file = tmp_path / "pred_ones.txt"
+        code, out, _ = run(capsys, "predict", "--model", files["four_class"][0],
+                           "--data", str(raw), "--out", str(out_file))
+        assert code == 0
+        assert out.startswith("accuracy ")
+        assert len(out_file.read_text().splitlines()) == len(ones) + 1
 
     def test_malformed_model_number_io_error(self, tmp_path, capsys):
         prefix = gen_binary(tmp_path, capsys)

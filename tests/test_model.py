@@ -107,6 +107,27 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.W, model.W)
         np.testing.assert_array_equal(loaded.b, model.b)
 
+    def test_saved_text_pinned(self):
+        hp = Hyperparams(0.1, 1.0, 2.0, 0.5)
+        binary = BinaryModel(b=-0.25, w=np.array([0.0, 1.5, 0.0, -2.0 / 3.0]))
+        multi = MultiModel(b=np.array([0.5, -0.5, 0.0]),
+                           W=np.array([[0.0, 0.0, 0.0],
+                                       [1.0, -0.75, -0.25],
+                                       [0.0, 0.1, -0.1]]))
+        hp_line = "lambda1=0.10000000000000001 lambda2=1 lambda3=2 delta=0.5"
+        expected = [
+            (binary, ["HSVM binary p=4 J=2", hp_line, "b -0.25",
+                      "w 2 1.5", "w 4 -0.66666666666666663"]),
+            (multi, ["HSVM multi p=3 J=3", hp_line, "b 0.5 -0.5 0",
+                     "w 2 1 1", "w 2 2 -0.75", "w 2 3 -0.25",
+                     "w 3 2 0.10000000000000001",
+                     "w 3 3 -0.10000000000000001"]),
+        ]
+        for model, lines in expected:
+            buf = io.StringIO()
+            save_model(model, hp, buf)
+            assert buf.getvalue() == "\n".join(lines) + "\n"
+
     def test_truncated_file_rejected(self):
         model = BinaryModel(1.0, np.array([1.0, 0.0]))
         buf = io.StringIO()
@@ -132,6 +153,7 @@ class TestPersistence:
     @pytest.mark.parametrize("head, hp_line", [
         ("HSVM binary p=-1 J=2", "lambda1=1 lambda2=1 lambda3=1 delta=1"),
         ("HSVM multi p=2 J=1", "lambda1=1 lambda2=1 lambda3=1 delta=1"),
+        ("HSVM binary p=30 J=9", "lambda1=1 lambda2=1 lambda3=1 delta=1"),
         ("HSVM binary p=2 J=2", "lambda1=-1 lambda2=1 lambda3=1 delta=1")])
     def test_out_of_range_header_or_hyperparameter_rejected(self, head, hp_line):
         with pytest.raises(FormatError):
