@@ -25,9 +25,9 @@ from .data import (
     save_libsvm,
     write_sidecar,
 )
-from .errors import FormatError, HsvmError, ParseError
+from .errors import FormatError, HsvmError, LabelError, ParseError
 from .losses import Hyperparams
-from .model import BinaryModel, load_model, predict, save_model
+from .model import check_labels, load_model, predict, save_model
 from .solver import (
     ABLATION_SETTINGS,
     SolverOptions,
@@ -171,12 +171,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    data = load_libsvm(args.data)
-    want = "multiclass" if args.solver == "mpgh" else "binary"
+def _load_for_solver(path, solver):
+    """The data file at ``path``; a label kind ``solver`` cannot fit is a
+    usage error, raised before any fit."""
+    data = load_libsvm(path)
+    want = "multiclass" if solver == "mpgh" else "binary"
     if data.kind != want:
         raise _UsageError(
-            f"solver {args.solver} needs {want} labels, file has {data.kind}")
+            f"solver {solver} needs {want} labels, file has {data.kind}")
+    return data
+
+
+def cmd_train(args) -> int:
+    data = _load_for_solver(args.data, args.solver)
     hp = Hyperparams(args.lambda1, args.lambda2, args.lambda3, args.delta)
     res = _FITTERS[args.solver](data, hp, _solver_options(args))
     with open(args.model_out, "w", encoding="ascii") as fh:
@@ -193,19 +200,14 @@ def cmd_predict(args) -> int:
     with open(args.model, "r", encoding="ascii") as fh:
         model, _ = load_model(fh)
     data = load_libsvm(args.data, n_features=model.n_features)
+    if data.n == 0:
+        raise _UsageError(f"{args.data}: file has no rows")
     labelled = data.kind != UNLABELED
     if labelled:
-        # Decided by the label values, not data.kind: a multi-class file
-        # whose rows are all class 1 reads as binary.
-        if isinstance(model, BinaryModel):
-            known, text = {-1, 1}, "+1 or -1"
-        else:
-            known = set(range(1, model.n_classes + 1))
-            text = f"1..{model.n_classes}"
-        bad = sorted(set(np.unique(data.labels).tolist()) - known)
-        if bad:
-            raise _UsageError(f"{args.data}: label {bad[0]} is not one the "
-                              f"model can predict ({text})")
+        try:
+            check_labels(model, data.labels)
+        except LabelError as exc:
+            raise _UsageError(f"{args.data}: {exc}") from None
     pred = predict(model, data)
     with open(args.out, "w", encoding="ascii") as fh:
         for lab in pred:
@@ -232,7 +234,7 @@ def cmd_cv(args) -> int:
             lambda3 = float(lambda3)
         except ValueError:
             raise _UsageError(f"malformed --lambda3 {lambda3!r}") from None
-    data = load_libsvm(args.data)
+    data = _load_for_solver(args.data, args.solver)
     grid = Grid(_parse_float_list(args.lambda1_grid),
                 _parse_float_list(args.lambda2_grid),
                 lambda3=lambda3, delta=args.delta, folds=args.folds)

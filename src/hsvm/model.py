@@ -9,8 +9,9 @@ from typing import IO, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .data import BINARY, MULTICLASS, Dataset
-from .errors import ConstraintError, DomainError, FormatError, ShapeError
+from .data import Dataset
+from .errors import (ConstraintError, DomainError, FormatError, LabelError,
+                     ShapeError)
 from .losses import Hyperparams
 
 FEASIBILITY_TOL = 1e-8
@@ -101,6 +102,23 @@ def predict(model, data: Dataset):
     if isinstance(model, BinaryModel):
         return predict_binary(model, data.X)
     return predict_multi(model, data.X)
+
+
+def check_labels(model, labels) -> None:
+    """Raise ``LabelError`` unless every label is one the model can
+    predict: +1 or -1 for a binary model, 1..J for a multi-class one.
+
+    Decided by the label values, not ``Dataset.kind``: a multi-class set
+    whose rows are all class 1 is inferred as binary.
+    """
+    if isinstance(model, BinaryModel):
+        known, text = [-1, 1], "+1 or -1"
+    else:
+        known, text = np.arange(1, model.n_classes + 1), f"1..{model.n_classes}"
+    bad = np.setdiff1d(labels, known)
+    if bad.size:
+        raise LabelError(
+            f"label {bad[0]} is not one the model can predict ({text})")
 
 
 def save_model(model, hp, stream: IO[str]) -> None:
@@ -219,17 +237,15 @@ class Metrics:
 
 
 def evaluate(model, test: Dataset, true_support=None) -> Metrics:
-    """Score a model on labelled test data.
+    """Score a model on labelled test data, every label one the model can
+    predict (:func:`check_labels`).
 
     Support is exact nonzero; the proximal solvers produce exact zeros so
     no threshold is involved.
     """
     if test.n == 0:
         raise DomainError("empty test set")
-    if test.kind == BINARY and not isinstance(model, BinaryModel):
-        raise ShapeError("binary test data requires a BinaryModel")
-    if test.kind == MULTICLASS and not isinstance(model, MultiModel):
-        raise ShapeError("multi-class test data requires a MultiModel")
+    check_labels(model, test.labels)
     pred = predict(model, test)
     accuracy = float(np.mean(pred == test.labels))
     if true_support is None:

@@ -12,7 +12,8 @@ breakpoints, evaluates gamma' at all of them from prefix sums, and solves
 the affine piece on which gamma' changes sign in closed form. When the
 root is a flat segment (the w* = 0 case, max z - min z <= 2 lam), the
 segment midpoint is returned; every sigma in the segment yields the same
-w*."""
+w*. multi_w_step, which needs only w*, gives flat rows w = 0 without a sort
+and sends only the other rows through the kernel."""
 
 from __future__ import annotations
 
@@ -62,6 +63,13 @@ class DualProxResult:
     w: np.ndarray
     sigma: float
     interval: tuple
+
+
+# Relative margin below 2 lam under which multi_w_step skips a row. It
+# covers the few ulps of rounding in the range and in the kernel's centring,
+# so every skipped row is one the kernel itself returns as zeros; rows
+# nearer the boundary, and rows with a NaN, still go through the kernel.
+_FLAT_MARGIN = 64 * np.finfo(float).eps
 
 
 def _zero_sum_prox_rows(Z, lam):
@@ -144,4 +152,12 @@ def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
     lam = lambda1 / (L_k + lambda2)
     if lam == 0.0:
         return Z - Z.mean(axis=1, keepdims=True)
-    return _zero_sum_prox_rows(Z, lam)[0]
+    # A flat row (max z - min z <= 2 lam) has w* = 0, so only the others go
+    # through the kernel. The range is reduced over axis 0 of a transposed
+    # copy, which is several times faster than over the short axis of Z.
+    ZT = Z.T.copy()
+    flat = ZT.max(axis=0) - ZT.min(axis=0) <= 2.0 * lam * (1.0 - _FLAT_MARGIN)
+    live = np.flatnonzero(~flat)
+    W = np.zeros_like(Z)
+    W[live] = _zero_sum_prox_rows(Z[live], lam)[0]
+    return W

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -213,6 +214,21 @@ class TestPredict:
         assert out.startswith("accuracy ")
         assert len(out_file.read_text().splitlines()) == len(ones) + 1
 
+    def test_empty_data_file_rejected(self, tmp_path, capsys):
+        prefix = gen_binary(tmp_path, capsys)
+        model = self.train_model(tmp_path, capsys, prefix)
+        raw = tmp_path / "empty.libsvm"
+        raw.write_text("")
+        out_file = tmp_path / "pred_empty.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "predict", "--model", model,
+                                 "--data", str(raw), "--out", str(out_file))
+        assert code == 1
+        assert str(raw) in err and "no rows" in err
+        assert "accuracy" not in out
+        assert not out_file.exists()
+
     def test_malformed_model_number_io_error(self, tmp_path, capsys):
         prefix = gen_binary(tmp_path, capsys)
         model = self.train_model(tmp_path, capsys, prefix)
@@ -280,6 +296,28 @@ class TestCV:
                            "--lambda3", "abc")
         assert code == 1
         assert "malformed --lambda3 'abc'" in err
+
+    def test_solver_label_mismatch(self, tmp_path, capsys):
+        # rejected before any fit, as train does; grid_search would record
+        # every fold as accuracy 0 and still name a best point
+        binary = gen_binary(tmp_path, capsys, n=30)
+        four = str(tmp_path / "four")
+        code, _, _ = run(capsys, "gen", "--kind", "four_class", "--n", "40",
+                         "--p", "30", "--s", "4", "--out", four)
+        assert code == 0
+        for prefix, solver, want in ((binary, "mpgh", "multiclass"),
+                                     (four, "bpgh", "binary"),
+                                     (four, "bpgh2", "binary")):
+            table = tmp_path / f"cv_{solver}.csv"
+            code, out, err = run(capsys, "cv",
+                                 "--data", prefix + ".train.libsvm",
+                                 "--solver", solver, "--lambda1-grid", "0.1,1",
+                                 "--lambda2-grid", "1", "--folds", "3",
+                                 "--table-out", str(table))
+            assert code == 1
+            assert f"needs {want} labels" in err
+            assert "best" not in out
+            assert not table.exists()
 
     def test_too_many_folds_usage_error(self, tmp_path, capsys):
         prefix = gen_binary(tmp_path, capsys, n=4, s=2, p=6)

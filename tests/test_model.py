@@ -15,7 +15,7 @@ from hsvm import (
     predict_multi,
     save_model,
 )
-from hsvm.errors import ConstraintError, ShapeError
+from hsvm.errors import ConstraintError, LabelError, ShapeError
 
 
 def zero_sum_multi(rng, p, J):
@@ -221,6 +221,22 @@ class TestEvaluate:
             if scores.argmax() + 1 != y[i]:
                 wrong += 1
         assert m.accuracy == pytest.approx(1.0 - wrong / 60)
+
+    def test_multi_model_scores_labels_all_one(self):
+        # labels all 1 are inferred as a binary set; a multi-class model
+        # still predicts every one of them
+        model = MultiModel(b=np.array([1.0, 0.0, -1.0]), W=np.zeros((2, 3)))
+        data = Dataset(np.zeros((5, 2)), [1, 1, 1, 1, 1])
+        assert data.kind == "binary"
+        assert evaluate(model, data).accuracy == 1.0
+
+    def test_labels_the_model_cannot_predict_rejected(self):
+        multi = MultiModel(b=np.zeros(3), W=np.zeros((2, 3)))
+        with pytest.raises(LabelError, match="label 7 "):
+            evaluate(multi, Dataset(np.zeros((3, 2)), [1, 2, 7]))
+        binary = BinaryModel(0.0, np.zeros(2))
+        with pytest.raises(LabelError, match="label 2 "):
+            evaluate(binary, Dataset(np.zeros((3, 2)), [1, 2, 3]))
 
     def test_metrics_survive_round_trip(self):
         rng = np.random.default_rng(7)

@@ -16,6 +16,8 @@ from hsvm import (
     shrink,
 )
 
+from hsvm import prox
+from hsvm.prox import _zero_sum_prox_rows
 from oracles import bruteforce_eq_prox
 
 
@@ -295,6 +297,50 @@ class TestMultiWStep:
             for z, w in zip(Z, W):
                 sigma = implied_multiplier(z, lam, w)
                 assert max(kkt_residuals(z, lam, w, sigma)) <= 1e-10
+
+    @staticmethod
+    def mixed_rows(rng, J, lam):
+        """Live, flat and constant rows, and rows whose spread is 2 lam,
+        2 lam (1 -/+ 1e-15) or 2 lam (1 -/+ 1e-12) exactly, or just below
+        that at 2 lam (1 - 1e-11); each row also offset by 2^20."""
+        rows = [rng.normal(size=(20, J)),
+                rng.uniform(0, lam, size=(20, J)),
+                np.repeat(rng.normal(size=(5, 1)), J, axis=1)]
+        for spread in 2 * lam * np.array([1.0, 1 - 1e-15, 1 + 1e-15,
+                                          1 - 1e-12, 1 + 1e-12, 1 - 1e-11]):
+            z = rng.uniform(0, spread, size=(4, J))
+            z[:, 0], z[:, -1] = 0.0, spread
+            rows.append(z)
+        Z = np.vstack(rows)
+        return rng.permutation(np.vstack([Z, Z + 2.0 ** 20]))
+
+    @pytest.mark.parametrize("J", [2, 4, 50])
+    def test_flat_row_skip_equals_kernel(self, J):
+        # flat rows come out as zeros without the kernel; the result must
+        # equal the kernel's on every row
+        rng = np.random.default_rng(J + 300)
+        for lam in (0.3, 1e-3, 7.0):
+            Z = self.mixed_rows(rng, J, lam)
+            W = multi_w_step(Z, np.zeros_like(Z), 1.0, lam, 0.0)
+            assert np.array_equal(W, _zero_sum_prox_rows(Z, lam)[0])
+
+    def test_rows_below_the_flat_line_skip_the_kernel(self, monkeypatch):
+        seen = []
+
+        def kernel(Z, lam):
+            seen.append(Z.max(axis=1) - Z.min(axis=1) - 2 * lam * (1 - 1e-12))
+            return _zero_sum_prox_rows(Z, lam)
+
+        monkeypatch.setattr(prox, "_zero_sum_prox_rows", kernel)
+        rng = np.random.default_rng(12)
+        for J in (2, 4, 50):
+            Z = self.mixed_rows(rng, J, 0.3)
+            seen.clear()
+            multi_w_step(Z, np.zeros_like(Z), 1.0, 0.3, 0.0)
+            sent = np.concatenate(seen)
+            assert np.all(sent >= 0.0)
+            # every row above 2 lam still goes through the kernel
+            assert sent.size >= np.count_nonzero(np.ptp(Z, axis=1) > 0.6) > 0
 
     def test_memory_linear_in_classes(self):
         # one p x 2J x J float64 temporary would take 80 MB here
