@@ -14,6 +14,7 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -28,21 +29,15 @@ from .data import (
 from .errors import FormatError, HsvmError, LabelError, ParseError
 from .losses import Hyperparams
 from .model import check_labels, load_model, predict, save_model
-from .solver import (
-    ABLATION_SETTINGS,
-    SolverOptions,
-    ablation_run,
-    fit_binary,
-    fit_binary_two_stage,
-    fit_multi,
-)
+from .solver import ABLATION_SETTINGS, EXTRAPOLATION_MODES, SolverOptions, ablation_run
 from .stats import RANKS, RAW_SCORES, RankTable, compare_to_control, friedman, holm, wilcoxon_z
-from .tuning import Grid, grid_search
+from .tuning import LAMBDA3_TIED, SOLVERS, Grid, grid_search
 
 TEST_SEED_OFFSET = 1_000_003  # derives the held-out stream from --seed
 
-_FITTERS = {"bpgh": fit_binary, "bpgh2": fit_binary_two_stage,
-            "mpgh": fit_multi}
+# A copy, not the same dict: tools that wrap each fitter table's entries
+# would otherwise wrap every fit twice.
+_FITTERS = dict(SOLVERS)
 
 
 class _UsageError(Exception):
@@ -58,16 +53,16 @@ def _add_hyper_flags(p):
     p.add_argument("--lambda1", type=float, required=True)
     p.add_argument("--lambda2", type=float, required=True)
     p.add_argument("--lambda3", type=float, required=True)
-    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=Hyperparams.delta)
 
 
 def _add_solver_flags(p):
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--eta", type=float, default=1.5)
-    p.add_argument("--L0", type=float, default=None)
-    p.add_argument("--extrapolation", choices=["fista_capped", "none"],
-                   default="fista_capped")
+    p.add_argument("--tol", type=float, default=SolverOptions.tol)
+    p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
+    p.add_argument("--eta", type=float, default=SolverOptions.eta)
+    p.add_argument("--L0", type=float, default=SolverOptions.L0)
+    p.add_argument("--extrapolation", choices=EXTRAPOLATION_MODES,
+                   default=SolverOptions.extrapolation)
     p.add_argument("--no-monotone", action="store_true")
 
 
@@ -115,10 +110,10 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda1-grid", required=True,
                    help="comma-separated values")
     p.add_argument("--lambda2-grid", required=True)
-    p.add_argument("--lambda3", default="1.0",
-                   help="number, or 'lambda2' to tie to the lambda2 value")
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--lambda3", default=Grid.lambda3,
+                   help=f"number, or {LAMBDA3_TIED!r} to tie to the lambda2 value")
+    p.add_argument("--delta", type=float, default=Hyperparams.delta)
+    p.add_argument("--folds", type=int, default=Grid.folds)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--table-out")
     p.set_defaults(func=cmd_cv)
@@ -171,19 +166,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_for_solver(path, solver):
-    """The data file at ``path``; a label kind ``solver`` cannot fit is a
-    usage error, raised before any fit."""
-    data = load_libsvm(path)
-    want = "multiclass" if solver == "mpgh" else "binary"
-    if data.kind != want:
-        raise _UsageError(
-            f"solver {solver} needs {want} labels, file has {data.kind}")
-    return data
-
-
 def cmd_train(args) -> int:
-    data = _load_for_solver(args.data, args.solver)
+    data = load_libsvm(args.data)
     hp = Hyperparams(args.lambda1, args.lambda2, args.lambda3, args.delta)
     res = _FITTERS[args.solver](data, hp, _solver_options(args))
     with open(args.model_out, "w", encoding="ascii") as fh:
@@ -229,12 +213,12 @@ def _parse_float_list(text):
 
 def cmd_cv(args) -> int:
     lambda3 = args.lambda3
-    if lambda3 != "lambda2":
+    if lambda3 != LAMBDA3_TIED:
         try:
             lambda3 = float(lambda3)
         except ValueError:
             raise _UsageError(f"malformed --lambda3 {lambda3!r}") from None
-    data = _load_for_solver(args.data, args.solver)
+    data = load_libsvm(args.data)
     grid = Grid(_parse_float_list(args.lambda1_grid),
                 _parse_float_list(args.lambda2_grid),
                 lambda3=lambda3, delta=args.delta, folds=args.folds)
@@ -254,21 +238,18 @@ def cmd_bench(args) -> int:
     data = generate(spec)
     hp = Hyperparams(args.lambda1, args.lambda2, args.lambda3, args.delta)
     opts = _solver_options(args)
-    rows = []
     if args.scenario == "ablation":
-        for setting in ABLATION_SETTINGS:
-            t0 = time.perf_counter()
-            res = ablation_run(data, hp, setting, opts)
-            ms = 1000.0 * (time.perf_counter() - t0)
-            rows.append((setting, res.iterations, ms, res.final_objective,
-                         res.trace.rows[-1].nnz))
+        fits = [(setting, partial(ablation_run, setting=setting))
+                for setting in ABLATION_SETTINGS]
     else:
-        for name, fit in (("bpgh", fit_binary), ("bpgh2", fit_binary_two_stage)):
-            t0 = time.perf_counter()
-            res = fit(data, hp, opts)
-            ms = 1000.0 * (time.perf_counter() - t0)
-            rows.append((name, res.iterations, ms, res.final_objective,
-                         res.trace.rows[-1].nnz))
+        fits = [(name, _FITTERS[name]) for name in ("bpgh", "bpgh2")]
+    rows = []
+    for name, fit in fits:
+        t0 = time.perf_counter()
+        res = fit(data, hp, opts=opts)
+        ms = 1000.0 * (time.perf_counter() - t0)
+        rows.append((name, res.iterations, ms, res.final_objective,
+                     res.trace.rows[-1].nnz))
     header = "setting,iterations,time_ms,objective,nnz"
     lines = [header] + [f"{s},{it},{ms:.3f},{obj:.12g},{nnz}"
                         for s, it, ms, obj, nnz in rows]

@@ -343,7 +343,8 @@ class BinaryObjective:
 
     def __init__(self, data: Dataset, hp: Hyperparams):
         if data.kind != "binary":
-            raise LabelError("the binary objective requires +1/-1 labels")
+            raise LabelError("the binary objective needs binary labels "
+                             f"(+1/-1), data has {data.kind}")
         self.X = data.X
         self.y = data.labels.astype(float)
         self.n = data.n
@@ -454,10 +455,9 @@ class MultiObjective:
 
     def __init__(self, data: Dataset, hp: Hyperparams):
         if data.kind != "multiclass":
-            raise LabelError("the multi-class objective requires labels in 1..J")
+            raise LabelError("the multi-class objective needs multiclass "
+                             f"labels (1..J), data has {data.kind}")
         J = data.n_classes
-        if J < 2:
-            raise LabelError("need at least two classes")
         self.data = data
         self.X = data.X
         self.hp = hp

@@ -2,7 +2,8 @@
 
 lambda3 is held fixed during the search; the synthetic binary benchmarks
 tie it to lambda2, everything else pins it at 1 (both exposed through
-``Grid.lambda3``).
+``Grid.lambda3``). A fit or evaluation error on any fold ends the search:
+it propagates to the caller, and no best point is named.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .data import Dataset
-from .errors import DomainError, HsvmError, ShapeError
+from .errors import DomainError, ShapeError
 from .losses import Hyperparams
 from .model import evaluate
 from .solver import SolverOptions, fit_binary, fit_binary_two_stage, fit_multi
@@ -30,7 +31,8 @@ LAMBDA3_TIED = "lambda2"
 @dataclass
 class Grid:
     """Search grid; ``lambda3`` is a number or the string "lambda2" to tie
-    it to the lambda2 value under test."""
+    it to the lambda2 value under test. A value no grid point could use
+    raises ``DomainError`` here, not at search time."""
 
     lambda1_values: np.ndarray
     lambda2_values: np.ndarray
@@ -43,8 +45,18 @@ class Grid:
         self.lambda2_values = np.asarray(self.lambda2_values, dtype=float)
         if self.lambda1_values.size == 0 or self.lambda2_values.size == 0:
             raise DomainError("grid value arrays must be nonempty")
-        if np.any(self.lambda1_values < 0) or np.any(self.lambda2_values < 0):
-            raise DomainError("grid values must be nonnegative")
+        try:
+            self.delta = float(self.delta)
+            if self.lambda3 != LAMBDA3_TIED:
+                self.lambda3 = float(self.lambda3)
+        except (TypeError, ValueError):
+            raise DomainError("delta must be a number, lambda3 a number or "
+                              f"{LAMBDA3_TIED!r}") from None
+        # Hyperparams checks every value: a negative one is the minimum,
+        # and a NaN or an infinity reaches the minimum or the maximum.
+        for pick in (np.min, np.max):
+            self.hyperparams(pick(self.lambda1_values),
+                             pick(self.lambda2_values))
         if self.folds < 2:
             raise DomainError("need at least 2 folds")
 
@@ -53,7 +65,7 @@ class Grid:
                 for l1 in self.lambda1_values for l2 in self.lambda2_values]
 
     def hyperparams(self, l1, l2) -> Hyperparams:
-        l3 = l2 if self.lambda3 == LAMBDA3_TIED else float(self.lambda3)
+        l3 = l2 if self.lambda3 == LAMBDA3_TIED else self.lambda3
         return Hyperparams(lambda1=l1, lambda2=l2, lambda3=l3,
                            delta=self.delta)
 
@@ -109,8 +121,8 @@ def grid_search(data: Dataset, grid: Grid, solver="bpgh",
     """Mean validation accuracy over the folds for every grid point.
 
     Ties are broken toward the sparser model: larger lambda1, then larger
-    lambda2. A solver failure on a fold is recorded as accuracy 0 for that
-    grid point.
+    lambda2. An error from a fit or its evaluation propagates, so a label
+    kind ``solver`` cannot fit raises the objective's ``LabelError``.
     """
     if solver not in SOLVERS:
         raise DomainError(f"unknown solver {solver!r}")
@@ -129,12 +141,7 @@ def grid_search(data: Dataset, grid: Grid, solver="bpgh",
         hp = grid.hyperparams(l1, l2)
         acc = np.zeros(len(folds))
         for f, (train, val) in enumerate(splits):
-            try:
-                res = fit(train, hp, opts)
-                acc[f] = evaluate(res.model, val).accuracy
-            except HsvmError:
-                acc[:] = 0.0
-                break
+            acc[f] = evaluate(fit(train, hp, opts).model, val).accuracy
         table.extend(CVRecord(l1, l2, f, float(a)) for f, a in enumerate(acc))
         mean_scores[(l1, l2)] = float(acc.mean())
 

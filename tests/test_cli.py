@@ -4,7 +4,9 @@ import warnings
 
 import pytest
 
-from hsvm.cli import main
+from hsvm.cli import _solver_options, build_parser, main
+from hsvm.solver import SolverOptions
+from hsvm.tuning import Grid
 
 
 def run(capsys, *argv):
@@ -325,6 +327,22 @@ class TestCV:
                          "--lambda1-grid", "0.1", "--lambda2-grid", "1",
                          "--folds", "10")
         assert code == 1
+
+
+class TestFlagDefaults:
+    def test_train_defaults_are_the_solver_defaults(self):
+        args = build_parser().parse_args(
+            ["train", "--data", "d", "--solver", "bpgh", "--lambda1", "0.1",
+             "--lambda2", "1", "--lambda3", "1", "--model-out", "m"])
+        assert _solver_options(args) == SolverOptions()
+
+    def test_cv_defaults_are_the_grid_defaults(self):
+        args = build_parser().parse_args(
+            ["cv", "--data", "d", "--lambda1-grid", "0.1",
+             "--lambda2-grid", "1"])
+        grid = Grid([0.1], [1.0])
+        assert (args.lambda3, args.delta, args.folds) == \
+            (grid.lambda3, grid.delta, grid.folds)
 
 
 class TestBench:

@@ -7,6 +7,7 @@ from hsvm import (
     Dataset,
     DomainError,
     Grid,
+    LabelError,
     ShapeError,
     grid_search,
     kfold_split,
@@ -148,7 +149,7 @@ class TestGridSearch:
 
 
 class TestSolverFailureHandling:
-    def test_failing_point_scored_zero(self, monkeypatch):
+    def test_fit_failure_propagates(self, monkeypatch):
         import hsvm.tuning as tuning
         from hsvm.errors import HsvmError
 
@@ -163,7 +164,37 @@ class TestSolverFailureHandling:
 
         monkeypatch.setitem(tuning.SOLVERS, "bpgh", flaky_fit)
         data = separable_data(9, n=24)
-        res = grid_search(data, Grid([0.5, 0.05], [1.0], folds=3), seed=0)
-        assert res.mean_scores[(0.5, 1.0)] == 0.0
-        assert res.best_lambda1 == 0.05
-        assert all(r.accuracy == 0.0 for r in res.table if r.lambda1 == 0.5)
+        with pytest.raises(HsvmError, match="synthetic failure"):
+            grid_search(data, Grid([0.5, 0.05], [1.0], folds=3), seed=0)
+        assert calls["n"] == 1
+
+    def test_label_kind_the_solver_cannot_fit_raises(self):
+        with pytest.raises(LabelError, match="needs multiclass labels"):
+            grid_search(separable_data(10, n=24),
+                        Grid([0.1], [1.0], folds=3), solver="mpgh")
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"lambda3": "foo"},
+        {"lambda3": None},
+        {"lambda3": -1.0},
+        {"lambda3": float("nan")},
+        {"lambda3": float("inf")},
+        {"delta": 0.0},
+        {"delta": float("nan")},
+        {"delta": None},
+        {"lambda1_values": [0.1, float("nan")]},
+        {"lambda1_values": [-0.1, 0.1]},
+        {"lambda2_values": [float("nan")]},
+        {"lambda2_values": [1.0, float("inf")]},
+    ], ids=str)
+    def test_unusable_value_rejected_at_construction(self, kwargs):
+        args = {"lambda1_values": [0.1], "lambda2_values": [1.0], **kwargs}
+        with pytest.raises(DomainError):
+            Grid(**args)
+
+    def test_usable_values_accepted(self):
+        grid = Grid([0.0, 0.1], [0.0, 1.0], lambda3=0, delta=2)
+        assert grid.hyperparams(0.1, 1.0).lambda3 == 0.0
+        assert Grid([0.1], [1.0], lambda3="lambda2").lambda3 == "lambda2"
