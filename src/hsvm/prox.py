@@ -12,8 +12,16 @@ breakpoints, evaluates gamma' at all of them from prefix sums, and solves
 the affine piece on which gamma' changes sign in closed form. When the
 root is a flat segment (the w* = 0 case, max z - min z <= 2 lam), the
 segment midpoint is returned; every sigma in the segment yields the same
-w*. multi_w_step, which needs only w*, gives flat rows w = 0 without a sort
-and sends only the other rows through the kernel."""
+w*.
+
+multi_w_step needs only w*, and it sorts only the rows it cannot solve in
+closed form. A flat row gets w = 0. Every other row takes the sign pattern
+s of its row of W_hat as a guess: with s known, e'w = 0 gives
+sigma = (sum_{s_i != 0} z_i - lam e's) / #{s_i != 0}, and w = S_lam(z - sigma)
+is optimal exactly when sign(w) == s (the KKT conditions). Since the
+support of the iterates settles after finitely many steps, most guesses
+hold; a row whose guess fails, is empty or has one sign goes through the
+kernel."""
 
 from __future__ import annotations
 
@@ -79,14 +87,15 @@ def _zero_sum_prox_rows(Z, lam):
     breakpoint interval [lo, hi] that brackets each sigma.
     """
     p, J = Z.shape
-    rows = np.arange(p)
     # The prox commutes with a common shift of z and sigma; centring each
     # row keeps the prefix sums below free of cancellation.
-    mu = Z.mean(axis=1)
+    mu = Z.sum(axis=1) / J
     Zc = Z - mu[:, None]
     B = np.concatenate([Zc - lam, Zc + lam], axis=1)
     order = np.argsort(B, axis=1)
-    V = np.take_along_axis(B, order, axis=1)
+    # Offsets of each row's first entry in the flattened (p, 2J) arrays.
+    base = np.arange(0, p * 2 * J, 2 * J)
+    V = B.ravel()[order + base[:, None]]
     upper = order < J  # z_i - lam, active while sigma lies below it
     # On the piece [V[m], V[m+1]], gamma'(sigma) = T[m] - n[m] sigma: the
     # upper breakpoints right of m count with +1, the lower ones up to m
@@ -94,17 +103,19 @@ def _zero_sum_prox_rows(Z, lam):
     VU = np.where(upper, V, 0.0)
     cum_up = np.cumsum(VU, axis=1)
     T = cum_up[:, -1:] - cum_up + np.cumsum(V - VU, axis=1)
-    n_up = np.cumsum(upper, axis=1)
-    n = J - 2 * n_up + np.arange(1, 2 * J + 1)
+    n = np.cumsum(np.where(upper, -1.0, 1.0), axis=1)
+    n += J
     # gamma' is positive left of its root, so the root lies on the piece
     # that starts at the last positive breakpoint.
-    m = np.clip((T - n * V > 0).sum(axis=1) - 1, 0, 2 * J - 2)
+    m = np.clip(np.count_nonzero(T > n * V, axis=1) - 1, 0, 2 * J - 2)
     # The middle piece is flat iff max z - min z <= 2 lam; gamma' vanishes
     # on all of it and w* = 0, so sigma is its midpoint.
     flat = n[:, J - 1] == 0
     m[flat] = J - 1
-    lo, hi = V[rows, m], V[rows, m + 1]
-    root = np.clip(T[rows, m] / np.maximum(n[rows, m], 1), lo, hi)
+    at = base + m
+    V, T, n = V.ravel(), T.ravel(), n.ravel()
+    lo, hi = V[at], V[at + 1]
+    root = np.clip(T[at] / np.maximum(n[at], 1), lo, hi)
     sigma = np.where(flat, 0.5 * (lo + hi), root)
     W = shrink(Zc - sigma[:, None], lam)
     return W, sigma + mu, lo + mu, hi + mu
@@ -141,7 +152,11 @@ def multi_b_step(b_hat, grad_b, L_k, lambda3) -> np.ndarray:
 
 def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
     """Row-decomposed weight update: each row of W solves a zero-sum l1
-    prox with threshold lambda1/(L_k + lambda2)."""
+    prox with threshold lambda1/(L_k + lambda2).
+
+    A flat row gets w = 0. Every other row first tries the sign pattern of
+    its row of W_hat, and only a row whose guess fails goes through the
+    sorting kernel; see the module docstring."""
     W_hat = np.asarray(W_hat, dtype=float)
     grad_W = np.asarray(grad_W, dtype=float)
     if L_k + lambda2 <= 0:
@@ -152,12 +167,26 @@ def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
     lam = lambda1 / (L_k + lambda2)
     if lam == 0.0:
         return Z - Z.mean(axis=1, keepdims=True)
-    # A flat row (max z - min z <= 2 lam) has w* = 0, so only the others go
-    # through the kernel. The range is reduced over axis 0 of a transposed
-    # copy, which is several times faster than over the short axis of Z.
+    # A flat row (max z - min z <= 2 lam) has w* = 0. The range is reduced
+    # over axis 0 of a transposed copy, which is several times faster than
+    # over the short axis of Z.
     ZT = Z.T.copy()
     flat = ZT.max(axis=0) - ZT.min(axis=0) <= 2.0 * lam * (1.0 - _FLAT_MARGIN)
     live = np.flatnonzero(~flat)
+    # Each live row is solved from the sign pattern s of its row of W_hat
+    # (see the module docstring); n_act and s_sum are #{s_i != 0} and e's,
+    # and an empty guess divides by 1, not 0.
+    Z_live = Z[live]
+    S = np.sign(W_hat[live])
+    A = np.abs(S)
+    n_act, s_sum = A.sum(axis=1), S.sum(axis=1)
+    sigma = ((A * Z_live).sum(axis=1) - lam * s_sum) / np.maximum(n_act, 1.0)
+    W_live = shrink(Z_live - sigma[:, None], lam)
+    # A row whose guess is empty or has one sign, fails the sign test or
+    # holds a NaN goes through the kernel.
+    miss = live[(np.abs(s_sum) >= n_act) | (np.sign(W_live) != S).any(axis=1)]
     W = np.zeros_like(Z)
-    W[live] = _zero_sum_prox_rows(Z[live], lam)[0]
+    W[live] = W_live
+    if miss.size:
+        W[miss] = _zero_sum_prox_rows(Z[miss], lam)[0]
     return W

@@ -167,13 +167,14 @@ def extrapolation_weight(t_prev, t_curr, L_prev, L_curr) -> float:
     return min((t_prev - 1.0) / t_curr, math.sqrt(L_prev / L_curr))
 
 
-def check_stop(F_prev, F_curr, u_prev, u_curr, tol, counter,
+def check_stop(F_prev, F_curr, step_norm, u_prev, tol, counter,
                consec=CONSEC_STOP):
-    """Relative-progress stopping rule; both ratios must stay below tol for
-    ``consec`` consecutive iterations. Returns (stop, updated counter)."""
-    du = np.linalg.norm(np.ravel(u_prev) - np.ravel(u_curr))
+    """Relative-progress stopping rule on the objective decrease and on the
+    step length ``step_norm`` = ||u_curr - u_prev||; both ratios must stay
+    below tol for ``consec`` consecutive iterations. Returns (stop, updated
+    counter)."""
     obj_ok = (F_prev - F_curr) / (1.0 + abs(F_prev)) <= tol
-    step_ok = du / (1.0 + np.linalg.norm(np.ravel(u_prev))) <= tol
+    step_ok = step_norm / (1.0 + np.linalg.norm(np.ravel(u_prev))) <= tol
     counter = counter + 1 if (obj_ok and step_ok) else 0
     return counter >= consec, counter
 
@@ -283,7 +284,7 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
         if iterates is not None:
             iterates.append(u.copy())
 
-        stop, counter = check_stop(F_prev, F, u_prev, u,
+        stop, counter = check_stop(F_prev, F, step_norm, u_prev,
                                    opts.tol, counter, CONSEC_STOP)
         if stop:
             stop_reason = "converged"
@@ -374,7 +375,7 @@ class BinaryObjective:
         return self.y * (u[0] + fwd)
 
     def smooth(self, m):
-        return float(np.mean(huber_loss(m, self.hp.delta)))
+        return float(huber_loss(m, self.hp.delta).sum() / self.n)
 
     def grad(self, m, u=None):
         """Gradient at the point u with margins m. Without u (the two-stage

@@ -3,7 +3,10 @@
 Nothing here shares code with the routines it validates: the gradient
 checker only evaluates the objective callable it is given, the dual prox
 scan re-implements soft thresholding inline, and the subgradient oracle
-evaluates the multi-class objective from its definition.
+evaluates the multi-class objective from its definition. The one exception
+is the kernel-only weight step: it runs the sorting kernel of the zero-sum
+prox, itself checked against the dual scan, on every row, as the reference
+for the row shortcuts of ``hsvm.prox.multi_w_step``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from hsvm.errors import DomainError, HsvmError
+from hsvm.prox import _zero_sum_prox_rows
 
 
 def finite_diff_grad(fun, point, h=1e-5) -> np.ndarray:
@@ -78,6 +82,13 @@ def bruteforce_eq_prox(z, lam):
     if best is None:
         raise HsvmError("no breakpoint interval passed the KKT check")
     return best[1], float(best[2])
+
+
+def kernel_only_w_step(W_hat, grad_W, L_k, lambda1, lambda2):
+    """The M-PGH weight step of ``hsvm.prox.multi_w_step`` for lambda1 > 0
+    with every row, flat or not, solved by the sorting kernel."""
+    Z = (L_k * np.asarray(W_hat) - grad_W) / (L_k + lambda2)
+    return _zero_sum_prox_rows(Z, lambda1 / (L_k + lambda2))[0]
 
 
 def grid_minimize(fun, box, step):

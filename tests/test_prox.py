@@ -314,15 +314,111 @@ class TestMultiWStep:
         Z = np.vstack(rows)
         return rng.permutation(np.vstack([Z, Z + 2.0 ** 20]))
 
+    # multi_w_step(W_hat, grad_W, L, lambda1, lambda2) with the threshold
+    # lam = lambda1 / (L + lambda2) = lambda1 / 2. Then Z = (W_hat - grad_W)
+    # / 2, and grad_W = -W_hat gives Z = W_hat exactly.
+    L, L2 = 1.0, 1.0
+
+    @classmethod
+    def guess_rows(cls, rng, J, lam, k=12):
+        """(W_hat, grad_W, kinds) whose rows of Z = (L W_hat - grad_W) /
+        (L + L2) are live and distinct, and whose W_hat rows are a right
+        sign guess ("right"), a wrong one with both signs ("flipped", or
+        "wider" with a zero of the solution guessed nonzero), a guess with
+        one sign ("one_sign"), a constant or zero row ("constant"), a zero
+        row where every |z_i| <= lam and max z - min z = 2 lam ("edge"), a
+        row offset by 2^20 ("offset") or a NaN ("nan")."""
+        def target(zero=False):
+            # A zero-sum w with sign pattern s, then a z whose prox is w:
+            # z_i = sigma + w_i + lam s_i, or within 0.9 lam of sigma.
+            s = rng.choice([-1.0, 0.0, 1.0], (k, J), p=[0.4, 0.2, 0.4])
+            s[:, :2] = 1.0, -1.0
+            if zero:
+                s[:, 2] = 0.0
+            s = rng.permuted(s, axis=1)
+            w = s * rng.uniform(0.1, 2.0, (k, J))
+            pos, neg = np.where(w > 0, w, 0.0), np.where(w < 0, -w, 0.0)
+            w = pos * (neg.sum(axis=1) / pos.sum(axis=1))[:, None] - neg
+            sigma = rng.normal(size=(k, 1))
+            Zt = sigma + w + lam * s
+            Zt[s == 0] = (sigma + rng.uniform(-0.9, 0.9, (k, J)) * lam)[s == 0]
+            return Zt, s, w * rng.uniform(0.5, 2.0, (k, 1))
+
+        rows = {}
+        Zt, _, scaled = target()
+        rows["right"] = scaled, Zt
+        Zt, _, scaled = target()
+        rows["flipped"] = -scaled, Zt
+        if J > 2:
+            Zt, s, scaled = target(zero=True)
+            noise = 1e-3 * rng.choice([-1.0, 1.0], (k, J))
+            rows["wider"] = np.where(s == 0, noise, scaled), Zt
+        Zt = target()[0]
+        one_sign = np.abs(rng.normal(size=(k, J)))
+        one_sign *= rng.choice([-1.0, 1.0], (k, 1))
+        one_sign[::2, 1:] = 0.0
+        rows["one_sign"] = one_sign, Zt
+        Zt = target()[0]
+        rows["constant"] = np.repeat(rng.choice([0.0, 0.7, -2.0], (k, 1)), J,
+                                     axis=1), Zt
+        Zt, _, scaled = target()
+        scaled[:, rng.integers(J)] = np.nan
+        rows["nan"] = scaled, Zt
+        W_hat = {name: Wh for name, (Wh, _) in rows.items()}
+        grad = {name: np.nan_to_num(cls.L * Wh - (cls.L + cls.L2) * Zt)
+                for name, (Wh, Zt) in rows.items()}
+        # An empty guess passes the sign test on an edge row, whose w* is 0;
+        # it must still go through the kernel.
+        edge = rng.permuted(np.hstack([np.full((k, 1), -lam),
+                                       np.full((k, 1), lam),
+                                       rng.uniform(-lam, lam, (k, J - 2))]),
+                            axis=1)
+        W_hat["edge"], grad["edge"] = np.zeros((k, J)), -2.0 * edge
+        W_hat["offset"] = target()[0] + 2.0 ** 20
+        grad["offset"] = -W_hat["offset"]
+        kinds = np.repeat(list(W_hat), k)
+        return (np.vstack(list(W_hat.values())),
+                np.vstack(list(grad.values())), kinds)
+
+    @classmethod
+    def traced_step(cls, monkeypatch, W_hat, grad, lam):
+        """multi_w_step at threshold lam; the kernel applied to its Z; and
+        which rows of Z multi_w_step sent through the kernel."""
+        seen = set()
+
+        def kernel(Z, lam):
+            seen.update(row.tobytes() for row in Z)
+            return _zero_sum_prox_rows(Z, lam)
+
+        monkeypatch.setattr(prox, "_zero_sum_prox_rows", kernel)
+        W = multi_w_step(W_hat, grad, cls.L, lam * (cls.L + cls.L2), cls.L2)
+        monkeypatch.undo()
+        Z = (cls.L * W_hat - grad) / (cls.L + cls.L2)
+        sent = np.array([row.tobytes() in seen for row in Z], dtype=bool)
+        return W, Z, _zero_sum_prox_rows(Z, lam)[0], sent
+
     @pytest.mark.parametrize("J", [2, 4, 50])
-    def test_flat_row_skip_equals_kernel(self, J):
-        # flat rows come out as zeros without the kernel; the result must
-        # equal the kernel's on every row
+    def test_flat_row_skip_equals_kernel(self, J, monkeypatch):
+        # Flat rows and every row sent through the kernel equal the
+        # kernel's output bit for bit. A row solved from its W_hat guess has
+        # the kernel's zero set and signs, is within 4 ulp of the row's
+        # largest |z| of the kernel, and passes the KKT check.
         rng = np.random.default_rng(J + 300)
+        solved = 0
         for lam in (0.3, 1e-3, 7.0):
-            Z = self.mixed_rows(rng, J, lam)
-            W = multi_w_step(Z, np.zeros_like(Z), 1.0, lam, 0.0)
-            assert np.array_equal(W, _zero_sum_prox_rows(Z, lam)[0])
+            Z0 = self.mixed_rows(rng, J, lam)
+            W_hat, grad, _ = self.guess_rows(rng, J, lam)
+            W_hat, grad = np.vstack([W_hat, Z0]), np.vstack([grad, -Z0])
+            W, Z, K, sent = self.traced_step(monkeypatch, W_hat, grad, lam)
+            exact = sent | ~W.any(axis=1)
+            assert np.array_equal(W[exact], K[exact], equal_nan=True)
+            solved += np.count_nonzero(~exact)
+            for z, w, k in zip(Z[~exact], W[~exact], K[~exact]):
+                assert np.array_equal(np.sign(w), np.sign(k))
+                assert np.abs(w - k).max() <= 4 * np.spacing(np.abs(z).max())
+                sigma = implied_multiplier(z, lam, w)
+                assert max(kkt_residuals(z, lam, w, sigma)) <= 1e-10
+        assert solved > 0
 
     def test_rows_below_the_flat_line_skip_the_kernel(self, monkeypatch):
         seen = []
@@ -338,9 +434,22 @@ class TestMultiWStep:
             seen.clear()
             multi_w_step(Z, np.zeros_like(Z), 1.0, 0.3, 0.0)
             sent = np.concatenate(seen)
-            assert np.all(sent >= 0.0)
-            # every row above 2 lam still goes through the kernel
-            assert sent.size >= np.count_nonzero(np.ptp(Z, axis=1) > 0.6) > 0
+            assert sent.size > 0 and np.all(sent >= 0.0)
+
+    @pytest.mark.parametrize("J", [2, 4, 50])
+    def test_kernel_sees_only_rows_whose_guess_fails(self, J, monkeypatch):
+        rng = np.random.default_rng(J + 400)
+        for lam in (0.3, 1e-3):
+            W_hat, grad, kinds = self.guess_rows(rng, J, lam)
+            W, Z, K, sent = self.traced_step(monkeypatch, W_hat, grad, lam)
+            right = kinds == "right"
+            assert np.array_equal(np.sign(W_hat[right]), np.sign(K[right]))
+            assert not sent[right].any()
+            assert sent[~right].all()
+            assert set(kinds) >= {"flipped", "one_sign", "constant", "edge",
+                                  "offset", "nan"}
+            assert not W[kinds == "edge"].any()
+            assert np.isnan(W[kinds == "nan"]).all(axis=1).all()
 
     def test_memory_linear_in_classes(self):
         # one p x 2J x J float64 temporary would take 80 MB here

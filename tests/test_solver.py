@@ -19,13 +19,14 @@ from hsvm import (
     line_search,
     objective,
 )
+import hsvm.prox
 import hsvm.solver
 import hsvm.tuning
 from hsvm.data import SynthSpec, gen_binary_gaussian, gen_fourclass
 from hsvm.model import evaluate
 from hsvm.solver import BinaryObjective, _support_product
 
-from oracles import grid_minimize, projected_subgradient
+from oracles import grid_minimize, kernel_only_w_step, projected_subgradient
 
 
 def binary_data(seed=0, n=60, p=20, s=5, rho=0.0):
@@ -66,15 +67,15 @@ class TestCheckStop:
         u = np.ones(4)
         counter = 0
         for i in range(3):
-            stop, counter = check_stop(1.0, 1.0, u, u, 1e-6, counter, 3)
+            stop, counter = check_stop(1.0, 1.0, 0.0, u, 1e-6, counter, 3)
         assert stop
 
     def test_counter_resets_on_violation(self):
         u = np.ones(4)
         counter = 0
-        _, counter = check_stop(1.0, 1.0, u, u, 1e-6, counter)
-        _, counter = check_stop(1.0, 1.0, u, u, 1e-6, counter)
-        stop, counter = check_stop(1.0, 0.5, u, u, 1e-6, counter)
+        _, counter = check_stop(1.0, 1.0, 0.0, u, 1e-6, counter)
+        _, counter = check_stop(1.0, 1.0, 0.0, u, 1e-6, counter)
+        stop, counter = check_stop(1.0, 0.5, 0.0, u, 1e-6, counter)
         assert not stop and counter == 0
 
     def test_boundary_counts_as_satisfied(self):
@@ -83,10 +84,10 @@ class TestCheckStop:
         F_prev = 1.0
         F_curr = F_prev - tol * (1 + F_prev)
         u_prev = np.zeros(1)
-        u_curr = np.array([tol * (1 + 0.0)])
+        step_norm = tol * (1 + 0.0)
         counter = 0
         for _ in range(3):
-            stop, counter = check_stop(F_prev, F_curr, u_prev, u_curr,
+            stop, counter = check_stop(F_prev, F_curr, step_norm, u_prev,
                                        tol, counter, 3)
         assert stop
 
@@ -369,6 +370,43 @@ class TestFitMulti:
         data = Dataset(np.zeros((2, 2)), [1, -1])
         with pytest.raises(LabelError):
             fit_multi(data, Hyperparams(0.1, 1, 1, 1))
+
+    def test_fits_match_a_kernel_only_prox(self, monkeypatch):
+        # multi_w_step solves most rows from the sign pattern of W_hat; on
+        # 120 small fits it must give the path of a weight step that sends
+        # every row through the sorting kernel.
+        rng = np.random.default_rng(23)
+        problems = []
+        for _ in range(120):
+            J = int(rng.integers(2, 7))
+            n, p = int(rng.integers(20, 41)), int(rng.integers(4, 25))
+            labels = rng.integers(1, J + 1, n)
+            X = rng.normal(size=(J, p))[labels - 1] + rng.normal(size=(n, p))
+            hp = Hyperparams(10 ** rng.uniform(-3, -0.5),
+                             10 ** rng.uniform(-1, 0.5), 1.0, 1.0)
+            problems.append((Dataset(X, labels, n_classes=J), hp))
+        rows = {"stepped": 0, "sorted": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                rows[name] += args[0].shape[0]
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(hsvm.solver, "multi_w_step",
+                            counting("stepped", hsvm.solver.multi_w_step))
+        monkeypatch.setattr(hsvm.prox, "_zero_sum_prox_rows",
+                            counting("sorted", hsvm.prox._zero_sum_prox_rows))
+        got = [fit_multi(data, hp) for data, hp in problems]
+        monkeypatch.setattr(hsvm.solver, "multi_w_step", kernel_only_w_step)
+        ref = [fit_multi(data, hp) for data, hp in problems]
+        assert rows["sorted"] < 0.5 * rows["stepped"]
+        for res, want in zip(got, ref):
+            assert (res.iterations, res.converged) == (want.iterations,
+                                                       want.converged)
+            assert res.final_objective == pytest.approx(want.final_objective,
+                                                        rel=1e-12, abs=0)
+            assert np.array_equal(res.model.W == 0, want.model.W == 0)
 
     def test_learns_separated_classes(self):
         # s = 16 puts the nearest class pair 4 sigma apart
