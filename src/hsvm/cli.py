@@ -29,7 +29,7 @@ from .data import (
 from .errors import FormatError, HsvmError, LabelError, ParseError
 from .losses import Hyperparams
 from .model import check_labels, load_model, predict, save_model
-from .solver import ABLATION_SETTINGS, EXTRAPOLATION_MODES, SolverOptions, ablation_run
+from .solver import ABLATION_SETTINGS, SolverOptions, ablation_run
 from .stats import RANKS, RAW_SCORES, RankTable, compare_to_control, friedman, holm, wilcoxon_z
 from .tuning import LAMBDA3_TIED, SOLVERS, Grid, grid_search
 
@@ -61,15 +61,13 @@ def _add_solver_flags(p):
     p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
     p.add_argument("--eta", type=float, default=SolverOptions.eta)
     p.add_argument("--L0", type=float, default=SolverOptions.L0)
-    p.add_argument("--extrapolation", choices=EXTRAPOLATION_MODES,
-                   default=SolverOptions.extrapolation)
     p.add_argument("--no-monotone", action="store_true")
 
 
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(
         eta=args.eta, L0=args.L0, tol=args.tol, max_iter=args.max_iter,
-        extrapolation=args.extrapolation, monotone=not args.no_monotone)
+        monotone=not args.no_monotone)
 
 
 def build_parser() -> _Parser:

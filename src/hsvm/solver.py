@@ -23,16 +23,15 @@ Per iteration the data matrix is touched by one gradient (transpose)
 product and one forward margin product per candidate evaluation.
 ``line_search`` returns the accepted candidate's margins along with it,
 and the extrapolated margins are formed from the two cached margin
-vectors, never from a fresh product. On a dense matrix the forward
-product reads only the columns of the features the candidate uses, once
-those are at most 1/32 of all features: proximal gradient identifies the
-solution's support after finitely many steps, so on sparse problems this
-holds for all but the first few products. B-PGH's transpose product
-reads the whole matrix only when a frozen feature could enter the
-support (safe screening in the sense of Fercoq, Gramfort & Salmon 2015,
-used only to skip work; see ``BinaryObjective``). B-PGH-2 runs the loop
-on a copy of the working-set columns; its screen and checks always make
-full products. M-PGH's transpose product reads all of X. The step
+vectors, never from a fresh product. On a dense matrix B-PGH keeps a
+working block of columns, the only code that reads a subset of X:
+proximal gradient identifies the solution's support after finitely many
+steps, and while a frozen feature cannot enter the support (safe
+screening in the sense of Fercoq, Gramfort & Salmon 2015, used only to
+skip work; see ``BinaryObjective``) both products read only the block.
+B-PGH-2 runs the loop on a copy of the working-set columns and forms the
+margins of each round's result from those columns; its screen and checks
+make full transpose products. Both M-PGH products read all of X. The step
 constant only grows within an iteration (L_k = min(eta^{n_k} L_{k-1},
 L_global)) and each accepted step satisfies the sufficient-decrease
 inequality; the extrapolation weight (``extrapolation_weight``) is capped
@@ -63,8 +62,6 @@ from .losses import (
 from .model import FEASIBILITY_TOL, BinaryModel, MultiModel
 from .prox import binary_prox_step, multi_b_step, multi_w_step
 
-EXTRAPOLATION_MODES = ("fista_capped", "none")
-
 CONSEC_STOP = 3  # consecutive small-progress iterations that end a solve
 
 
@@ -82,7 +79,6 @@ class SolverOptions:
     L0: Optional[float] = None
     tol: float = 1e-6
     max_iter: int = 5000
-    extrapolation: str = "fista_capped"
     monotone: bool = True
     record_iterates: bool = False
 
@@ -98,8 +94,6 @@ class SolverOptions:
             raise DomainError("tol must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be positive")
-        if self.extrapolation not in EXTRAPOLATION_MODES:
-            raise DomainError(f"unknown extrapolation mode {self.extrapolation!r}")
         if self.L0 is not None and self.L0 <= 0:
             raise DomainError("L0 must be positive")
 
@@ -167,16 +161,15 @@ def extrapolation_weight(t_prev, t_curr, L_prev, L_curr) -> float:
     return min((t_prev - 1.0) / t_curr, math.sqrt(L_prev / L_curr))
 
 
-def check_stop(F_prev, F_curr, step_norm, u_prev, tol, counter,
-               consec=CONSEC_STOP):
+def check_stop(F_prev, F_curr, step_norm, u_prev, tol, counter):
     """Relative-progress stopping rule on the objective decrease and on the
     step length ``step_norm`` = ||u_curr - u_prev||; both ratios must stay
-    below tol for ``consec`` consecutive iterations. Returns (stop, updated
-    counter)."""
+    below tol for ``CONSEC_STOP`` consecutive iterations. Returns (stop,
+    updated counter)."""
     obj_ok = (F_prev - F_curr) / (1.0 + abs(F_prev)) <= tol
     step_ok = step_norm / (1.0 + np.linalg.norm(np.ravel(u_prev))) <= tol
     counter = counter + 1 if (obj_ok and step_ok) else 0
-    return counter >= consec, counter
+    return counter >= CONSEC_STOP, counter
 
 
 def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
@@ -231,15 +224,13 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
     grad_products = 0
     counter = 0
     stop_reason = "max_iter"
-    use_extrap = opts.extrapolation == "fista_capped"
 
     for k in range(1, opts.max_iter + 1):
         evals = 0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         L_start = L
         while True:
-            omega = (extrapolation_weight(t, t_next, L, L_start)
-                     if use_extrap else 0.0)
+            omega = extrapolation_weight(t, t_next, L, L_start)
             if omega == 0.0:
                 # The base is u itself, whose smooth value f is known.
                 u_hat, m_hat, f_hat = u, m, f
@@ -250,8 +241,7 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
                 prob, u_hat, m_hat, f_hat, L_start, opts.eta)
             grad_products += 1
             evals += ev
-            if (not use_extrap or L_acc == L_start
-                    or omega <= math.sqrt(L / L_acc) + 1e-15):
+            if L_acc == L_start or omega <= math.sqrt(L / L_acc) + 1e-15:
                 break
             # Backtracking raised L beyond the extrapolation cap;
             # re-extrapolate with the tighter weight at the new constant.
@@ -285,7 +275,7 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
             iterates.append(u.copy())
 
         stop, counter = check_stop(F_prev, F, step_norm, u_prev,
-                                   opts.tol, counter, CONSEC_STOP)
+                                   opts.tol, counter)
         if stop:
             stop_reason = "converged"
             break
@@ -297,31 +287,12 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
         grad_products=grad_products)
 
 
-# A dense forward product X @ V gathers the columns of X at the nonzero
-# rows of V once at most 1/32 of those rows are nonzero. Gathering random
-# columns of a 2000 x 20000 C-order X costs 0.46x the full product at
-# p/32, 0.8x at p/16 and 1.65x at p/8.
+# B-PGH keeps its working block only while it holds at most 1/32 of the
+# features. The block is a copy of X[:, K], rebuilt whenever K changes.
+# Gathering random columns of a 2000 x 20000 C-order X costs 0.46x a full
+# product at p/32, 0.8x at p/16 and 1.65x at p/8, so past p/32 a rebuild
+# soon costs more than the full products the block saves.
 _SUPPORT_FRACTION = 32
-
-
-def _support_product(X, V):
-    """``X @ V`` for V of shape (p,) or (p, J). A dense X with at most p/32
-    nonzero rows of V is read only at those columns.
-
-    A sparse X always takes the plain product, which already scales with
-    nnz(X). Sparse is recognised by ``tocsr`` rather than by type, so a
-    wrapper that forwards attributes to the matrix takes the same path as
-    the matrix itself. The nonzero count is checked first because it is
-    far cheaper than finding the nonzero rows of a dense V.
-    """
-    if (hasattr(X, "tocsr")
-            or np.count_nonzero(V) * _SUPPORT_FRACTION > V.size):
-        return X @ V
-    active = V if V.ndim == 1 else V.any(axis=1)
-    rows = np.flatnonzero(active)
-    if rows.size * _SUPPORT_FRACTION > V.shape[0]:
-        return X @ V
-    return X[:, rows] @ V[rows]
 
 
 class BinaryObjective:
@@ -333,13 +304,14 @@ class BinaryObjective:
     full transpose product made at a point u: the features
     K = supp(w) | {j : |g_j| >= lambda1}, the C-order copy X[:, K], the
     loss coefficients c_ref of that product and a radius rho (see
-    ``_refresh``). It exists only while |K| <= p/32. Once it does, the
-    forward product of any w with supp(w) in K reads X[:, K], and the
-    gradient at a u with supp(w) in K and ||c - c_ref|| < rho reads only
-    X[:, K] and returns exact zeros elsewhere. Those zeros change nothing:
-    by Cauchy-Schwarz every other |g_j| stays below lambda1, so its
-    weight, zero at u, stays zero after the prox, and its term of the
-    line search's <g, d> is zero either way.
+    ``_refresh``). It exists only while |K| <= p/32. It starts empty with
+    rho = 0, so the margins at w = 0 read no column and the first gradient
+    is a full product. The forward product of any w with supp(w) in K
+    reads X[:, K], and the gradient at a u with supp(w) in K and
+    ||c - c_ref|| < rho reads only X[:, K] and returns exact zeros
+    elsewhere. Those zeros change nothing: by Cauchy-Schwarz every other
+    |g_j| stays below lambda1, so its weight, zero at u, stays zero after
+    the prox, and its term of the line search's <g, d> is zero either way.
     """
 
     def __init__(self, data: Dataset, hp: Hyperparams):
@@ -353,14 +325,19 @@ class BinaryObjective:
         self.dim = data.n_features + 1
         self.L_global = lipschitz_binary(data, hp.delta)
         self.L0 = min(2.0 * self.L_global / data.n, self.L_global)
-        # Sparse is recognised as in _support_product; a sparse X already
-        # reads only its nonzeros and never gets a working block.
-        self._col_norms = (None if hasattr(self.X, "tocsr")
-                           else np.sqrt(data.col_sqnorms()))
+        # A sparse X already reads only its nonzeros and never gets a
+        # working block. Sparse is recognised by ``tocsr`` rather than by
+        # type, so a wrapper that forwards attributes to the matrix takes
+        # the same path as the matrix itself.
+        self._col_norms = None
         self._K = None        # working features, or None without a block
         self._XK = None       # C-order copy of X[:, K]
         self._c_ref = None    # coefficients of the last full product
         self._rho = 0.0       # certified radius around _c_ref
+        if not hasattr(self.X, "tocsr"):
+            self._col_norms = np.sqrt(data.col_sqnorms())
+            self._K, self._XK = np.empty(0, np.intp), np.empty((self.n, 0))
+            self._c_ref = np.zeros(self.n)
 
     def _in_block(self, w):
         """Whether supp(w) lies in the working features K (K is unique)."""
@@ -371,7 +348,7 @@ class BinaryObjective:
         if self._K is not None and self._in_block(w):
             fwd = self._XK @ w[self._K]
         else:
-            fwd = np.asarray(_support_product(self.X, w)).ravel()
+            fwd = np.asarray(self.X @ w).ravel()
         return self.y * (u[0] + fwd)
 
     def smooth(self, m):
@@ -472,7 +449,7 @@ class MultiObjective:
 
     def margins(self, u):
         b, W = self._split(u)
-        return (np.asarray(_support_product(self.X, W)) + b).ravel()
+        return (np.asarray(self.X @ W) + b).ravel()
 
     def smooth(self, m):
         return multi_smooth_from_margins(m.reshape(-1, self.J),
@@ -549,8 +526,9 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     fixed-step proximal gradient iterate from zero. Each round (``stage``
     on the trace) runs ``fit_binary`` on the columns in S, the other
     weights frozen at zero, then adds to S every frozen j that fails the
-    optimality check |grad_j f| <= lambda1 (1 + tol) at the result. The
-    rounds end when none fails, or when one does not converge.
+    optimality check |grad_j f| <= lambda1 (1 + tol) at the result, whose
+    margins come from the round's columns. The rounds end when none fails,
+    or when one does not converge.
     """
     opts = opts or SolverOptions()
     prob = BinaryObjective(data, hp)
@@ -558,7 +536,8 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     support = np.flatnonzero(np.abs(grad[1:]) > hp.lambda1)
     trace, iterations, grad_products = SolverTrace(), 0, 1
     for stage in range(1, data.n_features + 2):  # each adds a feature
-        res = fit_binary(data.restrict_features(support), hp, opts)
+        sub = data.restrict_features(support)
+        res = fit_binary(sub, hp, opts)
         trace.rows += [replace(row, k=row.k + iterations, stage=stage)
                        for row in res.trace.rows]
         iterations += res.iterations
@@ -568,7 +547,10 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
         u[1 + support] = res.model.w
         if not res.converged:
             break
-        grad = prob.grad(prob.margins(u))
+        # The round's own columns give the margins at its result; only
+        # the check's transpose product reads all of X.
+        sub_prob = BinaryObjective(sub, hp)
+        grad = prob.grad(sub_prob.margins(sub_prob.point(res.model)))
         grad_products += 1
         violates = np.abs(grad[1:]) > hp.lambda1 * (1.0 + opts.tol)
         violates[support] = False
@@ -603,8 +585,7 @@ def ablation_run(data: Dataset, hp: Hyperparams, setting: str,
     if setting not in _ABLATION:
         raise DomainError(f"unknown ablation setting {setting!r}")
     fixed, monotone = _ABLATION[setting]
-    run = replace(opts or SolverOptions(), monotone=monotone,
-                  extrapolation="fista_capped")
+    run = replace(opts or SolverOptions(), monotone=monotone)
     if fixed:
         run = replace(run, L0=lipschitz_binary(data, hp.delta))
     return fit_binary(data, hp, run)

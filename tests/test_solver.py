@@ -24,7 +24,7 @@ import hsvm.solver
 import hsvm.tuning
 from hsvm.data import SynthSpec, gen_binary_gaussian, gen_fourclass
 from hsvm.model import evaluate
-from hsvm.solver import BinaryObjective, _support_product
+from hsvm.solver import BinaryObjective, MultiObjective
 
 from oracles import grid_minimize, kernel_only_w_step, projected_subgradient
 
@@ -67,7 +67,7 @@ class TestCheckStop:
         u = np.ones(4)
         counter = 0
         for i in range(3):
-            stop, counter = check_stop(1.0, 1.0, 0.0, u, 1e-6, counter, 3)
+            stop, counter = check_stop(1.0, 1.0, 0.0, u, 1e-6, counter)
         assert stop
 
     def test_counter_resets_on_violation(self):
@@ -88,7 +88,7 @@ class TestCheckStop:
         counter = 0
         for _ in range(3):
             stop, counter = check_stop(F_prev, F_curr, step_norm, u_prev,
-                                       tol, counter, 3)
+                                       tol, counter)
         assert stop
 
 
@@ -325,6 +325,20 @@ class TestFitBinaryTwoStage:
         assert max(rounds) >= 2
 
 
+    def test_rounds_make_no_full_width_forward_product(self, forwarded_X):
+        # the screen's margins at zero read no column, and each check takes
+        # the margins at its round's result from the round's own columns
+        data = binary_data(seed=0, n=200, p=2000, s=20)
+        hp = Hyperparams(0.005, 1.0, 1.0, 1.0)
+        res = fit_binary_two_stage(data, hp)
+        full = [px for px in forwarded_X if px.a is data._X]
+        assert full and all("matmul" not in px.used for px in full)
+        assert res.converged and res.trace.column("stage")[-1] >= 2
+        plain = fit_binary(data, hp)
+        assert res.final_objective == pytest.approx(plain.final_objective,
+                                                    rel=1e-8)
+
+
 class TestFitMulti:
     def test_huge_lambda1_keeps_weights_zero(self):
         rng = np.random.default_rng(16)
@@ -487,14 +501,21 @@ class _ForwardingMatrix:
         return getattr(self.a, name)
 
 
-P_SUPPORT = 320    # p/32 = 10
+@pytest.fixture
+def forwarded_X(monkeypatch):
+    """Serve every ``Dataset.X`` lookup through a new ``_ForwardingMatrix``;
+    the list holds the proxies in the order they were handed out."""
+    proxies = []
+
+    def wrapped(ds):
+        proxies.append(_ForwardingMatrix(ds._X))
+        return proxies[-1]
+
+    monkeypatch.setattr(Dataset, "X", property(wrapped))
+    return proxies
 
 
-def _support_operand(rng, p, shape, k):
-    V = np.zeros((p,) + shape)
-    rows = rng.choice(p, size=k, replace=False)
-    V[rows] = rng.normal(size=(k,) + shape)
-    return V
+P_MARGINS = 320    # p/32 = 10
 
 
 def _layouts(X):
@@ -502,55 +523,53 @@ def _layouts(X):
             "csr": sp.csr_array(X)}
 
 
-class TestSupportProduct:
+class TestObjectiveMargins:
+    """Each objective's margins match the plain formula on every layout, at
+    supports on both sides of the p/32 working-block gate."""
+
+    HP = Hyperparams(0.1, 1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("layout", ["C", "F", "csr"])
-    @pytest.mark.parametrize("shape", [(), (4,)])
-    @pytest.mark.parametrize("k", [1, P_SUPPORT // 32 - 1, P_SUPPORT // 32 + 1,
-                                   P_SUPPORT])
-    def test_matches_plain_product(self, layout, shape, k):
+    @pytest.mark.parametrize("model", ["binary", "multi"])
+    @pytest.mark.parametrize("k", [0, 1, P_MARGINS // 32 - 1,
+                                   P_MARGINS // 32 + 1, P_MARGINS])
+    def test_matches_plain_product(self, layout, model, k):
         rng = np.random.default_rng(k)
-        X = _layouts(rng.normal(size=(50, P_SUPPORT)))[layout]
-        V = _support_operand(rng, P_SUPPORT, shape, k)
-        got = _support_product(X, V)
-        want = X @ V
+        X = rng.normal(size=(50, P_MARGINS))
+        J = 1 if model == "binary" else 4
+        W = np.zeros((P_MARGINS, J))
+        W[rng.choice(P_MARGINS, size=k, replace=False)] = rng.normal(
+            size=(k, J))
+        if model == "binary":
+            y = rng.choice([-1, 1], size=50)
+            prob = BinaryObjective(Dataset(_layouts(X)[layout], y), self.HP)
+            b = rng.normal()
+            got = prob.margins(np.concatenate([[b], W[:, 0]]))
+            want = y * (b + X @ W[:, 0])
+        else:
+            labels = rng.integers(1, J + 1, size=50)
+            data = Dataset(_layouts(X)[layout], labels, kind="multiclass",
+                           n_classes=J)
+            b = rng.normal(size=J)
+            got = MultiObjective(data, self.HP).margins(
+                np.concatenate([b, W.ravel()]))
+            want = (X @ W + b).ravel()
         assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        if k == 0:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("layout", ["C", "F", "csr"])
-    @pytest.mark.parametrize("shape", [(), (4,)])
-    def test_zero_operand_gives_exact_zeros(self, layout, shape):
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_dense_binary_margins_at_zero_read_no_column(self, forwarded_X,
+                                                         layout):
         rng = np.random.default_rng(0)
-        X = _layouts(rng.normal(size=(50, P_SUPPORT)))[layout]
-        got = _support_product(X, np.zeros((P_SUPPORT,) + shape))
-        assert got.shape == (50,) + shape
-        assert not np.any(got)
-
-    @pytest.mark.parametrize("shape", [(), (4,)])
-    def test_dense_gathers_only_below_threshold(self, shape):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(50, P_SUPPORT))
-        for k, path in [(P_SUPPORT // 32, ["getitem"]),
-                        (P_SUPPORT // 32 + 1, ["matmul"])]:
-            proxy = _ForwardingMatrix(X)
-            _support_product(proxy, _support_operand(rng, P_SUPPORT, shape, k))
-            assert proxy.used == path
-
-    def test_rows_counted_not_entries(self):
-        # 40 nonzero entries spread over 40 of 320 rows pass the entry count
-        # (40 * 32 <= 1280) but not the row count
-        V = np.zeros((P_SUPPORT, 4))
-        V[np.arange(40) * 8, 0] = 1.0
-        proxy = _ForwardingMatrix(np.ones((5, P_SUPPORT)))
-        np.testing.assert_array_equal(_support_product(proxy, V),
-                                      np.ones((5, P_SUPPORT)) @ V)
-        assert proxy.used == ["matmul"]
-
-    def test_sparse_never_gathers(self):
-        rng = np.random.default_rng(2)
-        X = sp.csr_array(rng.normal(size=(50, P_SUPPORT)))
-        proxy = _ForwardingMatrix(X)
-        _support_product(proxy, _support_operand(rng, P_SUPPORT, (), 1))
-        assert proxy.used == ["matmul"]
+        X = _layouts(rng.normal(size=(50, P_MARGINS)))[layout]
+        prob = BinaryObjective(Dataset(X, rng.choice([-1, 1], size=50)),
+                               self.HP)
+        m = prob.margins(np.zeros(prob.dim))
+        assert forwarded_X and all(px.used == [] for px in forwarded_X)
+        assert m.shape == (50,) and not np.any(m)
 
 
 def _as_csr(data):
@@ -558,9 +577,10 @@ def _as_csr(data):
                    n_classes=data.n_classes)
 
 
-class TestSupportProductFits:
-    """A dense problem whose iterates use fewer than p/32 features takes
-    the column-gather product; the same fit on CSR takes the plain one."""
+class TestDenseMatchesCsrFits:
+    """A dense problem whose iterates use at most p/32 features, where
+    B-PGH works on its column block, fits as the same problem on CSR does:
+    equal iteration counts and zero sets, equal objectives."""
 
     N, P = 200, 4000
 
@@ -658,20 +678,15 @@ class TestWorkingBlock:
                                    rtol=1e-12)
         np.testing.assert_array_equal(prob.grad(m, u), prob.grad(m))
 
-    def test_forwarding_matrix_gives_identical_fit(self, monkeypatch):
+    def test_forwarding_matrix_gives_identical_fit(self, monkeypatch,
+                                                   forwarded_X):
         # the block path may use only what a wrapper of X forwards: @, .T,
         # indexing and attributes, as the benchmark's traced matrix does
         data = binary_data(seed=1, n=200, p=4000, s=10)
-        plain = fit_binary(data, self.HP)
-        proxies = []
-
-        def wrapped(ds):
-            proxies.append(_ForwardingMatrix(ds._X))
-            return proxies[-1]
-
-        monkeypatch.setattr(Dataset, "X", property(wrapped))
         res = fit_binary(data, self.HP)
-        assert any("getitem" in proxy.used for proxy in proxies)
+        assert any("getitem" in proxy.used for proxy in forwarded_X)
+        monkeypatch.undo()      # the plain matrix again
+        plain = fit_binary(data, self.HP)
         assert res.iterations == plain.iterations
         assert res.final_objective == plain.final_objective
         np.testing.assert_array_equal(res.model.w, plain.model.w)
@@ -704,8 +719,10 @@ class TestWorkingBlock:
 
     def test_known_smooth_value_reused_on_unextrapolated_steps(self,
                                                               monkeypatch):
-        # without extrapolation every step starts at the current iterate,
-        # whose smooth value the previous line search returned
+        # a step with omega = 0 (the first, the restart's re-update and the
+        # one after it) starts at the current iterate, whose smooth value
+        # the previous line search returned; every other step evaluates
+        # the smooth part once at its extrapolated point
         calls = [0]
         loss = hsvm.solver.huber_loss
 
@@ -714,9 +731,11 @@ class TestWorkingBlock:
             return loss(m, delta)
 
         monkeypatch.setattr(hsvm.solver, "huber_loss", counted)
-        res = fit_binary(binary_data(seed=3), self.HP,
-                         SolverOptions(extrapolation="none"))
-        assert calls[0] == 1 + res.trace.column("ls_evals").sum()
+        res = fit_binary(binary_data(seed=3), self.HP)
+        omega = res.trace.column("omega")
+        assert res.trace.column("restarted").any()
+        assert calls[0] == (1 + res.trace.column("ls_evals").sum()
+                            + res.grad_products - np.count_nonzero(omega == 0))
 
 
 # The hsvm.solver globals that the benchmark's traced run rebinds. Each must
