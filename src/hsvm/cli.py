@@ -59,15 +59,10 @@ def _add_hyper_flags(p):
 def _add_solver_flags(p):
     p.add_argument("--tol", type=float, default=SolverOptions.tol)
     p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
-    p.add_argument("--eta", type=float, default=SolverOptions.eta)
-    p.add_argument("--L0", type=float, default=SolverOptions.L0)
-    p.add_argument("--no-monotone", action="store_true")
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        eta=args.eta, L0=args.L0, tol=args.tol, max_iter=args.max_iter,
-        monotone=not args.no_monotone)
+    return SolverOptions(tol=args.tol, max_iter=args.max_iter)
 
 
 def build_parser() -> _Parser:

@@ -31,7 +31,7 @@ class Dataset:
     generative support of synthetic data (0-based feature indices).
     """
 
-    def __init__(self, X, labels, n_features=None, kind=None, n_classes=None,
+    def __init__(self, X, labels, kind=None, n_classes=None,
                  true_support=None):
         if sp.issparse(X):
             X = sp.csr_array(X)
@@ -43,12 +43,6 @@ class Dataset:
         if labels.ndim != 1 or labels.size != X.shape[0]:
             raise ShapeError(
                 f"expected {X.shape[0]} labels, got shape {labels.shape}")
-        if n_features is None:
-            n_features = X.shape[1]
-        elif n_features < X.shape[1]:
-            raise ShapeError("n_features override smaller than matrix width")
-        elif n_features > X.shape[1]:
-            X = self._pad_features(X, n_features)
         if kind is None:
             kind = self._infer_kind(labels)
         self._validate_labels(kind, labels)
@@ -63,26 +57,16 @@ class Dataset:
             true_support = np.asarray(sorted(set(int(i) for i in true_support)),
                                       dtype=np.int64)
             if true_support.size and (true_support[0] < 0
-                                      or true_support[-1] >= n_features):
+                                      or true_support[-1] >= X.shape[1]):
                 raise DomainError("true_support indices out of range")
         self._X = X
         self._labels = labels
         self._labels.setflags(write=False)
-        self._n_features = int(n_features)
         self._kind = kind
         self._n_classes = int(n_classes)
         self._true_support = true_support
         self._row_sqnorms = None
         self._col_sqnorms = None
-
-    @staticmethod
-    def _pad_features(X, p):
-        if sp.issparse(X):
-            return sp.csr_array((X.data, X.indices, X.indptr),
-                                shape=(X.shape[0], p))
-        out = np.zeros((X.shape[0], p))
-        out[:, :X.shape[1]] = X
-        return out
 
     @staticmethod
     def _infer_kind(labels):
@@ -118,7 +102,7 @@ class Dataset:
 
     @property
     def n_features(self):
-        return self._n_features
+        return self._X.shape[1]
 
     @property
     def kind(self):
@@ -164,8 +148,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """New dataset containing the given sample rows."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self._X[idx], self._labels[idx],
-                       n_features=self._n_features, kind=self._kind,
+        return Dataset(self._X[idx], self._labels[idx], kind=self._kind,
                        n_classes=self._n_classes,
                        true_support=self._true_support)
 
@@ -293,12 +276,7 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
     treated as unlabeled test data. ``n_features`` overrides the inferred
     width (max index).
     """
-    if hasattr(source, "read"):
-        lines = iter(source)
-    elif isinstance(source, str):
-        lines = iter(source.splitlines())
-    else:
-        lines = iter(source)
+    lines = source.splitlines() if isinstance(source, str) else source
 
     data, indices, indptr, labels = [], [], [], []
     indptr.append(0)
@@ -350,7 +328,7 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
                       np.asarray(indices, dtype=np.int64),
                       np.asarray(indptr, dtype=np.int64)),
                      shape=(len(labels), p))
-    return Dataset(X, np.asarray(labels, dtype=np.int64), n_features=p)
+    return Dataset(X, np.asarray(labels, dtype=np.int64))
 
 
 def load_libsvm(path, n_features=None) -> Dataset:
@@ -361,23 +339,18 @@ def load_libsvm(path, n_features=None) -> Dataset:
 def write_libsvm(data: Dataset, stream: IO[str]) -> None:
     """Emit LIBSVM text; values use 17 significant digits so that a
     parse/write round trip is lossless."""
-    X = data.X
-    sparse = sp.issparse(X)
+    X = sp.csr_array(data.X)
     for i in range(data.n):
         lab = int(data.labels[i])
         if data.kind == BINARY:
             head = "+1" if lab > 0 else "-1"
         else:
             head = str(lab)
-        if sparse:
-            lo, hi = X.indptr[i], X.indptr[i + 1]
-            cols = X.indices[lo:hi]
-            vals = X.data[lo:hi]
-            order = np.argsort(cols, kind="stable")
-            cols, vals = cols[order], vals[order]
-        else:
-            cols = np.flatnonzero(X[i])
-            vals = X[i, cols]
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        cols = X.indices[lo:hi]
+        vals = X.data[lo:hi]
+        order = np.argsort(cols, kind="stable")
+        cols, vals = cols[order], vals[order]
         feats = " ".join(f"{c + 1}:{v:.17g}" for c, v in zip(cols, vals)
                          if v != 0.0)
         stream.write(head + (" " + feats if feats else "") + "\n")
@@ -421,6 +394,9 @@ def standardize(train: Dataset, test: Dataset | None = None):
     """
     if train.n == 0:
         raise DomainError("cannot standardize an empty training set")
+    if test is not None and test.n_features != train.n_features:
+        raise ShapeError(f"test set has {test.n_features} features, "
+                         f"training set has {train.n_features}")
     Xt = np.asarray(train.X.todense() if sp.issparse(train.X) else train.X,
                     dtype=float)
     mean = Xt.mean(axis=0)

@@ -158,8 +158,8 @@ def load_model(stream: IO[str]):
     """Inverse of :func:`save_model`; returns ``(model, hyperparams)``.
 
     Multi-class constraint invariants are re-validated on load. Any
-    truncation or malformed line raises ``FormatError`` without producing a
-    partial model.
+    truncation, malformed line or repeated weight raises ``FormatError``
+    without producing a partial model.
     """
     lines = [ln.rstrip("\n") for ln in stream]
     if not lines:
@@ -198,6 +198,7 @@ def load_model(stream: IO[str]):
     if len(b_vals) != k:
         raise FormatError(f"expected {k} intercept value(s), got {len(b_vals)}")
     cols = np.zeros((p, k))
+    seen = set()
     for ln in lines[3:]:
         if not ln.strip():
             continue
@@ -208,6 +209,9 @@ def load_model(stream: IO[str]):
         c = 0 if binary else _number(toks[2], ln, int) - 1
         if not (0 <= r < p and 0 <= c < k):
             raise FormatError(f"weight index out of range in {ln!r}")
+        if (r, c) in seen:
+            raise FormatError(f"repeated weight in {ln!r}")
+        seen.add((r, c))
         cols[r, c] = _number(toks[-1], ln)
     if binary:
         return BinaryModel(b=b_vals[0], w=cols[:, 0]), hp

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HsvmError
+from .errors import DomainError, ShapeError
 from .losses import Hyperparams
 
 
@@ -65,12 +65,10 @@ def dual_residual(z, lam, sigma) -> float:
 
 @dataclass(frozen=True)
 class DualProxResult:
-    """Solution of the zero-sum l1 prox: primal w, dual multiplier sigma,
-    and the breakpoint interval that brackets sigma."""
+    """Zero-sum l1 prox solution: primal w and dual multiplier sigma."""
 
     w: np.ndarray
     sigma: float
-    interval: tuple
 
 
 # Relative margin below 2 lam under which multi_w_step skips a row. It
@@ -83,8 +81,7 @@ _FLAT_MARGIN = 64 * np.finfo(float).eps
 def _zero_sum_prox_rows(Z, lam):
     """Zero-sum l1 prox of every row of the (p, J) matrix Z at once.
 
-    Returns (W, sigma, lo, hi): the primal rows, their multipliers, and the
-    breakpoint interval [lo, hi] that brackets each sigma.
+    Returns (W, sigma): the primal rows and their multipliers.
     """
     p, J = Z.shape
     # The prox commutes with a common shift of z and sigma; centring each
@@ -118,7 +115,7 @@ def _zero_sum_prox_rows(Z, lam):
     root = np.clip(T[at] / np.maximum(n[at], 1), lo, hi)
     sigma = np.where(flat, 0.5 * (lo + hi), root)
     W = shrink(Zc - sigma[:, None], lam)
-    return W, sigma + mu, lo + mu, hi + mu
+    return W, sigma + mu
 
 
 def eq_constrained_l1_prox(z, lam) -> DualProxResult:
@@ -133,9 +130,8 @@ def eq_constrained_l1_prox(z, lam) -> DualProxResult:
         raise DomainError("z must be a vector of dimension >= 2")
     if lam <= 0:
         raise DomainError("lam must be positive")
-    W, sigma, lo, hi = _zero_sum_prox_rows(z[None, :], lam)
-    return DualProxResult(w=W[0], sigma=float(sigma[0]),
-                          interval=(float(lo[0]), float(hi[0])))
+    W, sigma = _zero_sum_prox_rows(z[None, :], lam)
+    return DualProxResult(w=W[0], sigma=float(sigma[0]))
 
 
 def multi_b_step(b_hat, grad_b, L_k, lambda3) -> np.ndarray:
@@ -162,7 +158,7 @@ def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
     if L_k + lambda2 <= 0:
         raise DomainError("need L_k + lambda2 > 0")
     if W_hat.shape != grad_W.shape or W_hat.ndim != 2:
-        raise HsvmError("W_hat and grad_W must be matching matrices")
+        raise ShapeError("W_hat and grad_W must be matching matrices")
     Z = (L_k * W_hat - grad_W) / (L_k + lambda2)
     lam = lambda1 / (L_k + lambda2)
     if lam == 0.0:

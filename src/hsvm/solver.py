@@ -32,7 +32,7 @@ skip work; see ``BinaryObjective``) both products read only the block.
 B-PGH-2 runs the loop on a copy of the working-set columns and forms the
 margins of each round's result from those columns; its screen and checks
 make full transpose products. Both M-PGH products read all of X. The step
-constant only grows within an iteration (L_k = min(eta^{n_k} L_{k-1},
+constant only grows within an iteration (L_k = min(ETA^{n_k} L_{k-1},
 L_global)) and each accepted step satisfies the sufficient-decrease
 inequality; the extrapolation weight (``extrapolation_weight``) is capped
 at sqrt(L_{k-1}/L_k), re-extrapolating when backtracking raised L.
@@ -63,11 +63,13 @@ from .model import FEASIBILITY_TOL, BinaryModel, MultiModel
 from .prox import binary_prox_step, multi_b_step, multi_w_step
 
 CONSEC_STOP = 3  # consecutive small-progress iterations that end a solve
+ETA = 1.5  # backtracking factor of the step constant
 
 
 @dataclass
 class SolverOptions:
-    """Run configuration shared by all solvers.
+    """Run configuration shared by all solvers. The line search grows the
+    step constant by the module constant ``ETA``.
 
     ``L0 = None`` selects the defaults 2 L_f / n (binary) and L_m / (n J)
     (multi). Any ``L0`` is clamped to the global constant, and the line
@@ -75,7 +77,6 @@ class SolverOptions:
     step: the fixed-step ablation runs that way.
     """
 
-    eta: float = 1.5
     L0: Optional[float] = None
     tol: float = 1e-6
     max_iter: int = 5000
@@ -85,11 +86,9 @@ class SolverOptions:
     def __post_init__(self):
         # Every comparison with NaN is false, so the range checks below
         # would let a NaN through.
-        reals = (self.eta, self.tol, 1.0 if self.L0 is None else self.L0)
+        reals = (self.tol, 1.0 if self.L0 is None else self.L0)
         if not all(math.isfinite(v) for v in reals):
-            raise DomainError("eta, tol and L0 must be finite")
-        if self.eta <= 1:
-            raise DomainError("eta must exceed 1")
+            raise DomainError("tol and L0 must be finite")
         if self.tol <= 0:
             raise DomainError("tol must be positive")
         if self.max_iter < 1:
@@ -123,9 +122,6 @@ class SolverTrace:
 
     def append(self, row: TraceRow):
         self.rows.append(row)
-
-    def __len__(self):
-        return len(self.rows)
 
     def column(self, name) -> np.ndarray:
         return np.asarray([getattr(r, name) for r in self.rows])
@@ -198,7 +194,7 @@ def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
         L = min(eta * L, L_global)
 
 
-def _step(prob, u_base, m_base, f_base, L_start, eta):
+def _step(prob, u_base, m_base, f_base, L_start):
     """One proximal gradient step from ``u_base`` (whose margins are
     ``m_base`` and smooth value ``f_base``, computed here when None): one
     transpose product, then the line search. Returns what
@@ -207,7 +203,7 @@ def _step(prob, u_base, m_base, f_base, L_start, eta):
         f_base = prob.smooth(m_base)
     grad = prob.grad(m_base, u_base)
     return line_search(prob, u_base, f_base, grad, L_start, prob.L_global,
-                       eta)
+                       ETA)
 
 
 def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
@@ -238,7 +234,7 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
                 u_hat, m_hat, f_hat = (u + omega * (u - u_prev),
                                        m + omega * (m - m_prev), None)
             L_acc, cand, m_cand, f_cand, gap, ev = _step(
-                prob, u_hat, m_hat, f_hat, L_start, opts.eta)
+                prob, u_hat, m_hat, f_hat, L_start)
             grad_products += 1
             evals += ev
             if L_acc == L_start or omega <= math.sqrt(L / L_acc) + 1e-15:
@@ -253,7 +249,7 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
             # Extrapolated step increased F: re-update from the previous
             # iterate (omega = 0) and reset the momentum scalar.
             L_acc, cand, m_cand, f_cand, gap, ev = _step(
-                prob, u, m, f, L_acc, opts.eta)
+                prob, u, m, f, L_acc)
             grad_products += 1
             evals += ev
             F_cand = f_cand + prob.penalty(cand)

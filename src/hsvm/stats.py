@@ -77,10 +77,6 @@ class RankTable:
                     "each rank row must sum to K(K+1)/2")
 
     @property
-    def n_datasets(self):
-        return self.values.shape[0]
-
-    @property
     def n_methods(self):
         return self.values.shape[1]
 
@@ -114,7 +110,8 @@ def wilcoxon_z(scores_a, scores_b):
     mean = n * (n + 1) / 4.0
     sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
     z = (t - mean) / sd
-    p = 2.0 * (normal_cdf(z) if z <= 0 else normal_sf(z))
+    # T <= n(n+1)/4 because R+ + R- = n(n+1)/2, so z <= 0.
+    p = 2.0 * normal_cdf(z)
     return float(t), float(z), float(min(p, 1.0))
 
 

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import warnings
 
 import pytest
 
+import hsvm.solver
 from hsvm.cli import _solver_options, build_parser, main
 from hsvm.solver import SolverOptions
 from hsvm.tuning import Grid
@@ -93,6 +95,27 @@ class TestTrain:
                            "--model-out", str(tmp_path / "m"))
         assert code == 1
         assert "needs multiclass" in err
+
+    @pytest.mark.parametrize("step, message", [
+        ("multi_w_step", "weight rows left the zero-sum subspace"),
+        ("multi_b_step", "intercepts left the zero-sum subspace")])
+    def test_mpgh_constraint_violation_exit_one(self, tmp_path, capsys,
+                                                monkeypatch, step, message):
+        prefix = str(tmp_path / "four")
+        assert run(capsys, "gen", "--kind", "four_class", "--n", "40",
+                   "--p", "12", "--s", "4", "--seed", "3",
+                   "--out", prefix)[0] == 0
+        exact = getattr(hsvm.solver, step)
+        monkeypatch.setattr(hsvm.solver, step,
+                            lambda *args: exact(*args) + 1e-6)
+        model = tmp_path / "m"
+        code, _, err = run(capsys, "train", "--data", prefix + ".train.libsvm",
+                           "--solver", "mpgh", "--lambda1", "0.1",
+                           "--lambda2", "1", "--lambda3", "1",
+                           "--model-out", str(model))
+        assert code == 1
+        assert message in err
+        assert not model.exists()
 
     def test_exit_two_on_iteration_cap(self, tmp_path, capsys):
         prefix = gen_binary(tmp_path, capsys)
@@ -242,6 +265,79 @@ class TestPredict:
                            "--out", str(tmp_path / "pred3.txt"))
         assert code == 3
         assert "malformed number 'x'" in err
+
+    HP_LINE = "lambda1=0.1 lambda2=1 lambda3=1 delta=1"
+
+    def predict_with_model(self, tmp_path, capsys, text):
+        """``hsvm predict`` with a model file holding ``text`` on a small
+        labelled three-feature file."""
+        model, data = tmp_path / "model.hsvm", tmp_path / "data.libsvm"
+        model.write_text(text)
+        data.write_text("+1 1:1 3:0.5\n-1 2:1\n+1 1:0.25 2:-1\n")
+        out_file = tmp_path / "pred.txt"
+        code, out, err = run(capsys, "predict", "--model", str(model),
+                             "--data", str(data), "--out", str(out_file))
+        return code, out, err, out_file
+
+    @pytest.mark.parametrize("lines, message", [
+        ([], "empty model file"),
+        (["HSVM ternary p=3 J=2", HP_LINE, "b 0"],
+         "unknown model kind 'ternary'"),
+        (["HSVM binary p=x J=2", HP_LINE, "b 0"], "bad header"),
+        (["HSVM multi p=3 J=2.5", HP_LINE, "b 0 0"], "bad header"),
+        (["HSVM binary p=3 J=2", "lambda1=0.1 lambda2 lambda3=1", "b 0"],
+         "bad hyperparameter token 'lambda2'"),
+        (["HSVM binary p=3 J=2", HP_LINE, "w 1 0.5"],
+         "missing intercept line"),
+        (["HSVM binary p=3 J=2", HP_LINE, "b 0 0"],
+         r"expected 1 intercept value\(s\), got 2"),
+        (["HSVM multi p=3 J=3", HP_LINE, "b 0.5 -0.5"],
+         r"expected 3 intercept value\(s\), got 2"),
+        (["HSVM binary p=3 J=2", HP_LINE, "b 0", "w 1"],
+         "bad weight line 'w 1'"),
+        (["HSVM binary p=3 J=2", HP_LINE, "b 0", "v 1 0.5"],
+         "bad weight line 'v 1 0.5'"),
+        (["HSVM multi p=3 J=2", HP_LINE, "b 0 0", "w 1 0.5"],
+         "bad weight line 'w 1 0.5'"),
+        (["HSVM binary p=3 J=2", HP_LINE, "b 0", "w 4 0.5"],
+         "weight index out of range in 'w 4 0.5'"),
+        (["HSVM binary p=3 J=2", HP_LINE, "b 0", "w 0 0.5"],
+         "weight index out of range in 'w 0 0.5'"),
+        (["HSVM multi p=3 J=2", HP_LINE, "b 0 0", "w 1 3 0.5"],
+         "weight index out of range in 'w 1 3 0.5'"),
+    ])
+    def test_malformed_model_file_io_error(self, tmp_path, capsys, lines,
+                                           message):
+        text = "\n".join(lines) + "\n" if lines else ""
+        code, _, err, out_file = self.predict_with_model(tmp_path, capsys,
+                                                         text)
+        assert code == 3
+        assert re.search(message, err)
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("lines", [
+        ["HSVM binary p=3 J=2", HP_LINE, "b 0", "w 1 0.25", "w 1 0.75"],
+        ["HSVM multi p=3 J=2", HP_LINE, "b 0 0", "w 1 1 0.25",
+         "w 1 2 -0.25", "w 1 1 0.75"],
+    ])
+    def test_repeated_weight_line_io_error(self, tmp_path, capsys, lines):
+        code, _, err, out_file = self.predict_with_model(
+            tmp_path, capsys, "\n".join(lines) + "\n")
+        assert code == 3
+        assert f"repeated weight in {lines[-1]!r}" in err
+        assert not out_file.exists()
+
+    def test_blank_weight_line_skipped(self, tmp_path, capsys):
+        lines = ["HSVM binary p=3 J=2", self.HP_LINE, "b 0", "w 1 0.5",
+                 "w 2 -1"]
+        preds = []
+        for text in ("\n".join(lines) + "\n",
+                     "\n".join(lines[:4] + ["", "   "] + lines[4:]) + "\n\n"):
+            code, out, _, out_file = self.predict_with_model(tmp_path, capsys,
+                                                             text)
+            assert code == 0
+            preds.append(out_file.read_text())
+        assert preds[0] == preds[1] == "1\n-1\n1\naccuracy 1\n"
 
     def test_non_finite_value_io_error(self, tmp_path, capsys):
         prefix = gen_binary(tmp_path, capsys)

@@ -99,6 +99,34 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="line 2"):
             parse_libsvm("+1 1:1\n-1 2:oops\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("+1 1:1\nyes 2:1\n", "line 2.*bad label token 'yes'"),
+        ("+1 1:1\n-1 2:1\n+1 4\n", "line 3.*malformed feature token '4'")])
+    def test_bad_token_names_its_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_libsvm(text)
+
+    def test_blank_lines_skipped(self):
+        d = parse_libsvm("\n+1 1:0.5\n   \n\n-1 2:2\n\n")
+        assert d.n == 2 and d.n_features == 2
+        np.testing.assert_array_equal(d.labels, [1, -1])
+        np.testing.assert_array_equal(dense(d), [[0.5, 0.0], [0.0, 2.0]])
+        # A line number still counts the blank lines before it.
+        with pytest.raises(ParseError, match="line 3"):
+            parse_libsvm("+1 1:1\n\n-1 0:1\n")
+
+    @pytest.mark.parametrize("wrap", [list, iter, io.StringIO])
+    def test_lines_parse_like_joined_text(self, wrap):
+        lines = ["+1 1:0.5 3:-2", "", "-1 2:1.25", "+1"]
+        text = "\n".join(lines) + "\n"
+        source = (io.StringIO(text) if wrap is io.StringIO
+                  else wrap([ln + "\n" for ln in lines]))
+        got, want = parse_libsvm(source), parse_libsvm(text)
+        assert (got.n, got.n_features, got.kind) == (want.n, want.n_features,
+                                                     want.kind)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(dense(got), dense(want))
+
     def test_nonascending_index(self):
         with pytest.raises(ParseError):
             parse_libsvm("+1 3:1 2:1\n")
@@ -136,6 +164,28 @@ class TestParseLibsvm:
         buf2 = io.StringIO()
         write_libsvm(d2, buf2)
         assert buf.getvalue() == buf2.getvalue()
+
+    def test_dense_and_csr_write_identically(self):
+        X = np.array([[0.0, -0.0, 1.5, 0.0],
+                      [-2.0, 0.0, 0.0, 1e-300],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [0.1, 0.2, -0.0, 3.0]])
+        labels = [1, -1, 1, -1]
+        # CSR with each row's entries stored in reverse column order.
+        rows = [np.flatnonzero(r)[::-1] for r in X]
+        vals = np.concatenate([X[i, c] for i, c in enumerate(rows)])
+        csr = sp.csr_array((vals, np.concatenate(rows),
+                            np.cumsum([0] + [c.size for c in rows])),
+                           shape=X.shape)
+        assert not csr.has_sorted_indices
+        outs = []
+        for matrix in (X, csr):
+            buf = io.StringIO()
+            write_libsvm(Dataset(matrix, labels), buf)
+            outs.append(buf.getvalue())
+        assert outs[0] == outs[1] == (
+            "+1 3:1.5\n-1 1:-2 4:1e-300\n+1\n"
+            "-1 1:0.10000000000000001 2:0.20000000000000001 4:3\n")
 
     def test_write_binary_labels_signed(self):
         d = Dataset(np.array([[1.0], [0.0]]), [1, -1])
@@ -276,6 +326,16 @@ class TestStandardize:
         once, _, _ = standardize(train)
         twice, _, _ = standardize(once)
         np.testing.assert_allclose(dense(twice), dense(once), atol=1e-10)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_test_width_mismatch_raises_shape_error(self, sparse):
+        rng = np.random.default_rng(24)
+        train = Dataset(rng.normal(size=(10, 3)), rng.choice([-1, 1], 10))
+        X = rng.normal(size=(4, 5))
+        test = Dataset(sp.csr_array(X) if sparse else X, [1, -1, 1, -1])
+        with pytest.raises(ShapeError, match="test set has 5 features, "
+                                             "training set has 3"):
+            standardize(train, test)
 
     def test_empty_train_rejected(self):
         with pytest.raises(DomainError):

@@ -128,6 +128,14 @@ class TestPersistence:
             save_model(model, hp, buf)
             assert buf.getvalue() == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("obj", [None, {"b": 0.0, "w": [1.0]},
+                                     np.array([0.0, 1.0])])
+    def test_save_non_model_rejected(self, obj):
+        buf = io.StringIO()
+        with pytest.raises(FormatError, match="cannot save object of type"):
+            save_model(obj, Hyperparams(1, 1, 1, 1), buf)
+        assert buf.getvalue() == ""
+
     def test_truncated_file_rejected(self):
         model = BinaryModel(1.0, np.array([1.0, 0.0]))
         buf = io.StringIO()

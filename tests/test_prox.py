@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hsvm import (
     DomainError,
     Hyperparams,
+    ShapeError,
     binary_prox_step,
     dual_residual,
     eq_constrained_l1_prox,
@@ -149,7 +150,6 @@ class TestEqConstrainedL1Prox:
         r = eq_constrained_l1_prox(np.array([0.0, 0.0, 0.0, 1.9]), 1.0)
         np.testing.assert_array_equal(r.w, np.zeros(4))
         assert r.sigma == pytest.approx(0.95, abs=1e-15)
-        assert r.interval[0] <= r.sigma <= r.interval[1]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -253,6 +253,11 @@ class TestMultiWStep:
     def test_zero_input_zero_output(self):
         W = multi_w_step(np.zeros((4, 3)), np.zeros((4, 3)), 1.0, 0.5, 0.5)
         np.testing.assert_array_equal(W, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("grad_shape", [(4, 2), (3, 3), (12,)])
+    def test_shape_mismatch_raises_shape_error(self, grad_shape):
+        with pytest.raises(ShapeError, match="must be matching matrices"):
+            multi_w_step(np.zeros((4, 3)), np.zeros(grad_shape), 1.0, 0.5, 0.5)
 
     def test_single_row_equals_scalar_prox(self):
         rng = np.random.default_rng(8)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from hsvm import (
+    ConstraintError,
     Dataset,
     DomainError,
     Hyperparams,
@@ -35,7 +36,7 @@ def binary_data(seed=0, n=60, p=20, s=5, rho=0.0):
 
 
 class TestSolverOptions:
-    @pytest.mark.parametrize("field", ["tol", "eta", "L0"])
+    @pytest.mark.parametrize("field", ["tol", "L0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(DomainError, match="finite"):
@@ -364,6 +365,18 @@ class TestFitMulti:
                                        seed=18))
         res = fit_multi(data, Hyperparams(0.05, 1.0, 1.0, 1.0))
         assert res.model.feasibility_residual() <= 1e-8
+
+    @pytest.mark.parametrize("step, message", [
+        ("multi_w_step", "weight rows left the zero-sum subspace"),
+        ("multi_b_step", "intercepts left the zero-sum subspace")])
+    def test_step_leaving_subspace_raises(self, monkeypatch, step, message):
+        exact = getattr(hsvm.solver, step)
+        monkeypatch.setattr(hsvm.solver, step,
+                            lambda *args: exact(*args) + 1e-6)
+        data = gen_fourclass(SynthSpec(kind="four_class", n=40, p=30, s=4,
+                                       seed=18))
+        with pytest.raises(ConstraintError, match=message):
+            fit_multi(data, Hyperparams(0.05, 1.0, 1.0, 1.0))
 
     def test_monotone_objective(self):
         data = gen_fourclass(SynthSpec(kind="four_class", n=40, p=24, s=4,
