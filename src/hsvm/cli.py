@@ -26,7 +26,7 @@ from .data import (
     save_libsvm,
     write_sidecar,
 )
-from .errors import FormatError, HsvmError, LabelError, ParseError
+from .errors import FormatError, HsvmError, LabelError, ParseError, ShapeError
 from .losses import Hyperparams
 from .model import check_labels, load_model, predict, save_model
 from .solver import ABLATION_SETTINGS, SolverOptions, ablation_run
@@ -168,15 +168,24 @@ def cmd_train(args) -> int:
     if args.trace_out:
         with open(args.trace_out, "w", encoding="ascii") as fh:
             res.trace.to_csv(fh)
+    gap = "" if res.gap is None else f" gap={res.gap:.3g}"
     print(f"converged={res.converged} iterations={res.iterations} "
-          f"objective={res.final_objective:.12g} nnz={res.trace.rows[-1].nnz}")
+          f"objective={res.final_objective:.12g} nnz={res.trace.rows[-1].nnz}"
+          + gap)
     return 0 if res.converged else 2
 
 
 def cmd_predict(args) -> int:
     with open(args.model, "r", encoding="ascii") as fh:
-        model, _ = load_model(fh)
-    data = load_libsvm(args.data, n_features=model.n_features)
+        try:
+            model, _ = load_model(fh)
+        except UnicodeDecodeError:
+            raise FormatError(f"{args.model}: not an ASCII text file") from None
+    try:
+        data = load_libsvm(args.data, n_features=model.n_features)
+    except ShapeError as exc:
+        raise _UsageError(f"{args.data}: {exc}, the model's feature "
+                          "count") from None
     if data.n == 0:
         raise _UsageError(f"{args.data}: file has no rows")
     labelled = data.kind != UNLABELED
@@ -260,7 +269,10 @@ def cmd_bench(args) -> int:
 
 def _read_scores_csv(path):
     with open(path, "r", encoding="ascii") as fh:
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        try:
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not an ASCII text file") from None
     if len(rows) < 2:
         raise _UsageError("scores CSV needs a header and at least one row")
     header = [h.strip() for h in rows[0]]

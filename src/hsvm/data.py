@@ -274,7 +274,7 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
     Indices must be 1-based and strictly ascending within a line. Labels
     must be integral and values finite; a file whose labels are all 0 is
     treated as unlabeled test data. ``n_features`` overrides the inferred
-    width (max index).
+    width (max index); a larger index raises ``ShapeError``.
     """
     lines = source.splitlines() if isinstance(source, str) else source
 
@@ -322,8 +322,7 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
 
     p = max_index if n_features is None else int(n_features)
     if p < max_index:
-        raise ShapeError(
-            f"n_features override {p} smaller than max index {max_index}")
+        raise ShapeError(f"largest feature index {max_index} exceeds {p}")
     X = sp.csr_array((np.asarray(data, dtype=float),
                       np.asarray(indices, dtype=np.int64),
                       np.asarray(indptr, dtype=np.int64)),
@@ -332,8 +331,12 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
 
 
 def load_libsvm(path, n_features=None) -> Dataset:
+    """``parse_libsvm`` of an ASCII file; other bytes raise ``ParseError``."""
     with open(path, "r", encoding="ascii") as fh:
-        return parse_libsvm(fh, n_features=n_features)
+        try:
+            return parse_libsvm(fh, n_features=n_features)
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not an ASCII text file") from None
 
 
 def write_libsvm(data: Dataset, stream: IO[str]) -> None:

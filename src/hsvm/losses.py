@@ -109,22 +109,56 @@ def multi_penalty(b, W, hp: Hyperparams) -> float:
                  + 0.5 * hp.lambda3 * (b @ b))
 
 
-def multi_smooth_from_margins(scores, labels, delta) -> float:
-    """Average huberized loss of the negated wrong-class scores."""
-    loss = huber_loss(-scores, delta)
-    loss[np.arange(labels.size), labels - 1] = 0.0  # skip j == y_i
-    return float(loss.sum() / labels.size)
+def wrong_class_mask(labels, n_classes) -> np.ndarray:
+    """(n, J) float mask of the wrong classes: 1 where j != y_i, else 0.
+    The M-PGH loss kernels below take it in place of the labels, so an
+    objective builds it once."""
+    mask = np.ones((labels.size, n_classes))
+    mask[np.arange(labels.size), labels - 1] = 0.0
+    return mask
 
 
-def multi_grad_from_margins(scores, data, delta):
-    """Gradient of the smooth part from cached class scores; the chain
-    rule through the negated wrong-class margin flips the sign of phi'."""
-    G = -huber_grad(-scores, delta)
-    G[np.arange(data.n), data.labels - 1] = 0.0  # skip j == y_i
-    G /= data.n
-    grad_b = G.sum(axis=0)
-    grad_W = np.asarray(data.X.T @ G)
-    return grad_b, grad_W
+def _multi_pieces(scores, wrong, delta):
+    """The clipped hinge R = max(1 + s, 0) of every negated class score and
+    the dual coefficients C = min(R, delta)/delta, zero on the true class.
+    phi(-s) = C (R - delta C / 2) on the wrong classes. The caller has
+    checked delta; a non-finite score raises ``DomainError``."""
+    if not np.isfinite(scores).all():
+        raise DomainError("loss argument must be finite")
+    R = np.maximum(1.0 + scores, 0.0)
+    C = np.minimum(R, delta)
+    C *= wrong
+    C /= delta
+    return R, C
+
+
+def _multi_value(R, C, delta, n) -> float:
+    return float((C * (R - 0.5 * delta * C)).sum() / n)
+
+
+def multi_smooth_from_margins(scores, wrong, delta) -> float:
+    """Average huberized loss of the negated wrong-class scores; ``wrong``
+    is the objective's :func:`wrong_class_mask`."""
+    R, C = _multi_pieces(scores, wrong, delta)
+    return _multi_value(R, C, delta, scores.shape[0])
+
+
+def multi_grad_from_margins(scores, X, wrong, delta):
+    """Value, gradient and dual loss term of the smooth part from one clip
+    of the class scores. Returns (value, grad_b, grad_W, dual_loss).
+
+    The chain rule through the negated wrong-class margin flips the sign of
+    phi', so the gradient with respect to the scores is C/n with C from
+    ``_multi_pieces``, in [0, 1]. C is also a dual point: on [-1, 0]
+    phi*(a) = a + delta a^2/2, so the loss part of the dual objective at C
+    is dual_loss = (1/n) sum (C - delta C^2/2).
+    """
+    n = scores.shape[0]
+    R, C = _multi_pieces(scores, wrong, delta)
+    value = _multi_value(R, C, delta, n)
+    dual_loss = float((C * (1.0 - 0.5 * delta * C)).sum() / n)
+    G = C / n
+    return value, G.sum(axis=0), np.asarray(X.T @ G), dual_loss
 
 
 def lipschitz_multi(data, delta, n_classes=None) -> float:

@@ -169,20 +169,27 @@ def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
     ZT = Z.T.copy()
     flat = ZT.max(axis=0) - ZT.min(axis=0) <= 2.0 * lam * (1.0 - _FLAT_MARGIN)
     live = np.flatnonzero(~flat)
-    # Each live row is solved from the sign pattern s of its row of W_hat
-    # (see the module docstring); n_act and s_sum are #{s_i != 0} and e's,
-    # and an empty guess divides by 1, not 0.
-    Z_live = Z[live]
-    S = np.sign(W_hat[live])
-    A = np.abs(S)
-    n_act, s_sum = A.sum(axis=1), S.sum(axis=1)
-    sigma = ((A * Z_live).sum(axis=1) - lam * s_sum) / np.maximum(n_act, 1.0)
-    W_live = shrink(Z_live - sigma[:, None], lam)
-    # A row whose guess is empty or has one sign, fails the sign test or
-    # holds a NaN goes through the kernel.
-    miss = live[(np.abs(s_sum) >= n_act) | (np.sign(W_live) != S).any(axis=1)]
     W = np.zeros_like(Z)
-    W[live] = W_live
+    S = np.sign(W_hat[live])
+    if S.any():
+        # Each live row is solved from the sign pattern s of its row of
+        # W_hat (see the module docstring); n_act and s_sum are
+        # #{s_i != 0} and e's, and an empty guess divides by 1, not 0.
+        Z_live = Z[live]
+        A = np.abs(S)
+        n_act, s_sum = A.sum(axis=1), S.sum(axis=1)
+        sigma = (((A * Z_live).sum(axis=1) - lam * s_sum)
+                 / np.maximum(n_act, 1.0))
+        W_live = shrink(Z_live - sigma[:, None], lam)
+        # A row whose guess is empty or has one sign, fails the sign test
+        # or holds a NaN goes through the kernel.
+        miss = live[(np.abs(s_sum) >= n_act)
+                    | (np.sign(W_live) != S).any(axis=1)]
+        W[live] = W_live
+    else:
+        # Every guess is empty, as at a fit's first step from zero, and an
+        # empty guess always goes through the kernel.
+        miss = live
     if miss.size:
         W[miss] = _zero_sum_prox_rows(Z[miss], lam)[0]
     return W

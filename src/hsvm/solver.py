@@ -16,8 +16,9 @@ Each model is one objective object (``BinaryObjective``, ``MultiObjective``)
 over a flat parameter vector u, the only code for its margins and
 gradient. It owns the label check, the global Lipschitz constant and the
 default initial step constant, and provides ``margins``, ``smooth``,
-``grad``, ``penalty``, ``prox``, ``nnz``, ``model`` and its inverse
-``point``. ``_run_pg_loop`` runs on it; ``objective`` evaluates a model.
+``grad``, ``smooth_grad``, ``penalty``, ``prox``, ``nnz``, ``model`` and
+its inverse ``point``, plus the flag ``certifies``. ``_run_pg_loop`` runs
+on it; ``objective`` evaluates a model.
 
 Per iteration the data matrix is touched by one gradient (transpose)
 product and one forward margin product per candidate evaluation.
@@ -36,6 +37,18 @@ constant only grows within an iteration (L_k = min(ETA^{n_k} L_{k-1},
 L_global)) and each accepted step satisfies the sufficient-decrease
 inequality; the extrapolation weight (``extrapolation_weight``) is capped
 at sqrt(L_{k-1}/L_k), re-extrapolating when backtracking raised L.
+
+The objective gives the smooth value and the gradient at each base in one
+call (``smooth_grad``); for M-PGH that is one fused loss call, and the
+line search's candidates take the value-only call. The stop rule depends
+on the objective. M-PGH with lambda2, lambda3 > 0 (the paper's linear
+convergence assumption) has a finite dual, so each gradient also gives a
+lower bound D on the optimum (``MultiObjective._dual_bound``, in the
+manner of the gap-safe rules of Ndiaye et al. 2017). The loop keeps the
+best D over every base, restarts included, and stops once
+F - D_best <= tol F: ``converged=True`` certifies a relative duality gap
+<= tol, recorded in ``FitResult.gap``. Every other fit stops on relative
+progress (``check_stop``) and has no gap.
 """
 
 from __future__ import annotations
@@ -58,6 +71,7 @@ from .losses import (
     multi_grad_from_margins,
     multi_penalty,
     multi_smooth_from_margins,
+    wrong_class_mask,
 )
 from .model import FEASIBILITY_TOL, BinaryModel, MultiModel
 from .prox import binary_prox_step, multi_b_step, multi_w_step
@@ -70,6 +84,12 @@ ETA = 1.5  # backtracking factor of the step constant
 class SolverOptions:
     """Run configuration shared by all solvers. The line search grows the
     step constant by the module constant ``ETA``.
+
+    ``tol`` is the stop rule's tolerance. An M-PGH fit with lambda2,
+    lambda3 > 0 stops once its certified relative duality gap is <= tol.
+    Binary fits, and M-PGH fits with lambda2 = 0 or lambda3 = 0, stop after
+    ``CONSEC_STOP`` iterations whose relative objective decrease and
+    relative step are both <= tol (``check_stop``).
 
     ``L0 = None`` selects the defaults 2 L_f / n (binary) and L_m / (n J)
     (multi). Any ``L0`` is clamped to the global constant, and the line
@@ -145,6 +165,7 @@ class FitResult:
     support: Optional[np.ndarray] = None  # B-PGH-2's final working set
     iterates: Optional[list] = None
     grad_products: int = 0
+    gap: Optional[float] = None  # certified relative duality gap, if any
 
 
 def extrapolation_weight(t_prev, t_curr, L_prev, L_curr) -> float:
@@ -197,21 +218,20 @@ def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
 def _step(prob, u_base, m_base, f_base, L_start):
     """One proximal gradient step from ``u_base`` (whose margins are
     ``m_base`` and smooth value ``f_base``, computed here when None): one
-    transpose product, then the line search. Returns what
-    ``line_search`` returns."""
-    if f_base is None:
-        f_base = prob.smooth(m_base)
-    grad = prob.grad(m_base, u_base)
-    return line_search(prob, u_base, f_base, grad, L_start, prob.L_global,
-                       ETA)
+    call for the smooth value and the gradient, which is one transpose
+    product, then the line search. Returns the smooth value and the dual
+    bound at the base, then what ``line_search`` returns."""
+    f_base, grad, dual = prob.smooth_grad(m_base, u_base, f_base)
+    return (f_base, dual) + line_search(prob, u_base, f_base, grad, L_start,
+                                        prob.L_global, ETA)
 
 
 def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
     """Shared iteration loop; see the module docstring for the scheme."""
     u = np.zeros(prob.dim)
     m = prob.margins(u)
-    f = prob.smooth(m)
-    F = f + prob.penalty(u)
+    f = F = None  # formed by the first step, whose base is u itself
+    D_best = -math.inf  # best dual bound over every base so far
     u_prev, m_prev = u, m
     t = 1.0
     L = min(opts.L0 if opts.L0 is not None else prob.L0, prob.L_global)
@@ -233,8 +253,9 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
             else:
                 u_hat, m_hat, f_hat = (u + omega * (u - u_prev),
                                        m + omega * (m - m_prev), None)
-            L_acc, cand, m_cand, f_cand, gap, ev = _step(
+            f_hat, dual, L_acc, cand, m_cand, f_cand, gap, ev = _step(
                 prob, u_hat, m_hat, f_hat, L_start)
+            D_best = max(D_best, dual)
             grad_products += 1
             evals += ev
             if L_acc == L_start or omega <= math.sqrt(L / L_acc) + 1e-15:
@@ -242,14 +263,17 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
             # Backtracking raised L beyond the extrapolation cap;
             # re-extrapolate with the tighter weight at the new constant.
             L_start = L_acc
+        if F is None:
+            f, F = f_hat, f_hat + prob.penalty(u)
         F_cand = f_cand + prob.penalty(cand)
 
         restarted = opts.monotone and F_cand > F
         if restarted:
             # Extrapolated step increased F: re-update from the previous
             # iterate (omega = 0) and reset the momentum scalar.
-            L_acc, cand, m_cand, f_cand, gap, ev = _step(
+            _, dual, L_acc, cand, m_cand, f_cand, gap, ev = _step(
                 prob, u, m, f, L_acc)
+            D_best = max(D_best, dual)
             grad_products += 1
             evals += ev
             F_cand = f_cand + prob.penalty(cand)
@@ -270,8 +294,11 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
         if iterates is not None:
             iterates.append(u.copy())
 
-        stop, counter = check_stop(F_prev, F, step_norm, u_prev,
-                                   opts.tol, counter)
+        if prob.certifies:
+            stop = F - D_best <= opts.tol * F
+        else:
+            stop, counter = check_stop(F_prev, F, step_norm, u_prev,
+                                       opts.tol, counter)
         if stop:
             stop_reason = "converged"
             break
@@ -280,7 +307,8 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
         model=prob.model(u), trace=trace, iterations=k,
         converged=stop_reason == "converged", final_objective=F,
         stop_reason=stop_reason, iterates=iterates,
-        grad_products=grad_products)
+        grad_products=grad_products,
+        gap=(F - D_best) / F if prob.certifies else None)
 
 
 # B-PGH keeps its working block only while it holds at most 1/32 of the
@@ -309,6 +337,10 @@ class BinaryObjective:
     |g_j| stays below lambda1, so its weight, zero at u, stays zero after
     the prox, and its term of the line search's <g, d> is zero either way.
     """
+
+    # B-PGH stops on relative progress (``check_stop``), so its gradient
+    # carries no dual bound.
+    certifies = False
 
     def __init__(self, data: Dataset, hp: Hyperparams):
         if data.kind != "binary":
@@ -349,6 +381,13 @@ class BinaryObjective:
 
     def smooth(self, m):
         return float(huber_loss(m, self.hp.delta).sum() / self.n)
+
+    def smooth_grad(self, m, u, f=None):
+        """(f, gradient, -inf) at the point u with margins m; a given f is
+        returned as it is."""
+        if f is None:
+            f = self.smooth(m)
+        return f, self.grad(m, u), -math.inf
 
     def grad(self, m, u=None):
         """Gradient at the point u with margins m. Without u (the two-stage
@@ -425,7 +464,12 @@ class MultiObjective:
     """M-PGH objective H = l + G over u = (b, vec W) with b of length J and
     W of shape (p, J). The prox keeps both in the zero-sum subspace, which
     is checked on every candidate. The default initial step constant is
-    L_m / (n J), clamped to the global L_m."""
+    L_m / (n J), clamped to the global L_m.
+
+    With lambda2, lambda3 > 0 (``certifies``) every gradient also gives a
+    lower bound on the optimum, the dual objective at the loss
+    coefficients C of the gradient's point (see ``_dual_bound``).
+    """
 
     def __init__(self, data: Dataset, hp: Hyperparams):
         if data.kind != "multiclass":
@@ -439,6 +483,10 @@ class MultiObjective:
         self.dim = J + data.n_features * J
         self.L_global = lipschitz_multi(data, hp.delta, J)
         self.L0 = min(self.L_global / (data.n * J), self.L_global)
+        self._wrong = wrong_class_mask(data.labels, J)
+        # Otherwise the penalty's conjugate is an indicator, and the
+        # gradient's dual point is almost never feasible.
+        self.certifies = hp.lambda2 > 0 and hp.lambda3 > 0
 
     def _split(self, u):
         return u[:self.J], u[self.J:].reshape(-1, self.J)
@@ -448,14 +496,61 @@ class MultiObjective:
         return (np.asarray(self.X @ W) + b).ravel()
 
     def smooth(self, m):
-        return multi_smooth_from_margins(m.reshape(-1, self.J),
-                                         self.data.labels, self.hp.delta)
+        return multi_smooth_from_margins(m.reshape(-1, self.J), self._wrong,
+                                         self.hp.delta)
+
+    def smooth_grad(self, m, u, f=None):
+        """(f, gradient, dual bound) at the point u with margins m, from one
+        fused loss call; the bound is -inf unless ``certifies``. The call
+        forms f anyway, so a given f is not needed."""
+        f, gb, gW, dual_loss = multi_grad_from_margins(
+            m.reshape(-1, self.J), self.X, self._wrong, self.hp.delta)
+        dual = (self._dual_bound(dual_loss, gb, gW, u) if self.certifies
+                else -math.inf)
+        return f, np.concatenate([gb, gW.ravel()]), dual
 
     def grad(self, m, u=None):
         """Gradient at the point u with margins m; reads only m."""
-        gb, gW = multi_grad_from_margins(m.reshape(-1, self.J), self.data,
-                                         self.hp.delta)
+        _, gb, gW, _ = multi_grad_from_margins(
+            m.reshape(-1, self.J), self.X, self._wrong, self.hp.delta)
         return np.concatenate([gb, gW.ravel()])
+
+    def _dual_bound(self, dual_loss, gb, gW, u):
+        """Dual objective at the loss coefficients C behind the gradient
+        (gb, gW), taken at the point u:
+
+            D = dual_loss - sum_k ||S_lam1(v_k - sigma_k)||^2 / (2 lam2)
+                          - ||gb - mean(gb)||^2 / (2 lam3),
+
+        with v_k = -(row k of gW). The middle sum is the zero-sum
+        elastic-net conjugate, min over sigma_k of each row's term, so any
+        sigma_k gives a valid lower bound on the optimum. A flat row
+        (spread <= 2 lam1) takes the midpoint and contributes 0. Every
+        other row takes sigma_k from the sign pattern of its row of W,
+        as ``multi_w_step``'s guess does: exact once the support of W is
+        the optimum's. A row of W without a nonzero takes the midpoint.
+        """
+        lam1, J = self.hp.lambda1, self.J
+        # Row ranges reduce over axis 0 of a transposed copy, several times
+        # faster than over the short axis of gW (as in ``multi_w_step``).
+        GT = gW.T.copy()
+        hi, lo = GT.max(axis=0), GT.min(axis=0)
+        live = np.flatnonzero(hi - lo > 2.0 * lam1)
+        V = -gW[live]
+        S = np.sign(u[J:].reshape(-1, J)[live])
+        A = np.abs(S)
+        ones = np.ones(J)  # row sums as products with ones
+        n_act = A @ ones
+        sigma = (((A * V) @ ones - lam1 * (S @ ones))
+                 / np.maximum(n_act, 1.0))
+        empty = n_act == 0
+        sigma[empty] = -0.5 * (hi + lo)[live[empty]]
+        R = np.abs(V - sigma[:, None])
+        R -= lam1
+        np.maximum(R, 0.0, out=R)  # |S_lam1(v - sigma)|
+        q = gb - gb.mean()
+        return (dual_loss - float(np.vdot(R, R)) / (2.0 * self.hp.lambda2)
+                - float(q @ q) / (2.0 * self.hp.lambda3))
 
     def penalty(self, u):
         return multi_penalty(*self._split(u), self.hp)

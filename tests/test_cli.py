@@ -17,6 +17,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# A file holding one byte outside ASCII, alone or in a UTF-8 word.
+NON_ASCII = [pytest.param(b"\xe9", id="byte"),
+             pytest.param("+1 1:0.5 # caf\u00e9\n".encode("utf-8"),
+                          id="utf8_word")]
+
+
 def gen_binary(tmp_path, capsys, seed=7, n=40, p=20, s=4, n_test=30):
     prefix = str(tmp_path / f"syn{seed}")
     code, _, _ = run(capsys, "gen", "--kind", "binary", "--n", str(n),
@@ -153,6 +159,38 @@ class TestTrain:
                          "--lambda2", "1", "--lambda3", "1",
                          "--model-out", str(tmp_path / "m3"))
         assert code == 3
+
+    @pytest.mark.parametrize("text", NON_ASCII)
+    def test_non_ascii_data_file_io_error(self, tmp_path, capsys, text):
+        data, model = tmp_path / "d.libsvm", tmp_path / "m"
+        data.write_bytes(text)
+        code, out, err = run(capsys, "train", "--data", str(data),
+                             "--solver", "bpgh", "--lambda1", "0.1",
+                             "--lambda2", "1", "--lambda3", "1",
+                             "--model-out", str(model))
+        assert code == 3
+        assert f"{data}: not an ASCII text file" in err
+        assert "Traceback" not in err and out == ""
+        assert not model.exists()
+
+    def test_mpgh_reports_its_gap(self, tmp_path, capsys):
+        prefix = str(tmp_path / "four")
+        assert run(capsys, "gen", "--kind", "four_class", "--n", "40",
+                   "--p", "12", "--s", "4", "--seed", "3",
+                   "--out", prefix)[0] == 0
+
+        def train(lambda2):
+            return run(capsys, "train", "--data", prefix + ".train.libsvm",
+                       "--solver", "mpgh", "--lambda1", "0.1", "--lambda2",
+                       lambda2, "--lambda3", "1",
+                       "--model-out", str(tmp_path / "m"))
+
+        code, out, _ = train("1")
+        assert code == 0
+        gap = float(re.search(r" gap=(\S+)$", out.strip()).group(1))
+        assert 0.0 <= gap <= SolverOptions.tol
+        code, out, _ = train("0")  # no certificate without lambda2 > 0
+        assert code == 0 and "gap=" not in out
 
 
 class TestPredict:
@@ -338,6 +376,33 @@ class TestPredict:
             assert code == 0
             preds.append(out_file.read_text())
         assert preds[0] == preds[1] == "1\n-1\n1\naccuracy 1\n"
+
+    @pytest.mark.parametrize("text", NON_ASCII)
+    def test_non_ascii_model_file_io_error(self, tmp_path, capsys, text):
+        model, data = tmp_path / "model.hsvm", tmp_path / "data.libsvm"
+        model.write_bytes(text)
+        data.write_text("+1 1:1 3:0.5\n")
+        out_file = tmp_path / "pred.txt"
+        code, out, err = run(capsys, "predict", "--model", str(model),
+                             "--data", str(data), "--out", str(out_file))
+        assert code == 3
+        assert f"{model}: not an ASCII text file" in err
+        assert "Traceback" not in err and out == ""
+        assert not out_file.exists()
+
+    def test_file_wider_than_model_names_both_widths(self, tmp_path, capsys):
+        model, data = tmp_path / "model.hsvm", tmp_path / "wide.libsvm"
+        model.write_text("\n".join(["HSVM binary p=3 J=2", self.HP_LINE,
+                                    "b 0", "w 1 0.5"]) + "\n")
+        data.write_text("+1 1:1\n-1 2:1 5:0.5\n")
+        out_file = tmp_path / "pred.txt"
+        code, out, err = run(capsys, "predict", "--model", str(model),
+                             "--data", str(data), "--out", str(out_file))
+        assert code == 1
+        assert (f"{data}: largest feature index 5 exceeds 3, the model's "
+                "feature count") in err
+        assert "override" not in err and out == ""
+        assert not out_file.exists()
 
     def test_non_finite_value_io_error(self, tmp_path, capsys):
         prefix = gen_binary(tmp_path, capsys)
@@ -546,6 +611,17 @@ class TestStats:
         code, _, err = run(capsys, "stats", "--scores", path)
         assert code == 1
         assert "ragged" in err
+
+    @pytest.mark.parametrize("text", NON_ASCII)
+    def test_non_ascii_scores_file_io_error(self, tmp_path, capsys, text):
+        path, report = tmp_path / "scores.csv", tmp_path / "report.csv"
+        path.write_bytes(b"A,B\n0.5,0.6\n0.7,0.8\n" + text)
+        code, out, err = run(capsys, "stats", "--scores", str(path),
+                             "--out", str(report))
+        assert code == 3
+        assert f"{path}: not an ASCII text file" in err
+        assert "Traceback" not in err and out == ""
+        assert not report.exists()
 
     def test_non_finite_score_usage_error(self, tmp_path, capsys):
         path = str(tmp_path / "nonfinite.csv")

@@ -20,8 +20,13 @@ from hsvm import (
     objective,
 )
 from hsvm.errors import ConstraintError
+from hsvm.losses import (
+    multi_grad_from_margins,
+    multi_smooth_from_margins,
+    wrong_class_mask,
+)
 
-from oracles import finite_diff_grad, reference_binary_grad
+from oracles import _dphi, _phi, finite_diff_grad, reference_binary_grad
 
 
 def random_binary(rng, n, p):
@@ -368,6 +373,51 @@ class TestMultiGrad:
             np.testing.assert_allclose(gW[:, j], d * X[0], rtol=1e-14)
         assert gb[1] == 0.0
         np.testing.assert_array_equal(gW[:, 1], np.zeros(2))
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+    def test_fused_kernel_matches_phi_at_the_kinks(self, delta):
+        # The negated scores t = -s sit at phi's kinks t = 1 (s = -1) and
+        # t = 1 - delta (s = delta - 1), a hair either side of them, or
+        # anywhere. One call gives the value, the gradient and the dual
+        # loss term (1/n) sum (c - delta c^2 / 2), c = -phi'(-s) on the
+        # wrong classes; the line search's value call agrees bit for bit.
+        rng = np.random.default_rng(44)
+        n, p, J = 40, 6, 4
+        labels = rng.integers(1, J + 1, n)
+        X = rng.normal(size=(n, p))
+        kinks = np.array([-1.0, delta - 1.0])
+        pool = np.concatenate([kinks, kinks + 1e-9, kinks - 1e-9,
+                               3.0 * rng.normal(size=6)])
+        scores = rng.choice(pool, size=(n, J))
+        assert np.isin(kinks, scores).all()
+        wrong = wrong_class_mask(labels, J)
+        value, gb, gW, dual = multi_grad_from_margins(scores, X, wrong, delta)
+        phi = _phi(-scores, delta) * wrong
+        c = -_dphi(-scores, delta) * wrong
+        assert value == pytest.approx(phi.sum() / n, rel=1e-14)
+        assert multi_smooth_from_margins(scores, wrong, delta) == value
+        np.testing.assert_allclose(gb, c.sum(axis=0) / n, rtol=1e-14)
+        np.testing.assert_allclose(gW, X.T @ c / n, rtol=1e-12, atol=1e-15)
+        assert dual == pytest.approx((c - 0.5 * delta * c * c).sum() / n,
+                                     rel=1e-14)
+        # exactly at the kinks: phi(1) = 0, c = 0; phi(1 - delta) =
+        # delta / 2, c = 1
+        at = np.array([[-1.0, delta - 1.0]])
+        value, gb, _, dual = multi_grad_from_margins(
+            at, np.zeros((1, 1)), np.ones((1, 2)), delta)
+        assert value == 0.5 * delta and dual == 1.0 - 0.5 * delta
+        np.testing.assert_array_equal(gb, [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])  # true class, wrong class
+    def test_fused_kernel_rejects_non_finite_scores(self, bad, column):
+        scores = np.zeros((3, 2))
+        scores[1, column] = bad
+        wrong = wrong_class_mask(np.array([1, 1, 2]), 2)
+        with pytest.raises(DomainError, match="finite"):
+            multi_grad_from_margins(scores, np.ones((3, 2)), wrong, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            multi_smooth_from_margins(scores, wrong, 1.0)
 
     def test_label_kind_required(self):
         data = Dataset(np.zeros((2, 2)), np.array([1, -1]))

@@ -456,6 +456,40 @@ class TestMultiWStep:
             assert not W[kinds == "edge"].any()
             assert np.isnan(W[kinds == "nan"]).all(axis=1).all()
 
+    @pytest.mark.parametrize("J", [2, 4, 50])
+    def test_zero_W_hat_sends_the_live_rows_straight_to_the_kernel(
+            self, J, monkeypatch):
+        # At a fit's first step W_hat = 0 and every guess is empty: the
+        # live rows go to the kernel in one call, no guess is formed (the
+        # kernel's shrink is the only one), and the step is the kernel's.
+        rng = np.random.default_rng(J + 500)
+        lam = 0.3
+        Z = self.mixed_rows(rng, J, lam)
+        W_hat, grad = np.zeros_like(Z), -(self.L + self.L2) * Z
+        seen, shrinks = [], [0]
+
+        def kernel(Z, lam):
+            seen.append(Z.copy())
+            return _zero_sum_prox_rows(Z, lam)
+
+        def counted(t, nu):
+            shrinks[0] += 1
+            return shrink(t, nu)
+
+        monkeypatch.setattr(prox, "_zero_sum_prox_rows", kernel)
+        monkeypatch.setattr(prox, "shrink", counted)
+        W = multi_w_step(W_hat, grad, self.L, lam * (self.L + self.L2),
+                         self.L2)
+        monkeypatch.undo()
+        spread = Z.max(axis=1) - Z.min(axis=1)
+        flat = spread <= 2 * lam * (1 - prox._FLAT_MARGIN)
+        assert flat.any() and not flat.all()
+        assert len(seen) == 1 and shrinks[0] == 1
+        np.testing.assert_array_equal(seen[0], Z[~flat])
+        np.testing.assert_array_equal(W[~flat],
+                                      _zero_sum_prox_rows(Z[~flat], lam)[0])
+        assert not W[flat].any()
+
     def test_memory_linear_in_classes(self):
         # one p x 2J x J float64 temporary would take 80 MB here
         rng = np.random.default_rng(16)

@@ -24,10 +24,15 @@ import hsvm.prox
 import hsvm.solver
 import hsvm.tuning
 from hsvm.data import SynthSpec, gen_binary_gaussian, gen_fourclass
-from hsvm.model import evaluate
+from hsvm.model import MultiModel, evaluate
 from hsvm.solver import BinaryObjective, MultiObjective
 
-from oracles import grid_minimize, kernel_only_w_step, projected_subgradient
+from oracles import (
+    grid_minimize,
+    kernel_only_w_step,
+    multi_dual_direct,
+    projected_subgradient,
+)
 
 
 def binary_data(seed=0, n=60, p=20, s=5, rho=0.0):
@@ -116,6 +121,36 @@ class _Quadratic:
 
     def prox(self, u_hat, grad, L):
         return u_hat - grad / L
+
+
+class _Scripted(_Quadratic):
+    """A quadratic whose every step lands on its minimiser, with scripted
+    penalty values (1 once the script ends) and dual bounds (-inf off the
+    script), both keyed by their call number from 1. It tests the loop's
+    bookkeeping of the gap on its own."""
+
+    certifies = True
+
+    def __init__(self, penalties, bounds):
+        super().__init__(np.ones(2))
+        self.penalties, self.bounds = list(penalties), dict(bounds)
+        self.calls = {"smooth_grad": 0, "penalty": 0}
+
+    def smooth_grad(self, m, u, f=None):
+        self.calls["smooth_grad"] += 1
+        bound = self.bounds.get(self.calls["smooth_grad"], -math.inf)
+        return self.smooth(m), self.grad(m), bound
+
+    def penalty(self, u):
+        self.calls["penalty"] += 1
+        k = self.calls["penalty"]
+        return float(self.penalties[k - 1]) if k <= len(self.penalties) else 1.0
+
+    def nnz(self, u):
+        return 0
+
+    def model(self, u):
+        return u.copy()
 
 
 class TestLineSearch:
@@ -441,6 +476,162 @@ class TestFitMulti:
                                        rho=0.0, seed=21))
         res = fit_multi(data, Hyperparams(0.05, 1.0, 1.0, 1.0))
         assert evaluate(res.model, data).accuracy >= 0.95
+
+
+class TestDualityGap:
+    """With lambda2, lambda3 > 0 an M-PGH fit stops once F - D_best <=
+    tol F, where D_best is the best dual bound given by the gradients it
+    took; ``FitResult.gap`` is (F - D_best) / F. Other fits stop on
+    relative progress and have no gap."""
+
+    REF = SolverOptions(tol=1e-13, max_iter=100_000)
+
+    @staticmethod
+    def problem(rng, csr):
+        J = int(rng.choice([2, 3, 4, 7]))
+        n, p = int(rng.integers(20, 61)), int(rng.integers(4, 31))
+        labels = rng.integers(1, J + 1, n)
+        X = rng.normal(size=(J, p))[labels - 1] + rng.normal(size=(n, p))
+        if csr:
+            X[rng.random(X.shape) < 0.6] = 0.0
+            X = sp.csr_array(X)
+        hp = Hyperparams(10 ** rng.uniform(-3, -0.5),
+                         10 ** rng.uniform(-1.5, 1), 10 ** rng.uniform(-1.5, 1),
+                         float(rng.choice([0.5, 1.0, 2.0])))
+        return Dataset(X, labels, n_classes=J), hp
+
+    def test_gap_bounds_the_true_suboptimality(self):
+        # 64 fits, half of them on CSR. The reference run's objective is at
+        # least the optimum F*, so F - F_ref <= F - F* <= gap F; 4 ulp of F
+        # cover the rounding of the two objectives.
+        rng = np.random.default_rng(61)
+        for k in range(64):
+            data, hp = self.problem(rng, csr=k % 2 == 1)
+            res = fit_multi(data, hp)
+            ref = fit_multi(data, hp, self.REF)
+            assert res.converged and ref.converged
+            assert 0.0 <= res.gap <= SolverOptions.tol
+            assert ref.gap <= self.REF.tol
+            F = res.final_objective
+            assert F - ref.final_objective <= res.gap * F + 4 * np.spacing(F)
+
+    def test_dual_bound_matches_the_definition(self):
+        # At any feasible point the bound from the gradient is at most the
+        # exact dual objective of its loss coefficients, which is at most
+        # the optimum (weak duality); at the optimum all three agree.
+        rng = np.random.default_rng(62)
+        for k in range(16):
+            data, hp = self.problem(rng, csr=k % 2 == 1)
+            prob = MultiObjective(data, hp)
+            opt = fit_multi(data, hp, self.REF)
+            shape = opt.model.W.shape
+            W = rng.normal(size=shape) * (rng.random(shape) < 0.5)
+            W -= W.mean(axis=1, keepdims=True)
+            b = rng.normal(size=prob.J)
+            b -= b.mean()
+            for model, exact_at_sign in ((opt.model, True),
+                                         (MultiModel(b, W), False)):
+                u = prob.point(model)
+                _, _, bound = prob.smooth_grad(prob.margins(u), u)
+                exact = multi_dual_direct(model.b, model.W, data, hp)
+                F_opt = opt.final_objective
+                assert bound <= exact + 1e-12 * abs(exact)
+                assert exact <= F_opt + 1e-12 * F_opt
+                if exact_at_sign:
+                    assert bound == pytest.approx(exact, rel=1e-12, abs=0)
+                    assert bound == pytest.approx(F_opt, rel=1e-12, abs=0)
+
+    def test_one_loss_call_per_base_and_per_candidate(self, monkeypatch):
+        # the fused call serves every gradient, and the value-only call
+        # every line-search candidate, never a base
+        calls = {"multi_smooth_from_margins": 0, "multi_grad_from_margins": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(hsvm.solver, name,
+                                counting(name, getattr(hsvm.solver, name)))
+        data = gen_fourclass(SynthSpec(kind="four_class", n=40, p=24, s=4,
+                                       seed=19))
+        for hp in (Hyperparams(0.05, 1.0, 1.0, 1.0),
+                   Hyperparams(0.05, 0.0, 1.0, 1.0)):
+            for key in calls:
+                calls[key] = 0
+            res = fit_multi(data, hp)
+            assert res.converged
+            assert (calls["multi_smooth_from_margins"]
+                    == res.trace.column("ls_evals").sum())
+            assert calls["multi_grad_from_margins"] == res.grad_products
+
+    def test_gap_keeps_the_best_bound_through_restarts(self):
+        # F = 6, 4, then a candidate at 30 forces a restart, whose base
+        # alone has a finite bound; F then falls 3, 2, 1. Only a loop that
+        # keeps that bound, and keeps the best over the later bases, stops,
+        # at the iteration where F = 1.
+        prob = _Scripted(penalties=[5, 4, 30, 3, 2, 1], bounds={3: 1 - 1e-7})
+        res = hsvm.solver._run_pg_loop(prob, SolverOptions(max_iter=50))
+        assert res.trace.column("restarted")[:2].tolist() == [False, True]
+        assert res.converged and res.iterations == 4
+        assert res.gap == pytest.approx(1e-7, rel=1e-6)
+
+    def test_gap_is_from_the_best_bound_of_every_base(self, monkeypatch):
+        # restarted bases included; the bound need not grow monotonically
+        bounds = []
+        smooth_grad = MultiObjective.smooth_grad
+
+        def recorded(prob, m, u, f=None):
+            out = smooth_grad(prob, m, u, f)
+            bounds.append(out[2])
+            return out
+
+        monkeypatch.setattr(MultiObjective, "smooth_grad", recorded)
+        data = gen_fourclass(SynthSpec(kind="four_class", n=60, p=30, s=4,
+                                       seed=24))
+        res = fit_multi(data, Hyperparams(0.02, 0.3, 1.0, 1.0),
+                        SolverOptions(tol=1e-9))
+        assert res.trace.column("restarted").any()
+        assert len(bounds) == res.grad_products
+        assert np.any(np.diff(bounds) < 0)
+        F = res.final_objective
+        assert res.gap == (F - max(bounds)) / F
+
+    @pytest.mark.parametrize("lambda2, lambda3", [(0.0, 1.0), (1.0, 0.0)])
+    def test_progress_rule_without_strong_convexity(self, monkeypatch,
+                                                    lambda2, lambda3):
+        data = gen_fourclass(SynthSpec(kind="four_class", n=40, p=24, s=4,
+                                       seed=19))
+        stops = [0]
+        rule = hsvm.solver.check_stop
+
+        def counted(*args):
+            stops[0] += 1
+            return rule(*args)
+
+        monkeypatch.setattr(hsvm.solver, "check_stop", counted)
+        res = fit_multi(data, Hyperparams(0.05, lambda2, lambda3, 1.0))
+        assert res.converged and res.gap is None
+        assert stops[0] == res.iterations
+        stops[0] = 0
+        res = fit_multi(data, Hyperparams(0.05, 1.0, 1.0, 1.0))
+        assert res.converged and res.gap is not None and stops[0] == 0
+        res = fit_binary(binary_data(seed=3), Hyperparams(0.05, 1.0, 1.0, 1.0))
+        assert res.converged and res.gap is None
+        assert stops[0] == res.iterations
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+    def test_gap_at_the_stop_is_within_tol(self, tol):
+        data = gen_fourclass(SynthSpec(kind="four_class", n=60, p=30, s=4,
+                                       seed=24))
+        res = fit_multi(data, Hyperparams(0.02, 0.3, 1.0, 1.0),
+                        SolverOptions(tol=tol))
+        assert res.converged and 0.0 <= res.gap <= tol
+        capped = fit_multi(data, Hyperparams(0.02, 0.3, 1.0, 1.0),
+                           SolverOptions(tol=tol, max_iter=2))
+        assert not capped.converged and capped.gap > tol
 
 
 @pytest.fixture(scope="module")
