@@ -7,6 +7,7 @@ files and 0-based in memory.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -268,6 +269,13 @@ def generate(spec: SynthSpec) -> Dataset:
     return gen_fourclass(spec)
 
 
+# The ASCII whitespace that str.split() splits at. The bulk conversion turns
+# each into a line break, so loadtxt reads one idx:val pair per line.
+_BLANKS = str.maketrans(dict.fromkeys("\t\x0b\x0c\r\x1c\x1d\x1e\x1f ", "\n"))
+_PAIR = np.dtype([("i", np.int64), ("v", np.float64)])
+_INT64_END = 2 ** 63
+
+
 def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
     """Parse LIBSVM text: ``label idx:val idx:val ...`` per line.
 
@@ -275,17 +283,54 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
     must be integral and values finite; a file whose labels are all 0 is
     treated as unlabeled test data. ``n_features`` overrides the inferred
     width (max index); a larger index raises ``ShapeError``.
-    """
-    lines = source.splitlines() if isinstance(source, str) else source
 
-    data, indices, indptr, labels = [], [], [], []
-    indptr.append(0)
-    max_index = 0
+    Each line is split once; one ``np.array`` call converts the labels and
+    one ``np.loadtxt`` call every pair, and the rules are checked on the
+    arrays. Text failing any step goes to ``_raise_first_error``.
+    """
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    rows = [parts for parts in (raw.split(None, 1) for raw in lines) if parts]
+    heads = [parts[0] for parts in rows]
+    bodies = [parts[1] if len(parts) == 2 else "" for parts in rows]
+    text = "\n".join(filter(None, bodies)).translate(_BLANKS)
+    indptr = np.cumsum([0] + [body.count(":") for body in bodies], dtype=np.int64)
+    ok = all(map(str.isascii, lines)) and "_" not in "".join(heads)
+    try:
+        labels = np.array(heads, dtype=float)
+        pairs = np.loadtxt(io.BytesIO(text.encode("ascii")), dtype=_PAIR,
+                           delimiter=":", comments=None, ndmin=1) \
+            if ok and text else np.empty(0, dtype=_PAIR)
+    except ValueError:
+        ok = False
+    if ok:
+        idx, values = pairs["i"], pairs["v"].copy()
+        prev = np.concatenate(([0], idx[:-1]))
+        starts = indptr[:-1]  # an empty row starts where the next one does
+        prev[starts[starts < idx.size]] = 0
+        ok = (np.all(idx > prev) and np.all(np.isfinite(values))
+              and np.all((labels >= -_INT64_END) & (labels < _INT64_END)
+                         & (np.trunc(labels) == labels)))
+    if not ok:
+        _raise_first_error(lines)
+    max_index = int(idx.max()) if idx.size else 0
+    p = max_index if n_features is None else int(n_features)
+    if p < max_index:
+        raise ShapeError(f"largest feature index {max_index} exceeds {p}")
+    X = sp.csr_array((values, idx - 1, indptr), shape=(len(rows), p))
+    return Dataset(X, labels.astype(np.int64))
+
+
+def _raise_first_error(lines) -> None:
+    """Raise the ``ParseError`` of the first bad line of ``lines``: the one
+    home of the parser's messages."""
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+        if not raw.isascii():
+            raise ParseError("non-ASCII character", line_no)
+        if "_" in raw:
+            raise ParseError("'_' is not allowed", line_no)
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
             lab = float(tokens[0])
         except ValueError:
@@ -294,7 +339,8 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
             raise ParseError(f"label {tokens[0]!r} is not finite", line_no)
         if lab != int(lab):
             raise ParseError(f"label {tokens[0]!r} is not an integer", line_no)
-        labels.append(int(lab))
+        if not -_INT64_END <= lab < _INT64_END:
+            raise ParseError(f"label {tokens[0]!r} is out of range", line_no)
         prev = 0
         for tok in tokens[1:]:
             idx_s, sep, val_s = tok.partition(":")
@@ -314,20 +360,12 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
             if idx <= prev:
                 raise ParseError(
                     f"feature index {idx} not ascending", line_no)
+            if idx >= _INT64_END:
+                raise ParseError(f"feature index {idx} is out of range",
+                                 line_no)
             prev = idx
-            indices.append(idx - 1)
-            data.append(val)
-        max_index = max(max_index, prev)
-        indptr.append(len(data))
-
-    p = max_index if n_features is None else int(n_features)
-    if p < max_index:
-        raise ShapeError(f"largest feature index {max_index} exceeds {p}")
-    X = sp.csr_array((np.asarray(data, dtype=float),
-                      np.asarray(indices, dtype=np.int64),
-                      np.asarray(indptr, dtype=np.int64)),
-                     shape=(len(labels), p))
-    return Dataset(X, np.asarray(labels, dtype=np.int64))
+    raise AssertionError("the bulk LIBSVM parse rejected text that the "
+                         "line checker accepts")
 
 
 def load_libsvm(path, n_features=None) -> Dataset:

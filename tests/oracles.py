@@ -9,14 +9,20 @@ prox, itself checked against the dual scan, on every row, as the reference
 for the row shortcuts of ``hsvm.prox.multi_w_step``. The M-HSVM dual
 objective is evaluated from its definition, with every row conjugate taken
 at the dual scan's exact maximiser; it is the reference for the duality gap
-that certifies an M-PGH fit.
+that certifies an M-PGH fit. The LIBSVM reader is the per-token loop that
+``hsvm.data.parse_libsvm`` replaced, kept as the reference its bulk
+conversion must match bit for bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from hsvm.errors import DomainError, HsvmError
+import numpy as np
+import scipy.sparse as sp
+
+from hsvm.data import Dataset
+from hsvm.errors import DomainError, HsvmError, ParseError, ShapeError
 from hsvm.prox import _zero_sum_prox_rows
 
 
@@ -261,3 +267,65 @@ def reference_binary_grad(b, w, data, delta):
         grad_b += d * yi / n
         grad_w += d * yi * xi / n
     return grad_b, grad_w
+
+
+def reference_parse_libsvm(source, n_features=None) -> Dataset:
+    """Parse LIBSVM text: ``label idx:val idx:val ...`` per line.
+
+    Indices must be 1-based and strictly ascending within a line. Labels
+    must be integral and values finite; a file whose labels are all 0 is
+    treated as unlabeled test data. ``n_features`` overrides the inferred
+    width (max index); a larger index raises ``ShapeError``.
+    """
+    lines = source.splitlines() if isinstance(source, str) else source
+
+    data, indices, indptr, labels = [], [], [], []
+    indptr.append(0)
+    max_index = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            lab = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"bad label token {tokens[0]!r}", line_no) from None
+        if not math.isfinite(lab):
+            raise ParseError(f"label {tokens[0]!r} is not finite", line_no)
+        if lab != int(lab):
+            raise ParseError(f"label {tokens[0]!r} is not an integer", line_no)
+        labels.append(int(lab))
+        prev = 0
+        for tok in tokens[1:]:
+            idx_s, sep, val_s = tok.partition(":")
+            if not sep:
+                raise ParseError(f"malformed feature token {tok!r}", line_no)
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ParseError(f"malformed feature token {tok!r}",
+                                 line_no) from None
+            if not math.isfinite(val):
+                raise ParseError(f"feature value {val_s!r} is not finite",
+                                 line_no)
+            if idx < 1:
+                raise ParseError(f"feature index {idx} < 1", line_no)
+            if idx <= prev:
+                raise ParseError(
+                    f"feature index {idx} not ascending", line_no)
+            prev = idx
+            indices.append(idx - 1)
+            data.append(val)
+        max_index = max(max_index, prev)
+        indptr.append(len(data))
+
+    p = max_index if n_features is None else int(n_features)
+    if p < max_index:
+        raise ShapeError(f"largest feature index {max_index} exceeds {p}")
+    X = sp.csr_array((np.asarray(data, dtype=float),
+                      np.asarray(indices, dtype=np.int64),
+                      np.asarray(indptr, dtype=np.int64)),
+                     shape=(len(labels), p))
+    return Dataset(X, np.asarray(labels, dtype=np.int64))

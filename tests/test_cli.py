@@ -173,6 +173,23 @@ class TestTrain:
         assert "Traceback" not in err and out == ""
         assert not model.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("+1 99999999999999999999:1\n",
+         "line 1: feature index 99999999999999999999 is out of range"),
+        ("1e300 1:1\n", "line 1: label '1e300' is out of range")])
+    def test_out_of_range_number_io_error(self, tmp_path, capsys, text,
+                                          message):
+        data, model = tmp_path / "d.libsvm", tmp_path / "m"
+        data.write_text(text)
+        code, out, err = run(capsys, "train", "--data", str(data),
+                             "--solver", "bpgh", "--lambda1", "0.1",
+                             "--lambda2", "1", "--lambda3", "1",
+                             "--model-out", str(model))
+        assert code == 3
+        assert message in err
+        assert "Traceback" not in err and out == ""
+        assert not model.exists()
+
     def test_mpgh_reports_its_gap(self, tmp_path, capsys):
         prefix = str(tmp_path / "four")
         assert run(capsys, "gen", "--kind", "four_class", "--n", "40",

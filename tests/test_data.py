@@ -1,9 +1,13 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_parse_libsvm
 
 from hsvm import (
     Dataset,
@@ -19,8 +23,8 @@ from hsvm import (
     standardize,
     write_libsvm,
 )
-from hsvm.data import _equicorr_block
-from hsvm.errors import ShapeError
+from hsvm.data import _equicorr_block, load_libsvm
+from hsvm.errors import HsvmError, ShapeError
 
 
 def dense(data):
@@ -193,6 +197,195 @@ class TestParseLibsvm:
         write_libsvm(d, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0].startswith("+1") and lines[1] == "-1"
+
+
+def assert_same_dataset(got, want):
+    """Equal bits: shape, dtypes, CSR arrays (the sign of zero included),
+    labels, kind and class count."""
+    assert got.X.shape == want.X.shape
+    for field in ("data", "indices", "indptr"):
+        a, b = getattr(got.X, field), getattr(want.X, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert (got.kind, got.n_classes) == (want.kind, want.n_classes)
+
+
+def outcome(parse, source, n_features):
+    """The parsed dataset or the package error raised; any warning, from
+    whichever module, fails the test."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return parse(source, n_features=n_features)
+    except HsvmError as exc:
+        return exc
+
+
+# Separators str.split() knows; str.splitlines() also breaks at \x0b, \x0c
+# and \x1c-\x1e, a file only at its line ends.
+SEPARATORS = [" "] * 8 + ["\t", "  ", " \t ", "\x0b", "\x0c", "\x1c", "\x1f"]
+LABEL_SETS = [(-1, 1), (1, 2, 3, 4, 40), (0,)]
+LINE_ENDS = ["\n", "\n", "\r\n", "\r"]
+LABEL_FORMATS = ["%d", "+%d", "%d.0", "%de0", "%d."]
+VALUE_FORMATS = ["%.17g", "%r", "%.6g", "%e", "%+.3E"]
+VALUES = st.one_of(
+    st.sampled_from(["-0.0", "0", "-0", "+.5", "5.", "1e-400", "4.9e-324",
+                     "1E5", "1.7976931348623157e308"]),
+    st.builds(lambda fmt, v: fmt % v, st.sampled_from(VALUE_FORMATS),
+              st.floats(allow_nan=False, allow_infinity=False)))
+BAD_LABELS = ["1.5", "nan", "inf", "-Infinity", "1e999", "yes", "+", "2:1"]
+BAD_PAIRS = ["3:nan", "3:inf", "3:-inf", "3:1e999", "4", "3:", ":1", "3::1",
+             "3:1:2", "0:1", "-2:1", "1.0:2", "1e1:2", "a:1", "3:x", "3:0x10"]
+
+
+@st.composite
+def libsvm_texts(draw, broken):
+    """LIBSVM text of 0-6 lines: rows, blank and whitespace-only lines.
+    When ``broken``, one token is replaced or one pair repeated."""
+    labels, lines = draw(st.sampled_from(LABEL_SETS)), []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append([draw(st.sampled_from(["", " ", "\t", " \t "]))])
+            continue
+        tokens = [draw(st.sampled_from(LABEL_FORMATS))
+                  % draw(st.sampled_from(labels))]
+        index = 0
+        for _ in range(draw(st.integers(0, 5))):
+            index += draw(st.integers(1, 60))
+            prefix = draw(st.sampled_from(["", "", "+", "0"]))
+            tokens.append(f"{prefix}{index}:{draw(VALUES)}")
+        lines.append(tokens)
+    rows = [t for t in lines if t[0].strip()]
+    if broken and rows:
+        tokens = draw(st.sampled_from(rows))
+        at = draw(st.integers(0, len(tokens)))
+        if at == len(tokens) and len(tokens) > 1:
+            tokens.append(tokens[-1])  # not ascending
+        elif at == 0:
+            tokens[0] = draw(st.sampled_from(BAD_LABELS))
+        else:
+            tokens.insert(at, draw(st.sampled_from(BAD_PAIRS)))
+    text = ""
+    for tokens in lines:
+        sep = draw(st.sampled_from(SEPARATORS))
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(
+            st.sampled_from(["", "", " ", "\t", "\x0c"]))
+        text += lead + sep.join(tokens) + trail + draw(
+            st.sampled_from(LINE_ENDS))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    return text
+
+
+def each_source(text, path):
+    """The text as a str, as a list of lines, and as the file ``path``
+    opened for reading."""
+    yield text
+    yield text.split("\n")
+    path.write_text(text, encoding="ascii", newline="")
+    with open(path, encoding="ascii") as fh:
+        yield fh
+
+
+class TestParseMatchesReference:
+    """The bulk parser against the per-token loop it replaced."""
+
+    @given(st.booleans().flatmap(libsvm_texts),
+           st.one_of(st.none(), st.integers(0, 400)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_bits_or_same_error(self, tmp_path_factory, text,
+                                     n_features):
+        tmp_dir = tmp_path_factory.getbasetemp()
+        for want_source, got_source in zip(
+                each_source(text, tmp_dir / "want.libsvm"),
+                each_source(text, tmp_dir / "got.libsvm")):
+            want = outcome(reference_parse_libsvm, want_source, n_features)
+            got = outcome(parse_libsvm, got_source, n_features)
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                assert_same_dataset(got, want)
+
+    @given(st.booleans().flatmap(libsvm_texts), st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_underscore_is_a_parse_error(self, tmp_path_factory, text, data):
+        """``_`` anywhere in a line is a ParseError naming that line, unless
+        an earlier line already fails. Between two digits it is a separator
+        that ``int()`` and ``float()`` would accept."""
+        text = text if text.strip("\r\n") else "40 1:1\n"
+        digits = [i for i in range(1, len(text))
+                  if text[i - 1].isdigit() and text[i].isdigit()]
+        anywhere = [i for i, c in enumerate(text) if c not in "\r\n"]
+        at = data.draw(st.sampled_from(
+            digits if digits and data.draw(st.booleans()) else anywhere))
+        text = text[:at] + "_" + text[at:]
+        path = tmp_path_factory.getbasetemp() / "underscore.libsvm"
+        for source in each_source(text, path):
+            lines = (text.splitlines() if isinstance(source, str) else
+                     source if isinstance(source, list) else
+                     path.read_text(encoding="ascii").split("\n"))
+            first = next(k for k, ln in enumerate(lines, 1) if "_" in ln)
+            with pytest.raises(ParseError) as got:
+                parse_libsvm(source)
+            earlier = outcome(reference_parse_libsvm, lines[:first - 1], None)
+            assert str(got.value) == (
+                str(earlier) if isinstance(earlier, ParseError)
+                else f"line {first}: '_' is not allowed")
+
+    @pytest.mark.parametrize("text", ["+1 1:\u0663\n", "+1\xa01:2\n",
+                                      "+1 1:1\n\u3000\n"])
+    def test_non_ascii_is_a_parse_error(self, text):
+        """int() and float() read Unicode digits and split() Unicode blanks;
+        LIBSVM text is ASCII, as ``load_libsvm`` already required."""
+        reference_parse_libsvm(text)
+        line = text.count("\n", 0, next(i for i, c in enumerate(text)
+                                         if not c.isascii())) + 1
+        with pytest.raises(ParseError,
+                           match=f"line {line}: non-ASCII character"):
+            parse_libsvm(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("+1 1:1\n+1 99999999999999999999:1\n",
+         "line 2: feature index 99999999999999999999 is out of range"),
+        ("+1 1:1\n+1 2:1 9223372036854775808:1\n",
+         "line 2: feature index 9223372036854775808 is out of range"),
+        ("+1 1:1\n1e300 1:1\n", "line 2: label '1e300' is out of range"),
+        ("-1e19 1:1\n", "line 1: label '-1e19' is out of range")])
+    def test_out_of_range_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_libsvm(text)
+
+    def test_largest_int64_index_parses(self):
+        d = parse_libsvm("+1 9223372036854775807:1\n")
+        assert d.n_features == 2 ** 63 - 1
+        assert d.X.indices.tolist() == [2 ** 63 - 2]
+
+    @pytest.mark.parametrize("blank", ["\x0c", "\x1c"])
+    def test_file_line_numbers_follow_its_own_lines(self, tmp_path, blank):
+        """str.splitlines() breaks at \\x0c and \\x1c, a file does not: in
+        a file they separate tokens, and a later line keeps its number."""
+        path = tmp_path / "d.libsvm"
+        path.write_text(f"+1 1:1{blank}2:1\n-1 3:1\n", encoding="ascii")
+        d = load_libsvm(path)
+        assert d.n == 2 and d.X.indptr.tolist() == [0, 2, 3]
+        path.write_text(f"+1 1:1{blank}2:1\n-1 0:1\n", encoding="ascii")
+        with pytest.raises(ParseError, match="^line 2: feature index 0 < 1$"):
+            load_libsvm(path)
+
+    @pytest.mark.parametrize("text, shape, kind", [
+        ("+1 3:0.5\n", (1, 3), "binary"),
+        ("2\n3 \n", (2, 0), "multiclass"),
+        ("", (0, 0), "binary"),
+        ("\n \n", (0, 0), "binary")])
+    def test_small_files_keep_their_dataset(self, tmp_path, text, shape,
+                                            kind):
+        path = tmp_path / "d.libsvm"
+        path.write_text(text, encoding="ascii")
+        got = load_libsvm(path)
+        assert (got.X.shape, got.kind) == (shape, kind)
+        with open(path, encoding="ascii") as fh:
+            assert_same_dataset(got, reference_parse_libsvm(fh))
 
 
 class TestBinaryGenerator:
