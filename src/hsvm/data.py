@@ -274,15 +274,18 @@ def generate(spec: SynthSpec) -> Dataset:
 _BLANKS = str.maketrans(dict.fromkeys("\t\x0b\x0c\r\x1c\x1d\x1e\x1f ", "\n"))
 _PAIR = np.dtype([("i", np.int64), ("v", np.float64)])
 _INT64_END = 2 ** 63
+# Labels are read as floats, exact only for integers of magnitude < 2^53.
+_LABEL_END = 2 ** 53
 
 
 def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
     """Parse LIBSVM text: ``label idx:val idx:val ...`` per line.
 
     Indices must be 1-based and strictly ascending within a line. Labels
-    must be integral and values finite; a file whose labels are all 0 is
-    treated as unlabeled test data. ``n_features`` overrides the inferred
-    width (max index); a larger index raises ``ShapeError``.
+    must be integral and below 2^53 in magnitude, and values finite; a
+    file whose labels are all 0 is treated as unlabeled test data.
+    ``n_features`` overrides the inferred width (max index); a larger index
+    raises ``ShapeError``.
 
     Each line is split once; one ``np.array`` call converts the labels and
     one ``np.loadtxt`` call every pair, and the rules are checked on the
@@ -308,7 +311,7 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
         starts = indptr[:-1]  # an empty row starts where the next one does
         prev[starts[starts < idx.size]] = 0
         ok = (np.all(idx > prev) and np.all(np.isfinite(values))
-              and np.all((labels >= -_INT64_END) & (labels < _INT64_END)
+              and np.all((np.abs(labels) < _LABEL_END)
                          & (np.trunc(labels) == labels)))
     if not ok:
         _raise_first_error(lines)
@@ -339,7 +342,7 @@ def _raise_first_error(lines) -> None:
             raise ParseError(f"label {tokens[0]!r} is not finite", line_no)
         if lab != int(lab):
             raise ParseError(f"label {tokens[0]!r} is not an integer", line_no)
-        if not -_INT64_END <= lab < _INT64_END:
+        if abs(lab) >= _LABEL_END:
             raise ParseError(f"label {tokens[0]!r} is out of range", line_no)
         prev = 0
         for tok in tokens[1:]:

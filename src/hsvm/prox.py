@@ -146,6 +146,24 @@ def multi_b_step(b_hat, grad_b, L_k, lambda3) -> np.ndarray:
     return (q - q.mean()) / (L_k + lambda3)
 
 
+def row_range(Z):
+    """(max, min) of each row of Z, reduced over axis 0 of a transposed
+    copy: several times faster than over the short axis of Z."""
+    ZT = Z.T.copy()
+    return ZT.max(axis=0), ZT.min(axis=0)
+
+
+def sign_pattern_sigma(Z, S, lam):
+    """The multiplier sigma = (sum_{s_i != 0} z_i - lam e's) / #{s_i != 0}
+    of each row z of Z under the sign pattern s, the same row of S (see the
+    module docstring). Returns (sigma, n_act, s_sum) with n_act and s_sum
+    the rows' #{s_i != 0} and e's; an empty pattern divides by 1, not 0."""
+    A = np.abs(S)
+    n_act, s_sum = A.sum(axis=1), S.sum(axis=1)
+    sigma = ((A * Z).sum(axis=1) - lam * s_sum) / np.maximum(n_act, 1.0)
+    return sigma, n_act, s_sum
+
+
 def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
     """Row-decomposed weight update: each row of W solves a zero-sum l1
     prox with threshold lambda1/(L_k + lambda2).
@@ -163,23 +181,15 @@ def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
     lam = lambda1 / (L_k + lambda2)
     if lam == 0.0:
         return Z - Z.mean(axis=1, keepdims=True)
-    # A flat row (max z - min z <= 2 lam) has w* = 0. The range is reduced
-    # over axis 0 of a transposed copy, which is several times faster than
-    # over the short axis of Z.
-    ZT = Z.T.copy()
-    flat = ZT.max(axis=0) - ZT.min(axis=0) <= 2.0 * lam * (1.0 - _FLAT_MARGIN)
-    live = np.flatnonzero(~flat)
+    # A flat row (max z - min z <= 2 lam) has w* = 0.
+    hi, lo = row_range(Z)
+    live = np.flatnonzero(~(hi - lo <= 2.0 * lam * (1.0 - _FLAT_MARGIN)))
     W = np.zeros_like(Z)
     S = np.sign(W_hat[live])
     if S.any():
-        # Each live row is solved from the sign pattern s of its row of
-        # W_hat (see the module docstring); n_act and s_sum are
-        # #{s_i != 0} and e's, and an empty guess divides by 1, not 0.
+        # Each live row is solved from the sign pattern of its row of W_hat.
         Z_live = Z[live]
-        A = np.abs(S)
-        n_act, s_sum = A.sum(axis=1), S.sum(axis=1)
-        sigma = (((A * Z_live).sum(axis=1) - lam * s_sum)
-                 / np.maximum(n_act, 1.0))
+        sigma, n_act, s_sum = sign_pattern_sigma(Z_live, S, lam)
         W_live = shrink(Z_live - sigma[:, None], lam)
         # A row whose guess is empty or has one sign, fails the sign test
         # or holds a NaN goes through the kernel.

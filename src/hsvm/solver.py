@@ -74,7 +74,8 @@ from .losses import (
     wrong_class_mask,
 )
 from .model import FEASIBILITY_TOL, BinaryModel, MultiModel
-from .prox import binary_prox_step, multi_b_step, multi_w_step
+from .prox import (binary_prox_step, multi_b_step, multi_w_step, row_range,
+                   sign_pattern_sigma)
 
 CONSEC_STOP = 3  # consecutive small-progress iterations that end a solve
 ETA = 1.5  # backtracking factor of the step constant
@@ -82,39 +83,31 @@ ETA = 1.5  # backtracking factor of the step constant
 
 @dataclass
 class SolverOptions:
-    """Run configuration shared by all solvers. The line search grows the
-    step constant by the module constant ``ETA``.
+    """Run configuration shared by all solvers. Every solver starts from
+    its objective's default step constant, grows it by the module constant
+    ``ETA`` and re-updates after an objective increase; only the settings
+    of ``ablation_run`` choose another step policy.
 
     ``tol`` is the stop rule's tolerance. An M-PGH fit with lambda2,
     lambda3 > 0 stops once its certified relative duality gap is <= tol.
     Binary fits, and M-PGH fits with lambda2 = 0 or lambda3 = 0, stop after
     ``CONSEC_STOP`` iterations whose relative objective decrease and
     relative step are both <= tol (``check_stop``).
-
-    ``L0 = None`` selects the defaults 2 L_f / n (binary) and L_m / (n J)
-    (multi). Any ``L0`` is clamped to the global constant, and the line
-    search accepts at that cap, so ``L0`` at the global constant is a fixed
-    step: the fixed-step ablation runs that way.
     """
 
-    L0: Optional[float] = None
     tol: float = 1e-6
     max_iter: int = 5000
-    monotone: bool = True
     record_iterates: bool = False
 
     def __post_init__(self):
-        # Every comparison with NaN is false, so the range checks below
+        # Every comparison with NaN is false, so the range check below
         # would let a NaN through.
-        reals = (self.tol, 1.0 if self.L0 is None else self.L0)
-        if not all(math.isfinite(v) for v in reals):
-            raise DomainError("tol and L0 must be finite")
+        if not math.isfinite(self.tol):
+            raise DomainError("tol must be finite")
         if self.tol <= 0:
             raise DomainError("tol must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be positive")
-        if self.L0 is not None and self.L0 <= 0:
-            raise DomainError("L0 must be positive")
 
 
 @dataclass
@@ -226,15 +219,17 @@ def _step(prob, u_base, m_base, f_base, L_start):
                                         prob.L_global, ETA)
 
 
-def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
-    """Shared iteration loop; see the module docstring for the scheme."""
+def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
+    """Shared iteration loop from the step constant ``prob.L0``; see the
+    module docstring for the scheme. ``monotone=False`` drops the
+    re-update, for the ablation."""
     u = np.zeros(prob.dim)
     m = prob.margins(u)
     f = F = None  # formed by the first step, whose base is u itself
     D_best = -math.inf  # best dual bound over every base so far
     u_prev, m_prev = u, m
     t = 1.0
-    L = min(opts.L0 if opts.L0 is not None else prob.L0, prob.L_global)
+    L = prob.L0
     trace = SolverTrace()
     iterates = [] if opts.record_iterates else None
     grad_products = 0
@@ -267,7 +262,7 @@ def _run_pg_loop(prob, opts: SolverOptions) -> FitResult:
             f, F = f_hat, f_hat + prob.penalty(u)
         F_cand = f_cand + prob.penalty(cand)
 
-        restarted = opts.monotone and F_cand > F
+        restarted = monotone and F_cand > F
         if restarted:
             # Extrapolated step increased F: re-update from the previous
             # iterate (omega = 0) and reset the momentum scalar.
@@ -531,18 +526,11 @@ class MultiObjective:
         the optimum's. A row of W without a nonzero takes the midpoint.
         """
         lam1, J = self.hp.lambda1, self.J
-        # Row ranges reduce over axis 0 of a transposed copy, several times
-        # faster than over the short axis of gW (as in ``multi_w_step``).
-        GT = gW.T.copy()
-        hi, lo = GT.max(axis=0), GT.min(axis=0)
+        hi, lo = row_range(gW)
         live = np.flatnonzero(hi - lo > 2.0 * lam1)
         V = -gW[live]
-        S = np.sign(u[J:].reshape(-1, J)[live])
-        A = np.abs(S)
-        ones = np.ones(J)  # row sums as products with ones
-        n_act = A @ ones
-        sigma = (((A * V) @ ones - lam1 * (S @ ones))
-                 / np.maximum(n_act, 1.0))
+        sigma, n_act, _ = sign_pattern_sigma(
+            V, np.sign(u[J:].reshape(-1, J)[live]), lam1)
         empty = n_act == 0
         sigma[empty] = -0.5 * (hi + lo)[live[empty]]
         R = np.abs(V - sigma[:, None])
@@ -669,14 +657,14 @@ ABLATION_SETTINGS = tuple(_ABLATION)
 
 def ablation_run(data: Dataset, hp: Hyperparams, setting: str,
                  opts: Optional[SolverOptions] = None) -> FitResult:
-    """Run fit_binary under one of the step-rule/monotonicity settings
-    compared in the solver ablation; all share the stopping rule. A fixed
-    step starts at the global constant, where the line search accepts at
-    once."""
+    """Run B-PGH under one of the step-rule/monotonicity settings compared
+    in the solver ablation, the only place where the step policy is
+    chosen; all share the stopping rule. A fixed step starts at the global
+    constant, where the line search accepts at once."""
     if setting not in _ABLATION:
         raise DomainError(f"unknown ablation setting {setting!r}")
     fixed, monotone = _ABLATION[setting]
-    run = replace(opts or SolverOptions(), monotone=monotone)
+    prob = BinaryObjective(data, hp)
     if fixed:
-        run = replace(run, L0=lipschitz_binary(data, hp.delta))
-    return fit_binary(data, hp, run)
+        prob.L0 = prob.L_global
+    return _run_pg_loop(prob, opts or SolverOptions(), monotone)

@@ -176,7 +176,9 @@ class TestTrain:
     @pytest.mark.parametrize("text, message", [
         ("+1 99999999999999999999:1\n",
          "line 1: feature index 99999999999999999999 is out of range"),
-        ("1e300 1:1\n", "line 1: label '1e300' is out of range")])
+        ("1e300 1:1\n", "line 1: label '1e300' is out of range"),
+        ("9007199254740993 1:1\n",
+         "line 1: label '9007199254740993' is out of range")])
     def test_out_of_range_number_io_error(self, tmp_path, capsys, text,
                                           message):
         data, model = tmp_path / "d.libsvm", tmp_path / "m"

@@ -351,10 +351,21 @@ class TestParseMatchesReference:
         ("+1 1:1\n+1 2:1 9223372036854775808:1\n",
          "line 2: feature index 9223372036854775808 is out of range"),
         ("+1 1:1\n1e300 1:1\n", "line 2: label '1e300' is out of range"),
-        ("-1e19 1:1\n", "line 1: label '-1e19' is out of range")])
+        ("-1e19 1:1\n", "line 1: label '-1e19' is out of range"),
+        # A float rounds these to 2^53 and -2^63.
+        ("+1 1:1\n9007199254740993 1:1\n",
+         "line 2: label '9007199254740993' is out of range"),
+        ("-9223372036854775809 1:1\n",
+         "line 1: label '-9223372036854775809' is out of range")])
     def test_out_of_range_is_a_parse_error(self, text, message):
         with pytest.raises(ParseError, match=f"^{message}$"):
             parse_libsvm(text)
+
+    def test_largest_exact_label_parses(self):
+        d = parse_libsvm("9007199254740991 1:1\n")
+        assert d.labels.tolist() == [2 ** 53 - 1]
+        with pytest.raises(ParseError, match="out of range"):
+            parse_libsvm("-9007199254740992 1:1\n")
 
     def test_largest_int64_index_parses(self):
         d = parse_libsvm("+1 9223372036854775807:1\n")

@@ -21,7 +21,9 @@ from hsvm import (
 )
 from hsvm.errors import ConstraintError
 from hsvm.losses import (
+    binary_penalty,
     multi_grad_from_margins,
+    multi_penalty,
     multi_smooth_from_margins,
     wrong_class_mask,
 )
@@ -108,6 +110,40 @@ class TestHuberGrad:
     def test_derivative_lipschitz(self, t, s, delta):
         assert abs(huber_grad(t, delta) - huber_grad(s, delta)) \
             <= abs(t - s) / delta + 1e-12
+
+
+class TestBinaryIsTheOneColumnCase:
+    """The binary formulas are the one-column case of the multi-class ones,
+    bit for bit: phi at a margin t is the loss term of the wrong-class score
+    -t, phi' is minus that term's coefficient, and the binary penalty is the
+    multi-class penalty of one column."""
+
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 0.7, 1.0, 2.0])
+    def test_loss_and_grad(self, delta):
+        # A third of the margins each in the flat, quadratic and linear
+        # pieces, plus the two kinks.
+        t = np.concatenate([
+            1.0 - delta * np.random.default_rng(3).uniform(-1, 2, 998),
+            [1.0, 1.0 - delta]])
+        wrong, X = wrong_class_mask(np.array([1]), 2), np.zeros((1, 1))
+        value, coef = [], []
+        for score in -t:
+            scores = np.array([[0.0, score]])
+            value.append(multi_smooth_from_margins(scores, wrong, delta))
+            coef.append(multi_grad_from_margins(scores, X, wrong, delta)[1][1])
+        np.testing.assert_array_equal(huber_loss(t, delta), value)
+        np.testing.assert_array_equal(huber_grad(t, delta), -np.array(coef))
+        assert huber_loss(t[0], delta) == value[0]
+        assert huber_grad(t[0], delta) == -coef[0]
+
+    def test_penalty(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            hp = Hyperparams(*rng.uniform(0, 2, 3))
+            w = rng.normal(size=rng.integers(1, 60)) * (rng.random() < 0.9)
+            b = rng.normal()
+            assert binary_penalty(b, w, hp) == multi_penalty([b], w[:, None],
+                                                             hp)
 
 
 class TestBinaryObjective:

@@ -41,7 +41,7 @@ def binary_data(seed=0, n=60, p=20, s=5, rho=0.0):
 
 
 class TestSolverOptions:
-    @pytest.mark.parametrize("field", ["tol", "L0"])
+    @pytest.mark.parametrize("field", ["tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(DomainError, match="finite"):
@@ -232,8 +232,8 @@ class TestFitBinary:
 
     def test_nonmonotone_can_oscillate(self):
         data = binary_data(seed=2, n=200, p=40, s=8)
-        opts = SolverOptions(monotone=False)
-        res = fit_binary(data, Hyperparams(0.05, 0.1, 0.1, 1.0), opts)
+        res = ablation_run(data, Hyperparams(0.05, 0.1, 0.1, 1.0),
+                           "backtrack_no_monotone")
         assert not res.trace.column("restarted").any()
 
     def test_rejects_multiclass(self):
