@@ -1,11 +1,11 @@
 """Command-line surface: generate, train, predict, cross-validate,
 benchmark, and statistical reporting.
 
-Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 solver hit the iteration cap, 3 I/O failure. Every subcommand taking a
---seed is bit-deterministic. Wall-clock columns in bench reports are the
-one exception: hardware-bound timings are reported for trend inspection
-only.
+Exit codes are a stable scripting contract: 0 success, 1 usage error or
+out of memory, 2 solver hit the iteration cap, 3 I/O failure. Every
+subcommand taking a --seed is bit-deterministic. Wall-clock columns in
+bench reports are the one exception: hardware-bound timings are reported
+for trend inspection only.
 """
 
 from __future__ import annotations
@@ -345,6 +345,11 @@ def main(argv=None) -> int:
         return 3
     except HsvmError as exc:
         print(f"hsvm: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # NumPy names the allocation; Python's own failures carry no text.
+        print(f"hsvm: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
 
 

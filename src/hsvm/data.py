@@ -10,17 +10,29 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, LabelError, ParseError, ShapeError
 
 BINARY = "binary"
 MULTICLASS = "multiclass"
 UNLABELED = "unlabeled"
+
+# Rows per chunk of the dense norm pass are chosen so that one chunk's
+# squares take about this many bytes.
+_CHUNK_BYTES = 2 ** 20
+
+
+def issparse(X) -> bool:
+    """Whether ``X`` is a SciPy sparse array or matrix. No object can be
+    one before ``scipy.sparse`` is imported, so asking never imports it:
+    dense sessions leave it unloaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(X)
 
 
 class Dataset:
@@ -34,8 +46,9 @@ class Dataset:
 
     def __init__(self, X, labels, kind=None, n_classes=None,
                  true_support=None):
-        if sp.issparse(X):
-            X = sp.csr_array(X)
+        if issparse(X):
+            from scipy.sparse import csr_array
+            X = csr_array(X)
         else:
             X = np.asarray(X, dtype=float)
             if X.ndim != 2:
@@ -119,32 +132,44 @@ class Dataset:
 
     def row_sqnorms(self):
         """Squared euclidean norm of every sample row (computed once)."""
-        self._sqnorms()
+        if self._row_sqnorms is None:
+            self._sqnorms()
         return self._row_sqnorms
 
     def col_sqnorms(self):
-        """Squared euclidean norm of every feature column (computed once,
-        in the same pass as the row norms)."""
-        self._sqnorms()
+        """Squared euclidean norm of every feature column (computed once;
+        for a dense X in the same pass as the row norms)."""
+        if self._col_sqnorms is None:
+            self._sqnorms(columns=True)
         return self._col_sqnorms
 
-    def _sqnorms(self):
-        """Fill both norm caches. A dense X is squared 64 rows at a time,
-        so the pass needs no temporary the size of X."""
-        if self._row_sqnorms is not None:
-            return
+    def _sqnorms(self, columns=False):
+        """Fill the norm caches.
+
+        A dense X is squared in chunks of about ``_CHUNK_BYTES``, so the
+        pass needs no temporary the size of X, and fills both caches. The
+        row norms have the bits of ``(X ** 2).sum(axis=1)``: a chunk holds
+        at least two rows unless X has one, because NumPy sums a lone row
+        of an F-order X pairwise where it sums the full matrix column by
+        column. A sparse X fills the column norms only when ``columns`` is
+        set: they take a dense vector as wide as X, which no sparse solve
+        reads."""
         X = self._X
-        if sp.issparse(X):
+        if issparse(X):
             sq = X.multiply(X)
-            rows, cols = sq.sum(axis=1), sq.sum(axis=0)
-        else:
-            rows, cols = np.empty(X.shape[0]), np.zeros(X.shape[1])
-            for lo in range(0, X.shape[0], 64):
-                sq = np.square(X[lo:lo + 64])
-                sq.sum(axis=1, out=rows[lo:lo + 64])
-                cols += sq.sum(axis=0)
-        self._row_sqnorms = np.asarray(rows).ravel()
-        self._col_sqnorms = np.asarray(cols).ravel()
+            self._row_sqnorms = np.asarray(sq.sum(axis=1)).ravel()
+            if columns:
+                self._col_sqnorms = np.asarray(sq.sum(axis=0)).ravel()
+            return
+        n, p = X.shape
+        step = max(2, _CHUNK_BYTES // (8 * max(p, 1)))
+        edges = [0, *range(step, n - 1, step), n]
+        rows, cols = np.empty(n), np.zeros(p)
+        for lo, hi in zip(edges, edges[1:]):
+            sq = np.square(X[lo:hi])
+            sq.sum(axis=1, out=rows[lo:hi])
+            cols += sq.sum(axis=0)
+        self._row_sqnorms, self._col_sqnorms = rows, cols
 
     def subset(self, indices) -> "Dataset":
         """New dataset containing the given sample rows."""
@@ -156,8 +181,9 @@ class Dataset:
     def restrict_features(self, columns) -> "Dataset":
         """New dataset keeping only the given feature columns (in order)."""
         cols = np.asarray(columns, dtype=np.int64)
-        if sp.issparse(self._X):
-            Xr = sp.csr_array(sp.csc_array(self._X)[:, cols])
+        if issparse(self._X):
+            from scipy.sparse import csc_array, csr_array
+            Xr = csr_array(csc_array(self._X)[:, cols])
         else:
             Xr = self._X[:, cols]
         return Dataset(Xr, self._labels, kind=self._kind,
@@ -319,7 +345,8 @@ def parse_libsvm(source: Iterable[str] | IO[str], n_features=None) -> Dataset:
     p = max_index if n_features is None else int(n_features)
     if p < max_index:
         raise ShapeError(f"largest feature index {max_index} exceeds {p}")
-    X = sp.csr_array((values, idx - 1, indptr), shape=(len(rows), p))
+    from scipy.sparse import csr_array
+    X = csr_array((values, idx - 1, indptr), shape=(len(rows), p))
     return Dataset(X, labels.astype(np.int64))
 
 
@@ -382,19 +409,25 @@ def load_libsvm(path, n_features=None) -> Dataset:
 
 def write_libsvm(data: Dataset, stream: IO[str]) -> None:
     """Emit LIBSVM text; values use 17 significant digits so that a
-    parse/write round trip is lossless."""
-    X = sp.csr_array(data.X)
+    parse/write round trip is lossless. A dense X is written row by row,
+    with no sparse copy."""
+    X = data.X
+    sparse = issparse(X)
     for i in range(data.n):
         lab = int(data.labels[i])
         if data.kind == BINARY:
             head = "+1" if lab > 0 else "-1"
         else:
             head = str(lab)
-        lo, hi = X.indptr[i], X.indptr[i + 1]
-        cols = X.indices[lo:hi]
-        vals = X.data[lo:hi]
-        order = np.argsort(cols, kind="stable")
-        cols, vals = cols[order], vals[order]
+        if sparse:
+            lo, hi = X.indptr[i], X.indptr[i + 1]
+            cols = X.indices[lo:hi]
+            vals = X.data[lo:hi]
+            order = np.argsort(cols, kind="stable")
+            cols, vals = cols[order], vals[order]
+        else:
+            cols = np.flatnonzero(X[i])
+            vals = X[i, cols]
         feats = " ".join(f"{c + 1}:{v:.17g}" for c, v in zip(cols, vals)
                          if v != 0.0)
         stream.write(head + (" " + feats if feats else "") + "\n")
@@ -441,7 +474,7 @@ def standardize(train: Dataset, test: Dataset | None = None):
     if test is not None and test.n_features != train.n_features:
         raise ShapeError(f"test set has {test.n_features} features, "
                          f"training set has {train.n_features}")
-    Xt = np.asarray(train.X.todense() if sp.issparse(train.X) else train.X,
+    Xt = np.asarray(train.X.todense() if issparse(train.X) else train.X,
                     dtype=float)
     mean = Xt.mean(axis=0)
     std = Xt.std(axis=0, ddof=1) if train.n > 1 else np.zeros(train.n_features)
@@ -449,7 +482,7 @@ def standardize(train: Dataset, test: Dataset | None = None):
     scale = np.where(constant, 1.0, std)
 
     def transform(ds: Dataset) -> Dataset:
-        X = np.asarray(ds.X.todense() if sp.issparse(ds.X) else ds.X,
+        X = np.asarray(ds.X.todense() if issparse(ds.X) else ds.X,
                        dtype=float)
         Z = (X - mean) / scale
         Z[:, constant] = 0.0
@@ -470,7 +503,7 @@ def gene_rank(data: Dataset, eps: float = 0.0) -> np.ndarray:
     """
     if data.kind != MULTICLASS:
         raise LabelError("gene ranking requires multi-class labels")
-    X = np.asarray(data.X.todense() if sp.issparse(data.X) else data.X,
+    X = np.asarray(data.X.todense() if issparse(data.X) else data.X,
                    dtype=float)
     y = data.labels
     overall = X.mean(axis=0)

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .data import Dataset
+from .data import Dataset, issparse
 from .errors import (ConstraintError, DomainError, FormatError, LabelError,
                      ShapeError)
 from .losses import Hyperparams
@@ -76,7 +75,7 @@ def _columns(model):
 def _predict(model, X, decide):
     """``decide(rows)`` for a matrix of rows, or its one label for a single
     row, after checking the feature count."""
-    single = not sp.issparse(X) and np.asarray(X).ndim == 1
+    single = not issparse(X) and np.asarray(X).ndim == 1
     X2 = np.atleast_2d(X) if single else X
     if X2.shape[-1] != model.n_features:
         raise ShapeError(

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -190,6 +192,34 @@ class TestTrain:
         assert code == 3
         assert message in err
         assert "Traceback" not in err and out == ""
+        assert not model.exists()
+
+    @pytest.mark.parametrize("text, solver, size", [
+        pytest.param("+1 4000000000:1\n-1 1:1\n", "bpgh", "29.8 GiB",
+                     id="wide"),
+        pytest.param("1 1:1\n2 1:2\n100000000 1:3\n", "mpgh", "2.24 GiB",
+                     id="many_classes")])
+    def test_out_of_memory_one_line(self, tmp_path, text, solver, size):
+        # The child limits its own address space to 1.5 GB before it loads
+        # hsvm, so the allocation fails at once on any host. One BLAS
+        # thread keeps its start-up well inside the limit.
+        data, model = tmp_path / "d.libsvm", tmp_path / "m"
+        data.write_text(text)
+        argv = ["train", "--data", str(data), "--solver", solver,
+                "--lambda1", "0.1", "--lambda2", "1", "--lambda3", "1",
+                "--model-out", str(model)]
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20,) * 2); "
+                f"from hsvm.cli import main; sys.exit(main({argv!r}))")
+        src = os.path.dirname(os.path.dirname(hsvm.solver.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("hsvm: out of memory: ")
+        assert size in proc.stderr and proc.stderr.count("\n") == 1
         assert not model.exists()
 
     def test_mpgh_reports_its_gap(self, tmp_path, capsys):

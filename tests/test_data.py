@@ -18,6 +18,7 @@ from hsvm import (
     gen_binary_gaussian,
     gen_fourclass,
     gene_rank,
+    lipschitz_binary,
     parse_libsvm,
     select_top_features,
     standardize,
@@ -62,7 +63,7 @@ class TestDataset:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_row_and_col_sqnorms_match_full_square(self, order):
-        # 130 rows: two full 64-row chunks and a partial one
+        # 130 rows of 7 fit in one chunk; see the next test for several
         X = np.asarray(np.random.default_rng(0).normal(size=(130, 7)),
                        order=order)
         d = Dataset(X, np.ones(130, dtype=int))
@@ -74,6 +75,37 @@ class TestDataset:
                                    rtol=1e-14)
         np.testing.assert_allclose(ds.col_sqnorms(), d.col_sqnorms(),
                                    rtol=1e-14)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, p", [(65, 16384), (9, 70000)])
+    def test_wide_rows_span_many_chunks(self, order, n, p):
+        # Chunks of 8 rows at p = 16384, and of 2 at p = 70000 (the
+        # minimum), so neither leaves a lone last row.
+        X = np.asarray(np.random.default_rng(2).normal(size=(n, p)),
+                       order=order)
+        d = Dataset(X, np.ones(n, dtype=int))
+        np.testing.assert_array_equal(d.row_sqnorms(), (X ** 2).sum(axis=1))
+        np.testing.assert_allclose(d.col_sqnorms(), (X ** 2).sum(axis=0),
+                                   rtol=1e-14)
+
+    def test_csr_row_norms_need_no_dense_width(self):
+        # Three nonzeros in 2^40 columns: a dense column-norm vector would
+        # take 8 TiB, and only col_sqnorms() may build it.
+        X = sp.csr_array((np.array([3.0, 4.0, -2.0]),
+                          np.array([0, 2 ** 40 - 1, 7]),
+                          np.array([0, 2, 3])), shape=(2, 2 ** 40))
+        d = Dataset(X, [1, -1])
+        tracemalloc.start()
+        try:
+            rows = d.row_sqnorms()
+            L = lipschitz_binary(d, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(rows, [25.0, 4.0])
+        same_rows = Dataset(np.array([[3.0, 4.0], [-2.0, 0.0]]), [1, -1])
+        assert L == lipschitz_binary(same_rows, 1.0)
+        assert peak < 1 << 20
 
     def test_sqnorms_need_no_copy_of_x(self):
         X = np.random.default_rng(1).normal(size=(2000, 2000))
@@ -93,6 +125,10 @@ class TestParseLibsvm:
         assert d.n == 1 and d.n_features == 3 and d.labels[0] == 1
         np.testing.assert_allclose(dense(d), [[0.5, 0.0, -2.0]])
         assert d.X.nnz == 2
+
+    def test_parsed_matrix_is_csr(self):
+        assert isinstance(parse_libsvm("+1 1:0.5\n-1\n").X, sp.csr_array)
+        assert isinstance(parse_libsvm("").X, sp.csr_array)
 
     def test_label_only_line(self):
         d = parse_libsvm("2\n")
@@ -190,6 +226,19 @@ class TestParseLibsvm:
         assert outs[0] == outs[1] == (
             "+1 3:1.5\n-1 1:-2 4:1e-300\n+1\n"
             "-1 1:0.10000000000000001 2:0.20000000000000001 4:3\n")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_and_its_csr_copy_write_identically(self, order):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(30, 12)) * (rng.random((30, 12)) < 0.4)
+        X = np.asarray(X, order=order)
+        labels = rng.integers(1, 5, 30)
+        outs = []
+        for matrix in (X, sp.csr_array(X)):
+            buf = io.StringIO()
+            write_libsvm(Dataset(matrix, labels), buf)
+            outs.append(buf.getvalue())
+        assert outs[0] == outs[1]
 
     def test_write_binary_labels_signed(self):
         d = Dataset(np.array([[1.0], [0.0]]), [1, -1])
