@@ -22,10 +22,6 @@ BINARY = "binary"
 MULTICLASS = "multiclass"
 UNLABELED = "unlabeled"
 
-# Rows per chunk of the dense norm pass are chosen so that one chunk's
-# squares take about this many bytes.
-_CHUNK_BYTES = 2 ** 20
-
 
 def issparse(X) -> bool:
     """Whether ``X`` is a SciPy sparse array or matrix. No object can be
@@ -131,14 +127,13 @@ class Dataset:
         return self._true_support
 
     def row_sqnorms(self):
-        """Squared euclidean norm of every sample row (computed once)."""
+        """Squared euclidean norm of each sample row, see ``_sqnorms``."""
         if self._row_sqnorms is None:
             self._sqnorms()
         return self._row_sqnorms
 
     def col_sqnorms(self):
-        """Squared euclidean norm of every feature column (computed once;
-        for a dense X in the same pass as the row norms)."""
+        """Squared euclidean norm of each feature column, see ``_sqnorms``."""
         if self._col_sqnorms is None:
             self._sqnorms(columns=True)
         return self._col_sqnorms
@@ -146,14 +141,12 @@ class Dataset:
     def _sqnorms(self, columns=False):
         """Fill the norm caches.
 
-        A dense X is squared in chunks of about ``_CHUNK_BYTES``, so the
-        pass needs no temporary the size of X, and fills both caches. The
-        row norms have the bits of ``(X ** 2).sum(axis=1)``: a chunk holds
-        at least two rows unless X has one, because NumPy sums a lone row
-        of an F-order X pairwise where it sums the full matrix column by
-        column. A sparse X fills the column norms only when ``columns`` is
-        set: they take a dense vector as wide as X, which no sparse solve
-        reads."""
+        A dense X fills both with one streaming ``np.einsum`` each: no
+        temporary the size of X, and as fast on F- as on C-order data. A
+        norm summing k squares (k = p for a row, n for a column) is within
+        gamma_k = k eps / (1 - k eps) relative, in any summation order. A
+        sparse X fills the column norms only when ``columns`` is set: they
+        take a dense vector as wide as X, which no sparse solve reads."""
         X = self._X
         if issparse(X):
             sq = X.multiply(X)
@@ -161,15 +154,8 @@ class Dataset:
             if columns:
                 self._col_sqnorms = np.asarray(sq.sum(axis=0)).ravel()
             return
-        n, p = X.shape
-        step = max(2, _CHUNK_BYTES // (8 * max(p, 1)))
-        edges = [0, *range(step, n - 1, step), n]
-        rows, cols = np.empty(n), np.zeros(p)
-        for lo, hi in zip(edges, edges[1:]):
-            sq = np.square(X[lo:hi])
-            sq.sum(axis=1, out=rows[lo:hi])
-            cols += sq.sum(axis=0)
-        self._row_sqnorms, self._col_sqnorms = rows, cols
+        self._row_sqnorms = np.einsum("ij,ij->i", X, X)
+        self._col_sqnorms = np.einsum("ij,ij->j", X, X)
 
     def subset(self, indices) -> "Dataset":
         """New dataset containing the given sample rows."""

@@ -16,6 +16,15 @@ from .losses import Hyperparams
 FEASIBILITY_TOL = 1e-8
 
 
+def weight_zeros(shape) -> np.ndarray:
+    """``np.zeros(shape)``; a shape NumPy cannot size at all (a width near
+    2^63 read from a file) raises ``MemoryError``, not ``ValueError``."""
+    try:
+        return np.zeros(shape)
+    except ValueError as exc:
+        raise MemoryError(f"weights of shape {shape}: {exc}") from None
+
+
 @dataclass
 class BinaryModel:
     """Separating hyperplane sign(w.x + b)."""
@@ -196,7 +205,7 @@ def load_model(stream: IO[str]):
     k = 1 if binary else j
     if len(b_vals) != k:
         raise FormatError(f"expected {k} intercept value(s), got {len(b_vals)}")
-    cols = np.zeros((p, k))
+    cols = weight_zeros((p, k))
     seen = set()
     for ln in lines[3:]:
         if not ln.strip():

@@ -73,7 +73,7 @@ from .losses import (
     multi_smooth_from_margins,
     wrong_class_mask,
 )
-from .model import FEASIBILITY_TOL, BinaryModel, MultiModel
+from .model import FEASIBILITY_TOL, BinaryModel, MultiModel, weight_zeros
 from .prox import (binary_prox_step, multi_b_step, multi_w_step, row_range,
                    sign_pattern_sigma)
 
@@ -93,6 +93,9 @@ class SolverOptions:
     Binary fits, and M-PGH fits with lambda2 = 0 or lambda3 = 0, stop after
     ``CONSEC_STOP`` iterations whose relative objective decrease and
     relative step are both <= tol (``check_stop``).
+
+    ``max_iter`` caps one solve: each B-PGH-2 round gets that cap, and
+    B-PGH-2's ``FitResult.iterations`` sums its rounds.
     """
 
     tol: float = 1e-6
@@ -223,7 +226,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
     """Shared iteration loop from the step constant ``prob.L0``; see the
     module docstring for the scheme. ``monotone=False`` drops the
     re-update, for the ablation."""
-    u = np.zeros(prob.dim)
+    u = weight_zeros(prob.dim)
     m = prob.margins(u)
     f = F = None  # formed by the first step, whose base is u itself
     D_best = -math.inf  # best dual bound over every base so far
@@ -409,8 +412,9 @@ class BinaryObjective:
         below lambda1. rho0 is then shrunk by 4 (n + 2) eps (rho0 + ||coef||).
         That covers the rounding of both gradients as a floating-point
         product would compute them (Higham's dot-product bound,
-        gamma_n ||X_j|| ||c|| each, with ||c|| below ||coef|| + rho0), and
-        the rounding of the norms and of rho0, so a full product would give
+        gamma_n ||X_j|| ||c|| each, with ||c|| below ||coef|| + rho0), of
+        the column norms (sums of n squares, within gamma_n relative, see
+        ``Dataset._sqnorms``) and of rho0, so a full product would give
         |g_j| <= lambda1 and a zero prox output.
         """
         lam = self.hp.lambda1
@@ -611,7 +615,7 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     """
     opts = opts or SolverOptions()
     prob = BinaryObjective(data, hp)
-    grad = prob.grad(prob.margins(np.zeros(prob.dim)))
+    grad = prob.grad(prob.margins(weight_zeros(prob.dim)))
     support = np.flatnonzero(np.abs(grad[1:]) > hp.lambda1)
     trace, iterations, grad_products = SolverTrace(), 0, 1
     for stage in range(1, data.n_features + 2):  # each adds a feature

@@ -222,6 +222,41 @@ class TestTrain:
         assert size in proc.stderr and proc.stderr.count("\n") == 1
         assert not model.exists()
 
+    @pytest.mark.parametrize("index", [2 ** 60, 2 ** 63 - 1])
+    @pytest.mark.parametrize("command, solver", [
+        ("train", "bpgh"), ("train", "bpgh2"), ("train", "mpgh"),
+        ("cv", "bpgh"), ("cv", "mpgh")])
+    def test_width_numpy_cannot_size_one_line(self, tmp_path, capsys,
+                                              command, solver, index):
+        # NumPy refuses a weight vector this long before it asks for any
+        # memory, so this needs no address-space limit.
+        labels = ("1", "2") if solver == "mpgh" else ("+1", "-1")
+        data, out = tmp_path / "d.libsvm", tmp_path / "out"
+        data.write_text(f"{labels[0]} {index}:1\n{labels[1]} 1:1\n")
+        flags = (["--lambda1", "0.1", "--lambda2", "1", "--lambda3", "1",
+                  "--model-out", str(out)] if command == "train" else
+                 ["--lambda1-grid", "0.1", "--lambda2-grid", "1",
+                  "--folds", "2", "--table-out", str(out)])
+        code, stdout, err = run(capsys, command, "--data", str(data),
+                                "--solver", solver, *flags)
+        assert code == 1 and stdout == ""
+        assert err.startswith("hsvm: out of memory: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_model_width_numpy_cannot_size_one_line(self, tmp_path, capsys):
+        model, data, out = (tmp_path / "m", tmp_path / "d.libsvm",
+                            tmp_path / "pred")
+        model.write_text("HSVM binary p=4611686018427387904 J=2\n"
+                         "lambda1=0.1 lambda2=1 lambda3=1 delta=1\nb 0\n")
+        data.write_text("+1 1:1\n")
+        code, stdout, err = run(capsys, "predict", "--model", str(model),
+                                "--data", str(data), "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err.startswith("hsvm: out of memory: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_mpgh_reports_its_gap(self, tmp_path, capsys):
         prefix = str(tmp_path / "four")
         assert run(capsys, "gen", "--kind", "four_class", "--n", "40",

@@ -1,4 +1,5 @@
 import io
+import math
 import tracemalloc
 import warnings
 
@@ -33,6 +34,18 @@ def dense(data):
     return np.asarray(X.todense() if sp.issparse(X) else X)
 
 
+def assert_near_exact_sqnorms(d, X):
+    """Row and column norms of a dense ``d`` within gamma_k = k eps /
+    (1 - k eps) relative of the exactly rounded sums (``math.fsum``) of
+    their k rounded squares, whatever order the sums take."""
+    sq, eps = np.square(X), np.finfo(float).eps
+    for got, lines, k in [(d.row_sqnorms(), sq, X.shape[1]),
+                          (d.col_sqnorms(), sq.T, X.shape[0])]:
+        exact = np.array([math.fsum(line) for line in lines.tolist()])
+        assert got.shape == exact.shape
+        assert np.all(np.abs(got - exact) <= k * eps / (1 - k * eps) * exact)
+
+
 class TestDataset:
     def test_kind_inference(self):
         assert Dataset(np.zeros((2, 1)), [1, -1]).kind == "binary"
@@ -63,13 +76,10 @@ class TestDataset:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_row_and_col_sqnorms_match_full_square(self, order):
-        # 130 rows of 7 fit in one chunk; see the next test for several
         X = np.asarray(np.random.default_rng(0).normal(size=(130, 7)),
                        order=order)
         d = Dataset(X, np.ones(130, dtype=int))
-        np.testing.assert_array_equal(d.row_sqnorms(), (X ** 2).sum(axis=1))
-        np.testing.assert_allclose(d.col_sqnorms(), (X ** 2).sum(axis=0),
-                                   rtol=1e-14)
+        assert_near_exact_sqnorms(d, X)
         ds = Dataset(sp.csr_array(X), np.ones(130, dtype=int))
         np.testing.assert_allclose(ds.row_sqnorms(), d.row_sqnorms(),
                                    rtol=1e-14)
@@ -77,16 +87,12 @@ class TestDataset:
                                    rtol=1e-14)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("n, p", [(65, 16384), (9, 70000)])
-    def test_wide_rows_span_many_chunks(self, order, n, p):
-        # Chunks of 8 rows at p = 16384, and of 2 at p = 70000 (the
-        # minimum), so neither leaves a lone last row.
+    @pytest.mark.parametrize("n, p", [(65, 16384), (9, 70000), (20000, 50),
+                                      (0, 7), (7, 0)])
+    def test_sqnorms_within_gamma_of_exact_sum(self, order, n, p):
         X = np.asarray(np.random.default_rng(2).normal(size=(n, p)),
                        order=order)
-        d = Dataset(X, np.ones(n, dtype=int))
-        np.testing.assert_array_equal(d.row_sqnorms(), (X ** 2).sum(axis=1))
-        np.testing.assert_allclose(d.col_sqnorms(), (X ** 2).sum(axis=0),
-                                   rtol=1e-14)
+        assert_near_exact_sqnorms(Dataset(X, np.ones(n, dtype=int)), X)
 
     def test_csr_row_norms_need_no_dense_width(self):
         # Three nonzeros in 2^40 columns: a dense column-norm vector would

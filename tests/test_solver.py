@@ -783,8 +783,8 @@ def _as_csr(data):
 
 class TestDenseMatchesCsrFits:
     """A dense problem whose iterates use at most p/32 features, where
-    B-PGH works on its column block, fits as the same problem on CSR does:
-    equal iteration counts and zero sets, equal objectives."""
+    B-PGH works on its column block, fits as the same problem on CSR or in
+    F order does: equal iteration counts and zero sets, equal objectives."""
 
     N, P = 200, 4000
 
@@ -816,6 +816,29 @@ class TestDenseMatchesCsrFits:
         np.testing.assert_array_equal(rows(dense.model.W), rows(ref.model.W))
         assert dense.final_objective == pytest.approx(ref.final_objective,
                                                       rel=1e-10)
+
+    @pytest.mark.parametrize("fit", [fit_binary, fit_binary_two_stage,
+                                     fit_multi])
+    def test_fortran_order_fits_as_c_order(self, fit):
+        if fit is fit_multi:
+            data = gen_fourclass(SynthSpec(kind="four_class", n=self.N,
+                                           p=self.P, s=8, seed=1))
+        else:
+            data = binary_data(seed=1, n=self.N, p=self.P, s=10)
+        f_data = Dataset(np.asfortranarray(data.X), data.labels,
+                         kind=data.kind, n_classes=data.n_classes)
+        assert data.X.flags.c_contiguous and f_data.X.flags.f_contiguous
+        hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
+        c, f = fit(data, hp), fit(f_data, hp)
+        assert c.converged and f.iterations == c.iterations
+
+        def support(res):
+            return np.flatnonzero(res.model.W if fit is fit_multi
+                                  else res.model.w)
+
+        np.testing.assert_array_equal(support(f), support(c))
+        assert f.final_objective == pytest.approx(c.final_objective,
+                                                  rel=1e-12)
 
 
 class TestWorkingBlock:
