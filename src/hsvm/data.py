@@ -35,9 +35,11 @@ class Dataset:
     """Immutable collection of n samples with integer labels.
 
     The feature matrix is either a ``scipy.sparse.csr_array`` or a dense
-    ``numpy.ndarray``; all numeric routines accept both. Binary labels are
-    +1/-1, multi-class labels are 1..J. ``true_support`` records the
-    generative support of synthetic data (0-based feature indices).
+    ``numpy.ndarray``; all numeric routines accept both. A sparse X is
+    kept canonical (repeated entries summed, each row's indices ascending),
+    canonicalized on a copy so the caller's matrix is unchanged. Binary
+    labels are +1/-1, multi-class labels are 1..J. ``true_support`` records
+    the generative support of synthetic data (0-based feature indices).
     """
 
     def __init__(self, X, labels, kind=None, n_classes=None,
@@ -45,6 +47,9 @@ class Dataset:
         if issparse(X):
             from scipy.sparse import csr_array
             X = csr_array(X)
+            if not X.has_canonical_format:  # csr_array shares a CSR's arrays
+                X = X.copy()
+                X.sum_duplicates()
         else:
             X = np.asarray(X, dtype=float)
             if X.ndim != 2:
@@ -167,12 +172,7 @@ class Dataset:
     def restrict_features(self, columns) -> "Dataset":
         """New dataset keeping only the given feature columns (in order)."""
         cols = np.asarray(columns, dtype=np.int64)
-        if issparse(self._X):
-            from scipy.sparse import csc_array, csr_array
-            Xr = csr_array(csc_array(self._X)[:, cols])
-        else:
-            Xr = self._X[:, cols]
-        return Dataset(Xr, self._labels, kind=self._kind,
+        return Dataset(self._X[:, cols], self._labels, kind=self._kind,
                        n_classes=self._n_classes)
 
 
@@ -396,7 +396,8 @@ def load_libsvm(path, n_features=None) -> Dataset:
 def write_libsvm(data: Dataset, stream: IO[str]) -> None:
     """Emit LIBSVM text; values use 17 significant digits so that a
     parse/write round trip is lossless. A dense X is written row by row,
-    with no sparse copy."""
+    with no sparse copy; a sparse X from its canonical CSR arrays (see
+    ``Dataset``), each row's indices ascending as ``parse_libsvm`` requires."""
     X = data.X
     sparse = issparse(X)
     for i in range(data.n):
@@ -407,10 +408,7 @@ def write_libsvm(data: Dataset, stream: IO[str]) -> None:
             head = str(lab)
         if sparse:
             lo, hi = X.indptr[i], X.indptr[i + 1]
-            cols = X.indices[lo:hi]
-            vals = X.data[lo:hi]
-            order = np.argsort(cols, kind="stable")
-            cols, vals = cols[order], vals[order]
+            cols, vals = X.indices[lo:hi], X.data[lo:hi]
         else:
             cols = np.flatnonzero(X[i])
             vals = X[i, cols]

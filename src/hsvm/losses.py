@@ -115,12 +115,17 @@ def multi_penalty(b, W, hp: Hyperparams) -> float:
 
 
 def _lipschitz(data, delta, n_columns) -> float:
-    """(J/(n delta)) sum_i (1 + ||x_i||^2) for J = ``n_columns`` columns."""
+    """(J/(n delta)) sum_i (1 + ||x_i||^2) for J = ``n_columns`` columns.
+    Every objective forms it first; a NaN, inf or overflowing entry of X
+    makes it non-finite (with no warning), and is rejected here."""
     _check_delta(delta)
     if data.n < 1:
         raise DomainError("need at least one sample")
-    return float(n_columns * (1.0 + data.row_sqnorms()).sum()
-                 / (data.n * delta))
+    total = float((1.0 + data.row_sqnorms()).sum())
+    if not np.isfinite(total):
+        raise DomainError("feature matrix has a non-finite or overflowing "
+                          "entry: the sum of squared row norms is not finite")
+    return n_columns * total / (data.n * delta)
 
 
 def lipschitz_binary(data, delta) -> float:

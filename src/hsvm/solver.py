@@ -20,8 +20,12 @@ default initial step constant, and provides ``margins``, ``smooth``,
 its inverse ``point``, plus the flag ``certifies``. ``_run_pg_loop`` runs
 on it; ``objective`` evaluates a model.
 
-Per iteration the data matrix is touched by one gradient (transpose)
-product and one forward margin product per candidate evaluation.
+Per iteration ``_run_pg_loop`` takes one step in passes, each a base, one
+gradient (transpose) product there and a line search with one forward
+margin product per candidate. The plain pass extrapolates; a
+re-extrapolated pass follows when backtracking raised the step constant
+past the extrapolation cap; a re-update pass from the last iterate, with
+omega = 0 and momentum reset, follows once if the candidate raised F.
 ``line_search`` returns the accepted candidate's margins along with it,
 and the extrapolated margins are formed from the two cached margin
 vectors, never from a fresh product. On a dense matrix B-PGH keeps a
@@ -36,7 +40,7 @@ make full transpose products. Both M-PGH products read all of X. The step
 constant only grows within an iteration (L_k = min(ETA^{n_k} L_{k-1},
 L_global)) and each accepted step satisfies the sufficient-decrease
 inequality; the extrapolation weight (``extrapolation_weight``) is capped
-at sqrt(L_{k-1}/L_k), re-extrapolating when backtracking raised L.
+at sqrt(L_{k-1}/L_k).
 
 The objective gives the smooth value and the gradient at each base in one
 call (``smooth_grad``); for M-PGH that is one fused loss call, and the
@@ -211,21 +215,12 @@ def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
         L = min(eta * L, L_global)
 
 
-def _step(prob, u_base, m_base, f_base, L_start):
-    """One proximal gradient step from ``u_base`` (whose margins are
-    ``m_base`` and smooth value ``f_base``, computed here when None): one
-    call for the smooth value and the gradient, which is one transpose
-    product, then the line search. Returns the smooth value and the dual
-    bound at the base, then what ``line_search`` returns."""
-    f_base, grad, dual = prob.smooth_grad(m_base, u_base, f_base)
-    return (f_base, dual) + line_search(prob, u_base, f_base, grad, L_start,
-                                        prob.L_global, ETA)
-
-
 def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
-    """Shared iteration loop from the step constant ``prob.L0``; see the
-    module docstring for the scheme. ``monotone=False`` drops the
-    re-update, for the ablation."""
+    """Shared iteration loop from the step constant ``prob.L0``. Its inner
+    loop, the one step site, runs the passes of the module docstring and
+    counts each pass's dual bound, gradient product and evaluations once.
+    The re-update is the monotone restart of Beck & Teboulle's MFISTA
+    (2009); ``monotone=False`` drops it, for the ablation."""
     u = weight_zeros(prob.dim)
     m = prob.margins(u)
     f = F = None  # formed by the first step, whose base is u itself
@@ -243,40 +238,35 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
         evals = 0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         L_start = L
+        restarted = False
         while True:
-            omega = extrapolation_weight(t, t_next, L, L_start)
+            omega = 0.0 if restarted else extrapolation_weight(
+                t, t_next, L, L_start)
             if omega == 0.0:
                 # The base is u itself, whose smooth value f is known.
                 u_hat, m_hat, f_hat = u, m, f
             else:
                 u_hat, m_hat, f_hat = (u + omega * (u - u_prev),
                                        m + omega * (m - m_prev), None)
-            f_hat, dual, L_acc, cand, m_cand, f_cand, gap, ev = _step(
-                prob, u_hat, m_hat, f_hat, L_start)
+            f_hat, grad, dual = prob.smooth_grad(m_hat, u_hat, f_hat)
+            L_acc, cand, m_cand, f_cand, gap, ev = line_search(
+                prob, u_hat, f_hat, grad, L_start, prob.L_global, ETA)
             D_best = max(D_best, dual)
             grad_products += 1
             evals += ev
-            if L_acc == L_start or omega <= math.sqrt(L / L_acc) + 1e-15:
-                break
-            # Backtracking raised L beyond the extrapolation cap;
-            # re-extrapolate with the tighter weight at the new constant.
+            if F is None:
+                f, F = f_hat, f_hat + prob.penalty(u)
             L_start = L_acc
-        if F is None:
-            f, F = f_hat, f_hat + prob.penalty(u)
-        F_cand = f_cand + prob.penalty(cand)
-
-        restarted = monotone and F_cand > F
-        if restarted:
-            # Extrapolated step increased F: re-update from the previous
-            # iterate (omega = 0) and reset the momentum scalar.
-            _, dual, L_acc, cand, m_cand, f_cand, gap, ev = _step(
-                prob, u, m, f, L_acc)
-            D_best = max(D_best, dual)
-            grad_products += 1
-            evals += ev
+            if omega > math.sqrt(L / L_acc) + 1e-15:
+                # Backtracking raised L beyond the extrapolation cap;
+                # re-extrapolate with the tighter weight at the new constant.
+                continue
             F_cand = f_cand + prob.penalty(cand)
-            omega = 0.0
-            t_next = 1.0
+            if restarted or not (monotone and F_cand > F):
+                break
+            # The step increased F: re-update from the previous iterate
+            # (omega = 0) and reset the momentum scalar.
+            restarted, t_next = True, 1.0
 
         step_norm = float(np.linalg.norm(cand - u))
         F_prev, F, f = F, F_cand, f_cand

@@ -244,6 +244,25 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver", ["bpgh", "bpgh2", "mpgh"])
+    def test_overflowing_feature_one_line(self, tmp_path, capsys, solver):
+        # A finite value whose square overflows passes the parser; the fit
+        # rejects it before any loss or prox, with no warning.
+        labels = ("1", "2") if solver == "mpgh" else ("+1", "-1")
+        data, model = tmp_path / "d.libsvm", tmp_path / "m"
+        data.write_text(f"{labels[0]} 1:1e200\n{labels[1]} 2:1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "train", "--data", str(data),
+                                 "--solver", solver, "--lambda1", "0.1",
+                                 "--lambda2", "1", "--lambda3", "1",
+                                 "--model-out", str(model))
+        assert caught == []
+        assert code == 1 and out == ""
+        assert err.startswith("hsvm: feature matrix ")
+        assert err.count("\n") == 1
+        assert not model.exists()
+
     def test_model_width_numpy_cannot_size_one_line(self, tmp_path, capsys):
         model, data, out = (tmp_path / "m", tmp_path / "d.libsvm",
                             tmp_path / "pred")

@@ -46,6 +46,14 @@ def assert_near_exact_sqnorms(d, X):
         assert np.all(np.abs(got - exact) <= k * eps / (1 - k * eps) * exact)
 
 
+def messy_csr():
+    """A 2 x 4 CSR whose row 0 repeats column 0 (1 + 2) after column 2
+    and whose row 1 lists its columns in descending order."""
+    return sp.csr_array((np.array([4.0, 1.0, 2.0, -1.0, 5.0]),
+                         np.array([2, 0, 0, 3, 1]), np.array([0, 3, 5])),
+                        shape=(2, 4))
+
+
 class TestDataset:
     def test_kind_inference(self):
         assert Dataset(np.zeros((2, 1)), [1, -1]).kind == "binary"
@@ -68,6 +76,26 @@ class TestDataset:
         np.testing.assert_array_equal(dense(sub), dense(d)[[0, 3, 5]])
         r = d.restrict_features([1, 2])
         np.testing.assert_array_equal(dense(r), dense(d)[:, [1, 2]])
+
+    def test_csr_is_stored_canonical_on_a_copy(self):
+        X = messy_csr()
+        before = [a.copy() for a in (X.data, X.indices, X.indptr)]
+        d = Dataset(X, [1, -1])
+        assert d.X.has_canonical_format
+        np.testing.assert_array_equal(d.X.toarray(), [[3.0, 0.0, 4.0, 0.0],
+                                                      [0.0, 5.0, 0.0, -1.0]])
+        for got, want in zip((X.data, X.indices, X.indptr), before):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("cols", [[], [2], [0, 3], [3, 1, 2], [1, 1]])
+    def test_csr_restriction_matches_dense(self, cols):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.5)
+        labels = rng.choice([-1, 1], 7)
+        got = Dataset(sp.csr_array(X), labels).restrict_features(cols)
+        want = Dataset(X, labels).restrict_features(cols)
+        assert isinstance(got.X, sp.csr_array) and got.X.has_canonical_format
+        np.testing.assert_array_equal(got.X.toarray(), want.X)
 
     def test_row_sqnorms(self):
         X = np.array([[3.0, 4.0], [0.0, 1.0]])
@@ -210,6 +238,14 @@ class TestParseLibsvm:
         buf2 = io.StringIO()
         write_libsvm(d2, buf2)
         assert buf.getvalue() == buf2.getvalue()
+
+    def test_round_trip_of_repeated_and_unsorted_indices(self):
+        buf = io.StringIO()
+        write_libsvm(Dataset(messy_csr(), [1, -1]), buf)
+        assert buf.getvalue() == "+1 1:3 3:4\n-1 2:5 4:-1\n"
+        np.testing.assert_array_equal(
+            dense(parse_libsvm(buf.getvalue(), n_features=4)),
+            messy_csr().toarray())
 
     def test_dense_and_csr_write_identically(self):
         X = np.array([[0.0, -0.0, 1.5, 0.0],

@@ -24,7 +24,7 @@ import hsvm.prox
 import hsvm.solver
 import hsvm.tuning
 from hsvm.data import SynthSpec, gen_binary_gaussian, gen_fourclass
-from hsvm.model import MultiModel, evaluate
+from hsvm.model import BinaryModel, MultiModel, evaluate
 from hsvm.solver import BinaryObjective, MultiObjective
 
 from oracles import (
@@ -195,6 +195,89 @@ class TestLineSearch:
         assert evals > 1
         np.testing.assert_array_equal(m_cand, prob.margins(cand))
         assert f_cand == prob.smooth(m_cand)
+
+
+class TestEnginePasses:
+    """One iteration of ``_run_pg_loop`` that re-extrapolates and then
+    re-updates, on a scripted problem: the quadratic with target (1, 2),
+    L0 = 2, scripted penalties, and a line search that backtracks a
+    scripted number of times per call (7 on call 2, once on call 4).
+
+    - k = 1: one plain pass, omega = 0, at L0.
+    - k = 2: the plain pass backtracks past the extrapolation cap, the
+      re-extrapolated pass takes the tighter weight, and its candidate
+      raises F (penalty 30), so a re-update follows from u. That one raises
+      F too, and no second re-update follows.
+    - k = 3: omega = 0 after the restart; the candidate raises F again and
+      one re-update follows.
+    """
+
+    BACKTRACKS = {2: 7, 4: 1}
+    PENALTIES = [5, 4, 30, 30, 40, 3]
+
+    def run(self, monkeypatch, bounds):
+        prob = _Scripted(penalties=self.PENALTIES, bounds=bounds)
+        prob.target = np.array([1.0, 2.0])
+        prob.L0, prob.L_global = 2.0, 100.0
+        passes = []
+
+        def backtracking(prob, u_hat, f_hat, grad, L_start, L_global, eta):
+            n = self.BACKTRACKS.get(len(passes) + 1, 0)
+            passes.append((u_hat.copy(), L_start))
+            L = L_start
+            for _ in range(n):
+                L = min(eta * L, L_global)
+            cand = prob.prox(u_hat, grad, L)
+            m_cand = prob.margins(cand)
+            return L, cand, m_cand, prob.smooth(m_cand), 0.0, n + 1
+
+        monkeypatch.setattr(hsvm.solver, "line_search", backtracking)
+        res = hsvm.solver._run_pg_loop(
+            prob, SolverOptions(max_iter=3, record_iterates=True))
+        return prob, res, passes
+
+    def test_each_pass_takes_its_weight_and_step_constant(self, monkeypatch):
+        prob, res, passes = self.run(monkeypatch, {})
+        eta = hsvm.solver.ETA
+        L7 = 2.0
+        for _ in range(7):
+            L7 *= eta
+        L8 = L7 * eta
+        t1 = 0.5 * (1.0 + math.sqrt(5.0))
+        t2 = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t1 * t1))
+        assert (t1 - 1.0) / t2 > math.sqrt(2.0 / L7)  # the cap binds
+        # iteration of each pass, and the expected omega and L_start
+        want = [(1, 0.0, 2.0),
+                (2, (t1 - 1.0) / t2, 2.0),
+                (2, math.sqrt(2.0 / L7), L7),
+                (2, 0.0, L7),
+                (3, 0.0, L8),
+                (3, 0.0, L8)]
+        assert len(passes) == len(want)
+        us = [np.zeros(2)] + res.iterates
+        for (u_hat, L_start), (k, omega, L_want) in zip(passes, want):
+            u, u_prev = us[k - 1], us[max(k - 2, 0)]
+            d = u - u_prev
+            got = float((u_hat - u) @ d / (d @ d)) if d.any() else 0.0
+            np.testing.assert_allclose(u_hat, u + got * d, rtol=0, atol=1e-15)
+            assert got == pytest.approx(omega, rel=1e-12, abs=1e-15)
+            assert L_start == L_want
+        assert res.iterations == 3
+        assert res.trace.column("restarted").tolist() == [False, True, True]
+        assert res.trace.column("omega").tolist() == [0.0, 0.0, 0.0]
+        assert res.trace.column("L").tolist() == [2.0, L8, L8]
+        assert res.trace.column("ls_evals").tolist() == [1, 8 + 1 + 2, 1 + 1]
+        # iterations + re-extrapolated passes + re-updates
+        assert res.grad_products == 3 + 1 + 2 == prob.calls["smooth_grad"]
+
+    @pytest.mark.parametrize("best", range(1, 7))
+    def test_best_bound_is_kept_from_every_pass(self, monkeypatch, best):
+        bounds = {call: 0.25 for call in range(1, 7)}
+        bounds[best] = 0.5
+        _, res, passes = self.run(monkeypatch, bounds)
+        assert len(passes) == 6
+        F = res.final_objective
+        assert res.gap == (F - 0.5) / F
 
 
 class TestFitBinary:
@@ -779,6 +862,40 @@ class TestObjectiveMargins:
 def _as_csr(data):
     return Dataset(sp.csr_array(data.X), data.labels, kind=data.kind,
                    n_classes=data.n_classes)
+
+
+class TestNonFiniteFeatures:
+    """A NaN, an inf or an entry whose square overflows fails every fit and
+    ``objective`` with one ``DomainError`` naming the feature matrix,
+    before any loss or prox sees it (tier-1 also fails on a warning)."""
+
+    X = np.array([[1.0, 0.5], [0.2, -1.0], [-1.0, 0.3], [0.4, 2.0]])
+    HP = Hyperparams(0.1, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("fit", ["fit_binary", "fit_binary_two_stage",
+                                     "fit_multi", "objective_binary",
+                                     "objective_multi"])
+    def test_rejected_naming_the_feature_matrix(self, value, layout, fit):
+        X = self.X.copy()
+        X[1, 1] = value
+        if layout == "csr":
+            X = sp.csr_array(X)
+        labels = [1, 2, 3, 1] if fit.endswith("multi") else [1, -1, 1, -1]
+        data = Dataset(X, labels)
+        calls = {
+            "fit_binary": lambda: fit_binary(data, self.HP),
+            "fit_binary_two_stage": lambda: fit_binary_two_stage(data,
+                                                                 self.HP),
+            "fit_multi": lambda: fit_multi(data, self.HP),
+            "objective_binary": lambda: objective(
+                BinaryModel(b=0.0, w=np.zeros(2)), data, self.HP),
+            "objective_multi": lambda: objective(
+                MultiModel(b=np.zeros(3), W=np.zeros((2, 3))), data, self.HP),
+        }
+        with pytest.raises(DomainError, match="^feature matrix "):
+            calls[fit]()
 
 
 class TestDenseMatchesCsrFits:
