@@ -151,7 +151,8 @@ class Dataset:
         norm summing k squares (k = p for a row, n for a column) is within
         gamma_k = k eps / (1 - k eps) relative, in any summation order. A
         sparse X fills the column norms only when ``columns`` is set: they
-        take a dense vector as wide as X, which no sparse solve reads."""
+        take a dense vector as wide as X, which only a B-PGH working block
+        reads, once it holds at most p/32 features."""
         X = self._X
         if issparse(X):
             sq = X.multiply(X)
@@ -437,6 +438,21 @@ def write_sidecar(spec: SynthSpec, data: Dataset, path) -> None:
         fh.write("\n")
 
 
+def finite_features(data: Dataset, dense=False):
+    """``data.X``, as a dense float array if ``dense`` is set, once it
+    passes the one finiteness rule on features: the sum of the squared row
+    norms (``Dataset.row_sqnorms``) must be finite. A NaN, an inf or an
+    entry whose square overflows (1e200) makes it NaN or inf without a
+    warning, and raises ``DomainError`` naming the feature matrix."""
+    if not np.isfinite(data.row_sqnorms().sum()):
+        raise DomainError("feature matrix has a non-finite or overflowing "
+                          "entry: the sum of squared row norms is not finite")
+    X = data.X
+    if dense:
+        return np.asarray(X.todense() if issparse(X) else X, dtype=float)
+    return X
+
+
 @dataclass(frozen=True)
 class FeatureStats:
     """Training-set per-feature statistics used by ``standardize``."""
@@ -451,30 +467,29 @@ def standardize(train: Dataset, test: Dataset | None = None):
 
     The same training-derived transform is applied to ``test``. Features
     that are constant on the training set are set to zero and flagged.
-    Returns dense datasets.
+    Returns dense datasets. Both sets must pass ``finite_features``.
     """
     if train.n == 0:
         raise DomainError("cannot standardize an empty training set")
     if test is not None and test.n_features != train.n_features:
         raise ShapeError(f"test set has {test.n_features} features, "
                          f"training set has {train.n_features}")
-    Xt = np.asarray(train.X.todense() if issparse(train.X) else train.X,
-                    dtype=float)
+    Xt = finite_features(train, dense=True)
+    Xs = None if test is None else finite_features(test, dense=True)
     mean = Xt.mean(axis=0)
     std = Xt.std(axis=0, ddof=1) if train.n > 1 else np.zeros(train.n_features)
     constant = std == 0.0
     scale = np.where(constant, 1.0, std)
 
-    def transform(ds: Dataset) -> Dataset:
-        X = np.asarray(ds.X.todense() if issparse(ds.X) else ds.X,
-                       dtype=float)
+    def transform(ds: Dataset, X) -> Dataset:
         Z = (X - mean) / scale
         Z[:, constant] = 0.0
         return Dataset(Z, ds.labels, kind=ds.kind, n_classes=ds.n_classes,
                        true_support=ds.true_support)
 
     stats = FeatureStats(mean=mean, std=std, constant=constant)
-    return transform(train), (transform(test) if test is not None else None), stats
+    return (transform(train, Xt),
+            None if test is None else transform(test, Xs), stats)
 
 
 def gene_rank(data: Dataset, eps: float = 0.0) -> np.ndarray:
@@ -483,12 +498,11 @@ def gene_rank(data: Dataset, eps: float = 0.0) -> np.ndarray:
     R(g) = sum_j n_j (m_g^j - m_g)^2 / sum_{i,j} 1[y_i = j] (x_gi - m_g^j)^2.
     A zero denominator with a positive numerator yields +inf (a perfectly
     discriminative feature, ranked first). A 0/0 feature raises unless an
-    eps guard is supplied.
+    eps guard is supplied, and so does a set failing ``finite_features``.
     """
     if data.kind != MULTICLASS:
         raise LabelError("gene ranking requires multi-class labels")
-    X = np.asarray(data.X.todense() if issparse(data.X) else data.X,
-                   dtype=float)
+    X = finite_features(data, dense=True)
     y = data.labels
     overall = X.mean(axis=0)
     num = np.zeros(data.n_features)

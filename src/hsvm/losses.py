@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import finite_features
 from .errors import DomainError
 
 
@@ -116,15 +117,13 @@ def multi_penalty(b, W, hp: Hyperparams) -> float:
 
 def _lipschitz(data, delta, n_columns) -> float:
     """(J/(n delta)) sum_i (1 + ||x_i||^2) for J = ``n_columns`` columns.
-    Every objective forms it first; a NaN, inf or overflowing entry of X
-    makes it non-finite (with no warning), and is rejected here."""
+    Every objective forms it first, so a NaN, inf or overflowing entry of X
+    is rejected here, by ``finite_features``."""
     _check_delta(delta)
     if data.n < 1:
         raise DomainError("need at least one sample")
+    finite_features(data)
     total = float((1.0 + data.row_sqnorms()).sum())
-    if not np.isfinite(total):
-        raise DomainError("feature matrix has a non-finite or overflowing "
-                          "entry: the sum of squared row norms is not finite")
     return n_columns * total / (data.n * delta)
 
 

@@ -81,29 +81,38 @@ def _columns(model):
     return model.w[:, None] if isinstance(model, BinaryModel) else model.W
 
 
-def _predict(model, X, decide):
-    """``decide(rows)`` for a matrix of rows, or its one label for a single
-    row, after checking the feature count."""
+def _predict(model, X, score, decide):
+    """``decide(score(rows))`` for a matrix of rows, or its one label for a
+    single row, after checking the feature count. A score that is not
+    finite (a NaN or inf feature value, or a product with a weight that
+    overflows, where inf - inf gives NaN) has no label: it raises
+    ``DomainError``, and the overflow gives no warning."""
     single = not issparse(X) and np.asarray(X).ndim == 1
     X2 = np.atleast_2d(X) if single else X
     if X2.shape[-1] != model.n_features:
         raise ShapeError(
             f"model has {model.n_features} features, data has {X2.shape[-1]}")
-    labels = decide(X2).astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = score(X2)
+    if not np.all(np.isfinite(scores)):
+        raise DomainError("a prediction score is not finite: a feature "
+                          "value is, or overflows times its weight")
+    labels = decide(scores).astype(np.int64)
     return int(labels[0]) if single else labels
 
 
 def predict_binary(model: BinaryModel, X):
     """Predict +1/-1 for one row or a matrix of rows. A score of exactly
     zero maps to +1."""
-    return _predict(model, X, lambda Z: np.where(
-        np.asarray(Z @ model.w).ravel() + model.b >= 0.0, 1, -1))
+    return _predict(model, X,
+                    lambda Z: np.asarray(Z @ model.w).ravel() + model.b,
+                    lambda s: np.where(s >= 0.0, 1, -1))
 
 
 def predict_multi(model: MultiModel, X):
     """Predict the argmax class in 1..J; ties go to the smallest index."""
-    return _predict(model, X, lambda Z: (
-        np.asarray(Z @ model.W) + model.b).argmax(axis=1) + 1)
+    return _predict(model, X, lambda Z: np.asarray(Z @ model.W) + model.b,
+                    lambda s: s.argmax(axis=1) + 1)
 
 
 def predict(model, data: Dataset):

@@ -28,8 +28,8 @@ past the extrapolation cap; a re-update pass from the last iterate, with
 omega = 0 and momentum reset, follows once if the candidate raised F.
 ``line_search`` returns the accepted candidate's margins along with it,
 and the extrapolated margins are formed from the two cached margin
-vectors, never from a fresh product. On a dense matrix B-PGH keeps a
-working block of columns, the only code that reads a subset of X:
+vectors, never from a fresh product. B-PGH keeps a working block of
+columns, dense or CSR alike, the only code that reads a subset of X:
 proximal gradient identifies the solution's support after finitely many
 steps, and while a frozen feature cannot enter the support (safe
 screening in the sense of Fercoq, Gramfort & Salmon 2015, used only to
@@ -300,10 +300,10 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
 
 
 # B-PGH keeps its working block only while it holds at most 1/32 of the
-# features. The block is a copy of X[:, K], rebuilt whenever K changes.
-# Gathering random columns of a 2000 x 20000 C-order X costs 0.46x a full
-# product at p/32, 0.8x at p/16 and 1.65x at p/8, so past p/32 a rebuild
-# soon costs more than the full products the block saves.
+# features; the block is the copy X[:, K], rebuilt whenever K changes. A
+# gather costs 2.3x, 4.2x and 7.8x a full X'c product at p/32, p/16 and p/8
+# on a 2000 x 20000 C-order X, and 2.5-3x on a 4000 x 50 000 text-like CSR
+# X, so past p/32 a rebuild soon costs more than the full products saved.
 _SUPPORT_FRACTION = 32
 
 
@@ -312,18 +312,19 @@ class BinaryObjective:
     loss of the margins y (b + X w) plus the elastic-net penalty. The
     default initial step constant is 2 L_f / n, clamped to the global L_f.
 
-    On a dense X the objective keeps a working block, refreshed at each
-    full transpose product made at a point u: the features
-    K = supp(w) | {j : |g_j| >= lambda1}, the C-order copy X[:, K], the
-    loss coefficients c_ref of that product and a radius rho (see
-    ``_refresh``). It exists only while |K| <= p/32. It starts empty with
-    rho = 0, so the margins at w = 0 read no column and the first gradient
-    is a full product. The forward product of any w with supp(w) in K
-    reads X[:, K], and the gradient at a u with supp(w) in K and
-    ||c - c_ref|| < rho reads only X[:, K] and returns exact zeros
-    elsewhere. Those zeros change nothing: by Cauchy-Schwarz every other
-    |g_j| stays below lambda1, so its weight, zero at u, stays zero after
-    the prox, and its term of the line search's <g, d> is zero either way.
+    The objective keeps a working block, refreshed at each full transpose
+    product made at a point u: the features
+    K = supp(w) | {j : |g_j| >= lambda1}, the copy X[:, K] (F-order for a
+    dense X, CSR for a CSR one), the loss coefficients c_ref of that
+    product and a radius rho (see ``_refresh``). It exists only while
+    |K| <= p/32. It starts empty with rho = 0, so the margins at w = 0
+    read no column and the first gradient is a full product. The forward
+    product of any w with supp(w) in K reads X[:, K], and the gradient at
+    a u with supp(w) in K and ||c - c_ref|| < rho reads only X[:, K] and
+    returns exact zeros elsewhere. Those zeros change nothing: by
+    Cauchy-Schwarz every other |g_j| stays below lambda1, so its weight,
+    zero at u, stays zero after the prox, and its term of the line
+    search's <g, d> is zero either way.
     """
 
     # B-PGH stops on relative progress (``check_stop``), so its gradient
@@ -341,19 +342,11 @@ class BinaryObjective:
         self.dim = data.n_features + 1
         self.L_global = lipschitz_binary(data, hp.delta)
         self.L0 = min(2.0 * self.L_global / data.n, self.L_global)
-        # A sparse X already reads only its nonzeros and never gets a
-        # working block. Sparse is recognised by ``tocsr`` rather than by
-        # type, so a wrapper that forwards attributes to the matrix takes
-        # the same path as the matrix itself.
-        self._col_norms = None
-        self._K = None        # working features, or None without a block
-        self._XK = None       # C-order copy of X[:, K]
-        self._c_ref = None    # coefficients of the last full product
-        self._rho = 0.0       # certified radius around _c_ref
-        if not hasattr(self.X, "tocsr"):
-            self._col_norms = np.sqrt(data.col_sqnorms())
-            self._K, self._XK = np.empty(0, np.intp), np.empty((self.n, 0))
-            self._c_ref = np.zeros(self.n)
+        self.data = data
+        self._K = np.empty(0, np.intp)  # working features; None: no block
+        self._XK = np.empty((self.n, 0))  # the copy X[:, K]
+        self._c_ref = np.zeros(self.n)  # coefficients of the last full product
+        self._rho = 0.0  # certified radius around _c_ref
 
     def _in_block(self, w):
         """Whether supp(w) lies in the working features K (K is unique)."""
@@ -388,7 +381,7 @@ class BinaryObjective:
             gw[self._K] = self._XK.T @ coef
         else:
             gw = np.asarray(self.X.T @ coef).ravel()
-            if u is not None and self._col_norms is not None:
+            if u is not None:
                 self._refresh(u[1:], gw, coef)
         return np.concatenate([[coef.sum()], gw])
 
@@ -419,11 +412,11 @@ class BinaryObjective:
             return
         K = np.flatnonzero(keep)
         frozen = ~keep
+        norms = np.sqrt(self.data.col_sqnorms()[frozen])
         with np.errstate(divide="ignore"):
-            rho0 = np.min((lam - np.abs(gw[frozen])) / self._col_norms[frozen],
-                          initial=np.inf)
+            rho0 = np.min((lam - np.abs(gw[frozen])) / norms, initial=np.inf)
         if self._K is None or not np.array_equal(K, self._K):
-            self._K, self._XK = K, np.ascontiguousarray(self.X[:, K])
+            self._K, self._XK = K, self.X[:, K]
         slack = 4.0 * (self.n + 2) * np.finfo(float).eps
         self._c_ref = coef
         self._rho = (1.0 - slack) * rho0 - slack * np.linalg.norm(coef)
@@ -601,13 +594,15 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     weights frozen at zero, then adds to S every frozen j that fails the
     optimality check |grad_j f| <= lambda1 (1 + tol) at the result, whose
     margins come from the round's columns. The rounds end when none fails,
-    or when one does not converge.
+    or when one does not converge. Recorded iterates are those of every
+    round, in the coordinates of the full problem.
     """
     opts = opts or SolverOptions()
     prob = BinaryObjective(data, hp)
     grad = prob.grad(prob.margins(weight_zeros(prob.dim)))
     support = np.flatnonzero(np.abs(grad[1:]) > hp.lambda1)
     trace, iterations, grad_products = SolverTrace(), 0, 1
+    iterates = [] if opts.record_iterates else None
     for stage in range(1, data.n_features + 2):  # each adds a feature
         sub = data.restrict_features(support)
         res = fit_binary(sub, hp, opts)
@@ -615,9 +610,12 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
                        for row in res.trace.rows]
         iterations += res.iterations
         grad_products += res.grad_products
-        u = np.zeros(prob.dim)
-        u[0] = res.model.b
-        u[1 + support] = res.model.w
+        path = [*(res.iterates or ()), np.append(res.model.b, res.model.w)]
+        full = np.zeros((len(path), prob.dim))
+        full[:, np.append(0, 1 + support)] = path
+        u = full[-1]
+        if iterates is not None:
+            iterates += list(full[:-1])
         if not res.converged:
             break
         # The round's own columns give the margins at its result; only
@@ -632,7 +630,7 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
         support = np.union1d(support, np.flatnonzero(violates))
     return replace(res, model=prob.model(u), trace=trace,
                    iterations=iterations, support=support,
-                   grad_products=grad_products)
+                   iterates=iterates, grad_products=grad_products)
 
 
 def fit_multi(data: Dataset, hp: Hyperparams,

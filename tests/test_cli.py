@@ -456,6 +456,29 @@ class TestPredict:
         assert re.search(message, err)
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("kind, weights", [
+        ("binary p=2 J=2", ["b 0", "w 1 5", "w 2 -5"]),
+        ("multi p=2 J=2", ["b 0 0", "w 1 1 5", "w 1 2 -5", "w 2 1 -5",
+                           "w 2 2 5"]),
+    ])
+    def test_score_that_overflows_one_line(self, tmp_path, capsys, kind,
+                                           weights):
+        # 5e308 - 5e308 is NaN, which used to get a label and exit 0.
+        model, data = tmp_path / "model.hsvm", tmp_path / "data.libsvm"
+        model.write_text("\n".join([f"HSVM {kind}", self.HP_LINE, *weights])
+                         + "\n")
+        data.write_text("+1 1:1 2:0.5\n+1 1:1e308 2:1e308\n")
+        out_file = tmp_path / "pred.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "predict", "--model", str(model),
+                                 "--data", str(data), "--out", str(out_file))
+        assert caught == []
+        assert code == 1 and out == ""
+        assert err.startswith("hsvm: a prediction score is not finite")
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("lines", [
         ["HSVM binary p=3 J=2", HP_LINE, "b 0", "w 1 0.25", "w 1 0.75"],
         ["HSVM multi p=3 J=2", HP_LINE, "b 0 0", "w 1 1 0.25",

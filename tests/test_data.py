@@ -25,7 +25,7 @@ from hsvm import (
     standardize,
     write_libsvm,
 )
-from hsvm.data import _equicorr_block, load_libsvm
+from hsvm.data import _equicorr_block, finite_features, load_libsvm
 from hsvm.errors import HsvmError, ShapeError
 
 
@@ -636,6 +636,45 @@ class TestStandardize:
         with pytest.raises(DomainError):
             standardize(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int),
                                 kind="binary"))
+
+
+class TestNonFiniteFeatures:
+    """A NaN, an inf or an entry whose square overflows fails
+    ``standardize`` (in the training or the test set) and ``gene_rank``
+    with the one ``DomainError`` of ``finite_features``, and no warning."""
+
+    X = np.array([[1.0, 0.5, 2.0], [0.2, -1.0, 1.0], [-1.0, 0.3, 0.0],
+                  [0.4, 2.0, -2.0]])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("call", ["standardize_train", "standardize_test",
+                                      "gene_rank"])
+    def test_rejected_naming_the_feature_matrix(self, value, layout, call):
+        bad = self.X.copy()
+        bad[1, 1] = value
+
+        def data(X):
+            return Dataset(sp.csr_array(X) if layout == "csr" else X,
+                           [1, 2, 3, 1])
+
+        calls = {"standardize_train": lambda: standardize(data(bad),
+                                                          data(self.X)),
+                 "standardize_test": lambda: standardize(data(self.X),
+                                                         data(bad)),
+                 "gene_rank": lambda: gene_rank(data(bad))}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="^feature matrix "):
+                calls[call]()
+        assert caught == []
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_finite_set_passes_unchanged(self, layout):
+        X = sp.csr_array(self.X) if layout == "csr" else self.X
+        d = Dataset(X, [1, 2, 3, 1])
+        assert finite_features(d) is d.X
+        np.testing.assert_array_equal(finite_features(d, dense=True), self.X)
 
 
 class TestGeneRank:

@@ -1,7 +1,10 @@
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hsvm import (
     BinaryModel,
@@ -15,7 +18,7 @@ from hsvm import (
     predict_multi,
     save_model,
 )
-from hsvm.errors import ConstraintError, LabelError, ShapeError
+from hsvm.errors import ConstraintError, DomainError, LabelError, ShapeError
 
 
 def zero_sum_multi(rng, p, J):
@@ -75,6 +78,35 @@ class TestPredictMulti:
             MultiModel(b=np.array([0.5, 0.0]), W=np.zeros((1, 2)))
         with pytest.raises(ConstraintError):
             MultiModel(b=np.zeros(2), W=np.array([[1.0, 0.5]]))
+
+
+class TestNonFiniteScore:
+    """A score that is not finite has no label: ``predict_*`` and
+    ``evaluate`` raise one ``DomainError``, with no warning, whether a
+    weight times a huge value overflows (5e308 - 5e308 is NaN) or a
+    feature value is itself NaN or inf."""
+
+    BINARY = BinaryModel(0.0, np.array([5.0, -5.0]))
+    MULTI = MultiModel(np.zeros(2), np.array([[5.0, -5.0], [-5.0, 5.0]]))
+    ROWS = [[1e308, 1e308], [math.nan, 1.0], [1.0, math.inf]]
+
+    @pytest.mark.parametrize("row", ROWS)
+    @pytest.mark.parametrize("layout", ["row", "dense", "csr"])
+    @pytest.mark.parametrize("call", ["binary", "multi", "evaluate"])
+    def test_raises(self, row, layout, call):
+        rows = np.array([[1.0, 2.0], row])
+        X = {"row": rows[1], "dense": rows, "csr": sp.csr_array(rows)}[layout]
+        calls = {"binary": lambda: predict_binary(self.BINARY, X),
+                 "multi": lambda: predict_multi(self.MULTI, X),
+                 "evaluate": lambda: evaluate(
+                     self.BINARY, Dataset(X if layout != "row" else rows,
+                                          [1, -1]))}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError,
+                               match="^a prediction score is not finite"):
+                calls[call]()
+        assert caught == []
 
 
 class TestPersistence:

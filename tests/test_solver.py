@@ -443,6 +443,23 @@ class TestFitBinaryTwoStage:
             rounds.append(res.trace.column("stage")[-1])
         assert max(rounds) >= 2
 
+    def test_iterates_of_every_round_in_full_coordinates(self):
+        # one iterate per iteration of every round, each as wide as the
+        # full problem and zero off the final working set
+        data = binary_data(seed=3, n=40, p=300, s=5)
+        hp = Hyperparams(0.05, 1.0, 1.0, 1.0)
+        res = fit_binary_two_stage(data, hp,
+                                   SolverOptions(record_iterates=True))
+        assert res.trace.column("stage")[-1] >= 2
+        assert len(res.iterates) == res.iterations
+        assert all(u.shape == (data.n_features + 1,) for u in res.iterates)
+        off = np.setdiff1d(np.arange(data.n_features), res.support)
+        assert not any(np.any(u[1 + off]) for u in res.iterates)
+        F = [objective(BinaryModel(b=u[0], w=u[1:]), data, hp).total
+             for u in res.iterates]
+        np.testing.assert_allclose(F, res.trace.column("F"), rtol=1e-12)
+        np.testing.assert_array_equal(
+            res.iterates[-1], np.concatenate([[res.model.b], res.model.w]))
 
     def test_rounds_make_no_full_width_forward_product(self, forwarded_X):
         # the screen's margins at zero read no column, and each check takes
@@ -963,13 +980,16 @@ class TestWorkingBlock:
     while its certificate holds; nothing the solve computes changes."""
 
     HP = Hyperparams(0.1, 1.0, 1.0, 1.0)
-    # dense instances whose working set stays within p/32 features
+    # instances whose working set stays within p/32 features
     CASES = [(1, 200, 4000, 10), (2, 200, 4000, 10), (3, 100, 6400, 8)]
 
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
     @pytest.mark.parametrize("seed, n, p, s", CASES)
     def test_certificate_holds_at_every_skipped_step(self, monkeypatch,
-                                                     seed, n, p, s):
+                                                     seed, n, p, s, layout):
         data = binary_data(seed=seed, n=n, p=p, s=s)
+        if layout == "csr":
+            data = _as_csr(data)
         grad = BinaryObjective.grad
         skipped, worst = [0], [0.0]
 
@@ -981,7 +1001,7 @@ class TestWorkingBlock:
             skipped[0] += 1
             assert K.size * 32 <= p
             coef = hsvm.solver.huber_grad(m, prob.hp.delta) * prob.y / prob.n
-            full = prob.X.T @ coef
+            full = np.asarray(prob.X.T @ coef)
             frozen = np.ones(p, dtype=bool)
             frozen[K] = False
             assert not np.any(g[1:][frozen])
@@ -1022,11 +1042,14 @@ class TestWorkingBlock:
                                    rtol=1e-12)
         np.testing.assert_array_equal(prob.grad(m, u), prob.grad(m))
 
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_forwarding_matrix_gives_identical_fit(self, monkeypatch,
-                                                   forwarded_X):
+                                                   forwarded_X, layout):
         # the block path may use only what a wrapper of X forwards: @, .T,
         # indexing and attributes, as the benchmark's traced matrix does
         data = binary_data(seed=1, n=200, p=4000, s=10)
+        if layout == "csr":     # _as_csr would read the wrapper
+            data = Dataset(sp.csr_array(data._X), data.labels)
         res = fit_binary(data, self.HP)
         assert any("getitem" in proxy.used for proxy in forwarded_X)
         monkeypatch.undo()      # the plain matrix again
@@ -1035,12 +1058,15 @@ class TestWorkingBlock:
         assert res.final_objective == plain.final_objective
         np.testing.assert_array_equal(res.model.w, plain.model.w)
 
-    def test_small_problem_never_builds_a_block(self, monkeypatch):
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_small_problem_never_builds_a_block(self, monkeypatch, layout):
         # 45 x 300 (a fold of the criterion-3 set): K always exceeds p/32,
         # so the solve pays only for the gate
         data = binary_data(seed=7, n=50, p=300, s=20)
         fold = hsvm.tuning.kfold_split(50, 10, data.labels, seed=7)[0]
         train = data.subset(np.setdiff1d(np.arange(50), fold))
+        if layout == "csr":
+            train = _as_csr(train)
         grad = BinaryObjective.grad
         blocks = []
 
@@ -1054,12 +1080,21 @@ class TestWorkingBlock:
             for lam2 in (0.1, 1.0, 10.0):
                 fit_binary(train, Hyperparams(lam1, lam2, lam2, 1.0))
         assert blocks and all(K is None for K in blocks)
+        if layout == "csr":
+            # a dense X fills both norm caches at once, a CSR only on request
+            assert train._col_sqnorms is None
 
-    def test_csr_never_builds_a_block(self):
+    def test_csr_column_norms_only_for_a_block(self):
+        # they take a vector as wide as X: a fit reads them once the gate
+        # passes, and B-PGH-2's full problem, which never keeps a block,
+        # never asks for them
         data = _as_csr(binary_data(seed=1, n=200, p=4000, s=10))
+        assert fit_binary_two_stage(data, self.HP).converged
+        assert data._col_sqnorms is None
         prob = BinaryObjective(data, self.HP)
-        res = hsvm.solver._run_pg_loop(prob, SolverOptions())
-        assert res.converged and prob._K is None
+        assert hsvm.solver._run_pg_loop(prob, SolverOptions()).converged
+        assert prob._K is not None and prob._K.size * 32 <= 4000
+        assert data._col_sqnorms is not None
 
     def test_known_smooth_value_reused_on_unextrapolated_steps(self,
                                                               monkeypatch):
