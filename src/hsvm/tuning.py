@@ -120,9 +120,10 @@ def grid_search(data: Dataset, grid: Grid, solver="bpgh",
                 opts: Optional[SolverOptions] = None, seed=0) -> GridSearchResult:
     """Mean validation accuracy over the folds for every grid point.
 
-    Ties are broken toward the sparser model: larger lambda1, then larger
-    lambda2. An error from a fit or its evaluation propagates, so a label
-    kind ``solver`` cannot fit raises the objective's ``LabelError``.
+    Folds run outermost, so one fold's training and validation copies live
+    at a time; the table keeps (point, fold) order. Ties are broken toward
+    the sparser model: larger lambda1, then larger lambda2. A label kind
+    ``solver`` cannot fit raises the objective's ``LabelError``.
     """
     if solver not in SOLVERS:
         raise DomainError(f"unknown solver {solver!r}")
@@ -130,21 +131,16 @@ def grid_search(data: Dataset, grid: Grid, solver="bpgh",
     folds = kfold_split(data.n, grid.folds, labels=data.labels, seed=seed)
     points = grid.points()
 
-    splits = []
-    for f, val_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(data.n), val_idx)
-        splits.append((data.subset(train_idx), data.subset(val_idx)))
+    def accuracies(val_idx):  # the fold's copies go when it returns
+        train = data.subset(np.setdiff1d(np.arange(data.n), val_idx))
+        val = data.subset(val_idx)
+        return [evaluate(fit(train, grid.hyperparams(*pt), opts).model,
+                         val).accuracy for pt in points]
 
-    table = []
-    mean_scores = {}
-    for l1, l2 in points:
-        hp = grid.hyperparams(l1, l2)
-        acc = np.zeros(len(folds))
-        for f, (train, val) in enumerate(splits):
-            acc[f] = evaluate(fit(train, hp, opts).model, val).accuracy
-        table.extend(CVRecord(l1, l2, f, float(a)) for f, a in enumerate(acc))
-        mean_scores[(l1, l2)] = float(acc.mean())
-
+    acc = np.column_stack([accuracies(val_idx) for val_idx in folds])
+    table = [CVRecord(l1, l2, f, float(a))
+             for (l1, l2), row in zip(points, acc) for f, a in enumerate(row)]
+    mean_scores = {pt: float(row.mean()) for pt, row in zip(points, acc)}
     best = max(points, key=lambda pt: (mean_scores[pt], pt[0], pt[1]))
     return GridSearchResult(best_lambda1=best[0], best_lambda2=best[1],
                             table=table, mean_scores=mean_scores)

@@ -153,6 +153,62 @@ class TestDataset:
         assert peak < X.nbytes / 8
 
 
+def random_csr(rng, n, p):
+    """A canonical CSR with some explicit zeros and some entries whose
+    squares underflow to zero, both of which X.multiply(X) drops."""
+    X = rng.normal(size=(n, p)) * (rng.random((n, p)) < rng.uniform(0.05, 0.9))
+    X[rng.random((n, p)) < 0.05] *= 1e-170
+    X = sp.csr_array(X)
+    X.data[rng.random(X.nnz) < 0.2] = 0.0
+    return X
+
+
+class TestCsrSqnorms:
+    """Both CSR norms have the bits of the sums over ``X.multiply(X)``; the
+    column norms add the squared entries by column index, and neither
+    request squares X into a second full copy or replaces the other."""
+
+    def test_column_norms_keep_the_cached_row_norms(self):
+        d = Dataset(random_csr(np.random.default_rng(0), 30, 40),
+                    np.ones(30, dtype=int))
+        rows = d.row_sqnorms()
+        d.col_sqnorms()
+        assert d.row_sqnorms() is rows
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_equal_to_sums_of_the_full_square(self, seed):
+        rng = np.random.default_rng(seed)
+        X = random_csr(rng, int(rng.integers(1, 60)), int(rng.integers(1, 300)))
+        assert np.any(X.data == 0.0) or X.nnz < 5
+        d = Dataset(X, np.ones(X.shape[0], dtype=int))
+        sq = X.multiply(X)
+        for got, axis in [(d.col_sqnorms(), 0), (d.row_sqnorms(), 1)]:
+            want = np.asarray(sq.sum(axis=axis)).ravel()
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+
+    def test_overflowing_square_is_inf_without_warning(self):
+        X = sp.csr_array(np.array([[1e200, 1.0], [0.0, 2.0]]))
+        d = Dataset(X, [1, -1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(d.col_sqnorms(), [np.inf, 5.0])
+            np.testing.assert_array_equal(d.row_sqnorms(), [np.inf, 4.0])
+
+    def test_row_norms_square_one_copy_of_x(self):
+        # X.multiply(X) sizes its result for twice X's entries.
+        X = random_csr(np.random.default_rng(9), 400, 2000)
+        x_bytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+        d = Dataset(X, np.ones(400, dtype=int))
+        tracemalloc.start()
+        try:
+            d.row_sqnorms()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * x_bytes
+
+
 class TestParseLibsvm:
     def test_basic_line(self):
         d = parse_libsvm("+1 1:0.5 3:-2\n")

@@ -881,6 +881,32 @@ def _as_csr(data):
                    n_classes=data.n_classes)
 
 
+class TestBinaryIsTwoClassMulti:
+    """M-HSVM with J = 2 at (lambda1, lambda2, lambda3)/2, label +1 as
+    class 1, has the B-HSVM optimum at (lambda1, lambda2, lambda3):
+    W = (w, -w) and b = (b, -b), with the same objective value."""
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("lambda1", [0.02, 0.1])
+    def test_half_penalties_give_the_binary_optimum(self, layout, lambda1):
+        opts = SolverOptions(tol=1e-12)
+        hp = Hyperparams(lambda1, 1.0, 1.0, 1.0)
+        half = Hyperparams(lambda1 / 2, 0.5, 0.5, 1.0)
+        for seed in range(12):
+            data = binary_data(seed=seed, n=60, p=200)
+            if layout == "csr":
+                data = _as_csr(data)
+            two = Dataset(data.X, np.where(data.labels == 1, 1, 2))
+            rb, rm = fit_binary(data, hp, opts), fit_multi(two, half, opts)
+            assert rb.converged and rm.converged
+            assert rm.final_objective == pytest.approx(rb.final_objective,
+                                                       rel=1e-10)
+            w, b = rb.model.w, rb.model.b
+            np.testing.assert_allclose(rm.model.W, np.column_stack([w, -w]),
+                                       rtol=0, atol=1e-6)
+            np.testing.assert_allclose(rm.model.b, [b, -b], rtol=0, atol=1e-6)
+
+
 class TestNonFiniteFeatures:
     """A NaN, an inf or an entry whose square overflows fails every fit and
     ``objective`` with one ``DomainError`` naming the feature matrix,

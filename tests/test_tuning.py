@@ -1,7 +1,9 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hsvm import (
     Dataset,
@@ -9,10 +11,13 @@ from hsvm import (
     Grid,
     LabelError,
     ShapeError,
+    SolverOptions,
     grid_search,
     kfold_split,
 )
-from hsvm.data import SynthSpec, gen_binary_gaussian
+from hsvm.data import SynthSpec, gen_binary_gaussian, gen_fourclass
+from hsvm.model import evaluate
+from hsvm.tuning import SOLVERS, CVRecord, GridSearchResult
 
 
 class TestKfoldSplit:
@@ -146,6 +151,75 @@ class TestGridSearch:
         data = separable_data(8, n=6)
         with pytest.raises(DomainError):
             grid_search(data, Grid([0.1], [1.0], folds=10))
+
+
+def reference_grid_search(data, grid, solver, seed):
+    """The CV table by a plain loop over (point, fold): each fit on its
+    own training copy, evaluated on its own validation copy."""
+    folds = kfold_split(data.n, grid.folds, labels=data.labels, seed=seed)
+    table, mean_scores = [], {}
+    for l1, l2 in grid.points():
+        accs = []
+        for val_idx in folds:
+            train = data.subset(np.setdiff1d(np.arange(data.n), val_idx))
+            model = SOLVERS[solver](train, grid.hyperparams(l1, l2)).model
+            accs.append(evaluate(model, data.subset(val_idx)).accuracy)
+        table += [CVRecord(l1, l2, f, float(a)) for f, a in enumerate(accs)]
+        mean_scores[(l1, l2)] = float(np.mean(accs))
+    best = max(mean_scores, key=lambda pt: (mean_scores[pt], pt[0], pt[1]))
+    return GridSearchResult(best[0], best[1], table, mean_scores)
+
+
+def csv_bytes(result):
+    buf = io.StringIO()
+    result.to_csv(buf)
+    return buf.getvalue().encode()
+
+
+class TestFoldMajorLoop:
+    """Folds run outermost, one fold's copies at a time; the result is the
+    plain (point, fold) loop's, row for row and byte for byte."""
+
+    @pytest.mark.parametrize("solver", ["bpgh", "mpgh"])
+    def test_matches_plain_loop(self, solver):
+        if solver == "mpgh":
+            data = gen_fourclass(SynthSpec(kind="four_class", n=80, p=30,
+                                           s=4, rho=0.5, seed=3))
+        else:
+            data = gen_binary_gaussian(SynthSpec(kind="binary_gaussian",
+                                                 n=60, p=30, s=5, rho=0.5,
+                                                 seed=3))
+        # A non-square grid, so that swapped point and fold indices show.
+        grid = Grid([0.01, 0.1, 0.4], [0.1, 1.0], folds=3)
+        got = grid_search(data, grid, solver=solver, seed=5)
+        want = reference_grid_search(data, grid, solver, seed=5)
+        assert len({rec.accuracy for rec in want.table}) > 2
+        assert got.table == want.table
+        assert got.mean_scores == want.mean_scores
+        assert csv_bytes(got) == csv_bytes(want)
+
+    @pytest.mark.parametrize("layout, bound", [("dense", 1.3), ("csr", 3.0)])
+    def test_peak_memory_does_not_grow_with_folds(self, layout, bound):
+        # Building every fold's copies before the first fit peaks at 10.1x
+        # X dense and 13.1x X as CSR. A CSR fit also squares one copy of
+        # its training rows for the norms.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 2000))
+        y = np.where(X[:, 0] + 0.5 * rng.normal(size=200) >= 0, 1, -1)
+        if layout == "csr":
+            X = sp.csr_array(X * (rng.random(X.shape) < 0.05))
+            x_bytes = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+        else:
+            x_bytes = X.nbytes
+        data = Dataset(X, y)
+        grid = Grid([0.05], [1.0], folds=10)
+        tracemalloc.start()
+        try:
+            grid_search(data, grid, opts=SolverOptions(max_iter=20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * x_bytes
 
 
 class TestSolverFailureHandling:
