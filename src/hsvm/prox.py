@@ -146,13 +146,6 @@ def multi_b_step(b_hat, grad_b, L_k, lambda3) -> np.ndarray:
     return (q - q.mean()) / (L_k + lambda3)
 
 
-def row_range(Z):
-    """(max, min) of each row of Z, reduced over axis 0 of a transposed
-    copy: several times faster than over the short axis of Z."""
-    ZT = Z.T.copy()
-    return ZT.max(axis=0), ZT.min(axis=0)
-
-
 def sign_pattern_sigma(Z, S, lam):
     """The multiplier sigma = (sum_{s_i != 0} z_i - lam e's) / #{s_i != 0}
     of each row z of Z under the sign pattern s, the same row of S (see the
@@ -170,7 +163,9 @@ def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
 
     A flat row gets w = 0. Every other row first tries the sign pattern of
     its row of W_hat, and only a row whose guess fails goes through the
-    sorting kernel; see the module docstring."""
+    sorting kernel; see the module docstring. Rows are reduced all at
+    once, along contiguous memory for M-PGH's F-order matrices; W keeps
+    the layout of its inputs."""
     W_hat = np.asarray(W_hat, dtype=float)
     grad_W = np.asarray(grad_W, dtype=float)
     if L_k + lambda2 <= 0:
@@ -182,24 +177,21 @@ def multi_w_step(W_hat, grad_W, L_k, lambda1, lambda2) -> np.ndarray:
     if lam == 0.0:
         return Z - Z.mean(axis=1, keepdims=True)
     # A flat row (max z - min z <= 2 lam) has w* = 0.
-    hi, lo = row_range(Z)
-    live = np.flatnonzero(~(hi - lo <= 2.0 * lam * (1.0 - _FLAT_MARGIN)))
-    W = np.zeros_like(Z)
-    S = np.sign(W_hat[live])
+    spread = Z.max(axis=1) - Z.min(axis=1)
+    live = ~(spread <= 2.0 * lam * (1.0 - _FLAT_MARGIN))
+    S = np.sign(W_hat)
     if S.any():
-        # Each live row is solved from the sign pattern of its row of W_hat.
-        Z_live = Z[live]
-        sigma, n_act, s_sum = sign_pattern_sigma(Z_live, S, lam)
-        W_live = shrink(Z_live - sigma[:, None], lam)
-        # A row whose guess is empty or has one sign, fails the sign test
-        # or holds a NaN goes through the kernel.
-        miss = live[(np.abs(s_sum) >= n_act)
-                    | (np.sign(W_live) != S).any(axis=1)]
-        W[live] = W_live
+        # Each row is solved from the sign pattern of its row of W_hat.
+        sigma, n_act, s_sum = sign_pattern_sigma(Z, S, lam)
+        W = np.where(live[:, None], shrink(Z - sigma[:, None], lam), 0.0)
+        # A live row whose guess is empty or has one sign, fails the sign
+        # test or holds a NaN goes through the kernel.
+        miss = live & ((np.abs(s_sum) >= n_act)
+                       | (np.sign(W) != S).any(axis=1))
     else:
         # Every guess is empty, as at a fit's first step from zero, and an
         # empty guess always goes through the kernel.
-        miss = live
-    if miss.size:
+        W, miss = np.zeros_like(Z), live
+    if miss.any():
         W[miss] = _zero_sum_prox_rows(Z[miss], lam)[0]
     return W

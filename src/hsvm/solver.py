@@ -78,7 +78,7 @@ from .losses import (
     wrong_class_mask,
 )
 from .model import FEASIBILITY_TOL, BinaryModel, MultiModel, weight_zeros
-from .prox import (binary_prox_step, multi_b_step, multi_w_step, row_range,
+from .prox import (binary_prox_step, multi_b_step, multi_w_step,
                    sign_pattern_sigma)
 
 CONSEC_STOP = 3  # consecutive small-progress iterations that end a solve
@@ -471,7 +471,9 @@ class MultiObjective:
         self.certifies = hp.lambda2 > 0 and hp.lambda3 > 0
 
     def _split(self, u):
-        return u[:self.J], u[self.J:].reshape(-1, self.J)
+        """Views (b, W) of u = (b, vec W): W is F-order, so the per-row
+        reductions of the prox and the dual bound read contiguous memory."""
+        return u[:self.J], u[self.J:].reshape(self.J, -1).T
 
     def margins(self, u):
         b, W = self._split(u)
@@ -487,19 +489,20 @@ class MultiObjective:
         forms f anyway, so a given f is not needed."""
         f, gb, gW, dual_loss = multi_grad_from_margins(
             m.reshape(-1, self.J), self.X, self._wrong, self.hp.delta)
-        dual = (self._dual_bound(dual_loss, gb, gW, u) if self.certifies
+        grad = np.concatenate([gb, gW.ravel(order="F")])
+        dual = (self._dual_bound(dual_loss, grad, u) if self.certifies
                 else -math.inf)
-        return f, np.concatenate([gb, gW.ravel()]), dual
+        return f, grad, dual
 
     def grad(self, m, u=None):
         """Gradient at the point u with margins m; reads only m."""
         _, gb, gW, _ = multi_grad_from_margins(
             m.reshape(-1, self.J), self.X, self._wrong, self.hp.delta)
-        return np.concatenate([gb, gW.ravel()])
+        return np.concatenate([gb, gW.ravel(order="F")])
 
-    def _dual_bound(self, dual_loss, gb, gW, u):
+    def _dual_bound(self, dual_loss, grad, u):
         """Dual objective at the loss coefficients C behind the gradient
-        (gb, gW), taken at the point u:
+        grad = (gb, vec gW), taken at the point u:
 
             D = dual_loss - sum_k ||S_lam1(v_k - sigma_k)||^2 / (2 lam2)
                           - ||gb - mean(gb)||^2 / (2 lam3),
@@ -507,21 +510,21 @@ class MultiObjective:
         with v_k = -(row k of gW). The middle sum is the zero-sum
         elastic-net conjugate, min over sigma_k of each row's term, so any
         sigma_k gives a valid lower bound on the optimum. A flat row
-        (spread <= 2 lam1) takes the midpoint and contributes 0. Every
+        (spread <= 2 lam1) contributes 0, its term at the midpoint. Every
         other row takes sigma_k from the sign pattern of its row of W,
         as ``multi_w_step``'s guess does: exact once the support of W is
         the optimum's. A row of W without a nonzero takes the midpoint.
         """
-        lam1, J = self.hp.lambda1, self.J
-        hi, lo = row_range(gW)
-        live = np.flatnonzero(hi - lo > 2.0 * lam1)
-        V = -gW[live]
-        sigma, n_act, _ = sign_pattern_sigma(
-            V, np.sign(u[J:].reshape(-1, J)[live]), lam1)
-        empty = n_act == 0
-        sigma[empty] = -0.5 * (hi + lo)[live[empty]]
+        lam1 = self.hp.lambda1
+        gb, gW = self._split(grad)
+        hi, lo = gW.max(axis=1), gW.min(axis=1)
+        V, W = -gW, self._split(u)[1]
+        sigma, n_act, _ = sign_pattern_sigma(V, np.sign(W), lam1)
+        sigma = np.where(n_act == 0, -0.5 * (hi + lo), sigma)
+        # The inf threshold of a flat row makes its term 0.
+        thresh = np.where(hi - lo > 2.0 * lam1, lam1, np.inf)
         R = np.abs(V - sigma[:, None])
-        R -= lam1
+        R -= thresh[:, None]
         np.maximum(R, 0.0, out=R)  # |S_lam1(v - sigma)|
         q = gb - gb.mean()
         return (dual_loss - float(np.vdot(R, R)) / (2.0 * self.hp.lambda2)
@@ -539,7 +542,7 @@ class MultiObjective:
             raise ConstraintError("weight rows left the zero-sum subspace")
         if abs(b.sum()) > 1e-12:
             raise ConstraintError("intercepts left the zero-sum subspace")
-        return np.concatenate([b, W.ravel()])
+        return np.concatenate([b, W.ravel(order="F")])
 
     def nnz(self, u):
         return int(np.count_nonzero(u[self.J:]))
@@ -555,7 +558,7 @@ class MultiObjective:
             raise ShapeError(f"W has shape {model.W.shape}, expected {shape}")
         if model.feasibility_residual() > FEASIBILITY_TOL:
             raise ConstraintError("model violates the zero-sum constraints")
-        return np.concatenate([model.b, model.W.ravel()])
+        return np.concatenate([model.b, model.W.ravel(order="F")])
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ prox, itself checked against the dual scan, on every row, as the reference
 for the row shortcuts of ``hsvm.prox.multi_w_step``. The M-HSVM dual
 objective is evaluated from its definition, with every row conjugate taken
 at the dual scan's exact maximiser; it is the reference for the duality gap
-that certifies an M-PGH fit. The LIBSVM reader is the per-token loop that
-``hsvm.data.parse_libsvm`` replaced, kept as the reference its bulk
-conversion must match bit for bit.
+that certifies an M-PGH fit. The gathered-row dual bound computes the
+bound of ``MultiObjective._dual_bound`` on the non-flat rows alone, as the
+reference for its masked pass over every row. The LIBSVM reader is the
+per-token loop that ``hsvm.data.parse_libsvm`` replaced, kept as the
+reference its bulk conversion must match bit for bit.
 """
 
 from __future__ import annotations
@@ -98,6 +100,30 @@ def kernel_only_w_step(W_hat, grad_W, L_k, lambda1, lambda2):
     with every row, flat or not, solved by the sorting kernel."""
     Z = (L_k * np.asarray(W_hat) - grad_W) / (L_k + lambda2)
     return _zero_sum_prox_rows(Z, lambda1 / (L_k + lambda2))[0]
+
+
+def gathered_dual_bound(dual_loss, gb, gW, W, hp):
+    """The dual bound of ``hsvm.solver.MultiObjective._dual_bound`` at the
+    gradient (gb, gW) and the point's weights W, summed over the rows whose
+    spread max - min exceeds 2 lambda1, gathered into one array. Each takes
+    sigma = (sum_{s_i != 0} v_i - lambda1 e's) / #{s_i != 0} with
+    v = -(its row of gW) and s the signs of its row of W, or the midpoint
+    of v when s is zero."""
+    lam1 = hp.lambda1
+    hi, lo = gW.max(axis=1), gW.min(axis=1)
+    live = np.flatnonzero(hi - lo > 2.0 * lam1)
+    V = -gW[live]
+    S = np.sign(W[live])
+    A = np.abs(S)
+    n_act = A.sum(axis=1)
+    sigma = (((A * V).sum(axis=1) - lam1 * S.sum(axis=1))
+             / np.maximum(n_act, 1.0))
+    empty = n_act == 0
+    sigma[empty] = -0.5 * (hi + lo)[live[empty]]
+    R = np.maximum(np.abs(V - sigma[:, None]) - lam1, 0.0)
+    q = gb - gb.mean()
+    return (dual_loss - float(np.vdot(R, R)) / (2.0 * hp.lambda2)
+            - float(q @ q) / (2.0 * hp.lambda3))
 
 
 def grid_minimize(fun, box, step):

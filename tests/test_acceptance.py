@@ -83,8 +83,8 @@ def test_criterion_1_gradient_correctness():
         data = Dataset(rng.normal(size=(n, p)), rng.integers(1, J + 1, n),
                        n_classes=J)
         b, W = feasible_multi_point(rng, p, J)
-        worst = max(worst, fd_relative_error(MultiObjective(data, hp),
-                                             np.concatenate([b, W.ravel()])))
+        worst = max(worst, fd_relative_error(
+            MultiObjective(data, hp), np.concatenate([b, W.ravel(order="F")])))
     elapsed = time.time() - t0
     report(1, worst <= 1e-6 and elapsed < 5.0,
            f"50 instances, max FD relative error {worst:.2e} "

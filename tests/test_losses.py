@@ -368,7 +368,7 @@ def multi_grad_at(data, model, delta):
     """(grad_b, grad_W) of the multi-class smooth part at ``model``."""
     obj = MultiObjective(data, Hyperparams(0.0, 0.0, 0.0, delta))
     g = obj.grad(obj.margins(obj.point(model)))
-    return g[:obj.J], g[obj.J:].reshape(-1, obj.J)
+    return g[:obj.J], g[obj.J:].reshape(obj.J, -1).T
 
 
 class TestMultiGrad:

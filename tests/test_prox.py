@@ -425,6 +425,27 @@ class TestMultiWStep:
                 assert max(kkt_residuals(z, lam, w, sigma)) <= 1e-10
         assert solved > 0
 
+    @pytest.mark.parametrize("J", [2, 4, 50])
+    def test_layout_keeps_rows_and_kernel_calls(self, J, monkeypatch):
+        # M-PGH passes F-order matrices: the same rows go through the
+        # kernel as for C-order ones, and W agrees within 4 ulp of each
+        # row's largest |z|, in the layout of the inputs.
+        rng = np.random.default_rng(J + 600)
+        for lam in (0.3, 1e-3, 7.0):
+            Z0 = self.mixed_rows(rng, J, lam)
+            W_hat, grad, _ = self.guess_rows(rng, J, lam)
+            W_hat, grad = np.vstack([W_hat, Z0]), np.vstack([grad, -Z0])
+            W, Z, _, sent = self.traced_step(monkeypatch, W_hat, grad, lam)
+            W_F, _, _, sent_F = self.traced_step(
+                monkeypatch, np.asfortranarray(W_hat),
+                np.asfortranarray(grad), lam)
+            assert W_F.flags["F_CONTIGUOUS"]
+            np.testing.assert_array_equal(sent_F, sent)
+            nan = np.isnan(W).any(axis=1)
+            np.testing.assert_array_equal(np.isnan(W_F).any(axis=1), nan)
+            ulp = 4 * np.spacing(np.abs(Z[~nan]).max(axis=1))
+            assert np.all(np.abs(W_F - W)[~nan].max(axis=1) <= ulp)
+
     def test_rows_below_the_flat_line_skip_the_kernel(self, monkeypatch):
         seen = []
 

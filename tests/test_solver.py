@@ -28,6 +28,7 @@ from hsvm.model import BinaryModel, MultiModel, evaluate
 from hsvm.solver import BinaryObjective, MultiObjective
 
 from oracles import (
+    gathered_dual_bound,
     grid_minimize,
     kernel_only_w_step,
     multi_dual_direct,
@@ -641,6 +642,37 @@ class TestDualityGap:
                     assert bound == pytest.approx(exact, rel=1e-12, abs=0)
                     assert bound == pytest.approx(F_opt, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("J", [2, 3, 4, 50])
+    def test_dual_bound_equals_the_gathered_rows(self, J):
+        # 60 random gradients and points per J: live and flat rows, rows
+        # whose spread is 2 lambda1 exactly, and rows of W that are zero,
+        # of one sign or mixed. dual_loss is 0, so the relative difference
+        # is that of the two row sums.
+        rng = np.random.default_rng(J + 70)
+        labels = np.arange(J) + 1
+        for _ in range(60):
+            p = int(rng.integers(1, 41))
+            hp = Hyperparams(*10 ** rng.uniform([-3, -1, -1], [0, 1, 1]))
+            prob = MultiObjective(Dataset(rng.normal(size=(J, p)), labels,
+                                          n_classes=J), hp)
+            kind = rng.integers(0, 4, size=p)
+            gW = rng.normal(size=(p, J)) * 10 ** rng.uniform(-3, 1, (p, 1))
+            flat = kind == 1
+            gW[flat] = rng.uniform(0, 2 * hp.lambda1, (flat.sum(), J))
+            edge = kind == 2
+            gW[edge] = rng.uniform(0, 2 * hp.lambda1, (edge.sum(), J))
+            gW[edge, 0], gW[edge, -1] = 0.0, 2 * hp.lambda1
+            W = rng.normal(size=(p, J)) * (rng.random((p, J)) < 0.6)
+            sign = rng.integers(0, 3, size=p)
+            W[sign == 0] = 0.0
+            W[sign == 1] = np.abs(W[sign == 1])
+            gb = rng.normal(size=J)
+            u = np.concatenate([np.zeros(J), W.ravel(order="F")])
+            grad = np.concatenate([gb, gW.ravel(order="F")])
+            got = prob._dual_bound(0.0, grad, u)
+            want = gathered_dual_bound(0.0, gb, gW, W, hp)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
     def test_one_loss_call_per_base_and_per_candidate(self, monkeypatch):
         # the fused call serves every gradient, and the value-only call
         # every line-search candidate, never a base
@@ -856,7 +888,7 @@ class TestObjectiveMargins:
                            n_classes=J)
             b = rng.normal(size=J)
             got = MultiObjective(data, self.HP).margins(
-                np.concatenate([b, W.ravel()]))
+                np.concatenate([b, W.ravel(order="F")]))
             want = (X @ W + b).ravel()
         assert got.shape == want.shape
         if k == 0:
