@@ -245,6 +245,9 @@ def cmd_bench(args) -> int:
                 for setting in ABLATION_SETTINGS]
     else:
         fits = [(name, _FITTERS[name]) for name in ("bpgh", "bpgh2")]
+    # Fill the norm caches now, or the first fit timed pays their passes.
+    data.row_sqnorms()
+    data.col_sqnorms()
     rows = []
     for name, fit in fits:
         t0 = time.perf_counter()

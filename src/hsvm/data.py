@@ -132,38 +132,34 @@ class Dataset:
         return self._true_support
 
     def row_sqnorms(self):
-        """Squared euclidean norm of each sample row, see ``_sqnorms``. A
-        sparse X squares one copy (``X.multiply(X)`` makes two) and drops
-        the zero squares, as the product does: the same bits."""
+        """Squared euclidean norm of each sample row, formed on first ask.
+        A dense X takes one streaming ``np.einsum``: no temporary the size
+        of X, as fast on F- as on C-order data. A sparse X squares one copy
+        and drops the zero squares: the bits of ``X.multiply(X)``, which
+        makes two copies. A sum of k = p squares is within
+        gamma_k = k eps / (1 - k eps) relative, in any order."""
         if self._row_sqnorms is None and issparse(self._X):
             with np.errstate(over="ignore"):  # an overflow gives inf
                 sq = self._X.power(2)
             sq.eliminate_zeros()
             self._row_sqnorms = np.asarray(sq.sum(axis=1)).ravel()
         elif self._row_sqnorms is None:
-            self._sqnorms()
+            self._row_sqnorms = np.einsum("ij,ij->i", self._X, self._X)
         return self._row_sqnorms
 
     def col_sqnorms(self):
-        """Squared euclidean norm of each feature column, see ``_sqnorms``.
-        A sparse X adds its squared entries by column index in storage
-        order, as SciPy's column sum does; only a B-PGH working block asks."""
+        """Squared euclidean norm of each feature column, formed on first
+        ask (only a B-PGH working block asks): for a dense X as the rows
+        are. A sparse X adds its squares by column index in storage order,
+        as SciPy's column sum does. A sum of n squares is within gamma_n."""
         if self._col_sqnorms is None and issparse(self._X):
             self._col_sqnorms = np.zeros(self.n_features)
             with np.errstate(over="ignore"):
                 np.add.at(self._col_sqnorms, self._X.indices,
                           np.square(self._X.data))
         elif self._col_sqnorms is None:
-            self._sqnorms()
+            self._col_sqnorms = np.einsum("ij,ij->j", self._X, self._X)
         return self._col_sqnorms
-
-    def _sqnorms(self):
-        """Fill both norm caches of a dense X, one streaming ``np.einsum``
-        each: no temporary the size of X, and as fast on F- as on C-order
-        data. A norm summing k squares (k = p for a row, n for a column) is
-        within gamma_k = k eps / (1 - k eps) relative, in any order."""
-        self._row_sqnorms = np.einsum("ij,ij->i", self._X, self._X)
-        self._col_sqnorms = np.einsum("ij,ij->j", self._X, self._X)
 
     def subset(self, indices) -> "Dataset":
         """New dataset containing the given sample rows."""

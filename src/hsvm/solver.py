@@ -397,7 +397,7 @@ class BinaryObjective:
         product would compute them (Higham's dot-product bound,
         gamma_n ||X_j|| ||c|| each, with ||c|| below ||coef|| + rho0), of
         the column norms (sums of n squares, within gamma_n relative, see
-        ``Dataset._sqnorms``) and of rho0, so a full product would give
+        ``Dataset.col_sqnorms``) and of rho0, so a full product would give
         |g_j| <= lambda1 and a zero prox output.
         """
         lam = self.hp.lambda1

@@ -233,8 +233,9 @@ def test_criterion_7_two_stage_equivalence_and_speed():
         kind="binary_gaussian", n=2000, p=20_000, s=200, rho=0.0, seed=77))
     hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
     # Both solvers read the cached row and column norms; fill them (one
-    # pass over X) before timing, so neither time includes that pass.
+    # pass over X each) before timing, so neither time includes a pass.
     data.row_sqnorms()
+    data.col_sqnorms()
     t1 = time.perf_counter()
     r1 = fit_binary(data, hp)
     time_plain = time.perf_counter() - t1

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+import hsvm.cli
 import hsvm.solver
 from hsvm.cli import _solver_options, build_parser, main
 from hsvm.solver import SolverOptions
@@ -659,6 +660,34 @@ class TestBench:
         assert code == 0
         rows = out.strip().splitlines()
         assert rows[1].startswith("bpgh,") and rows[2].startswith("bpgh2,")
+
+    @pytest.mark.parametrize("scenario", ["two_stage", "ablation"])
+    def test_norms_filled_before_the_first_timed_fit(self, monkeypatch,
+                                                      capsys, scenario):
+        # a fit that formed a norm would time a pass over X that the
+        # fits after it read from the cache
+        filled = []
+
+        def recorded(fit):
+            def call(data, hp, *args, **kwargs):
+                filled.append((data._row_sqnorms is not None,
+                               data._col_sqnorms is not None))
+                return fit(data, hp, *args, **kwargs)
+            return call
+
+        if scenario == "ablation":
+            monkeypatch.setattr(hsvm.cli, "ablation_run",
+                                recorded(hsvm.cli.ablation_run))
+        else:
+            for name in ("bpgh", "bpgh2"):
+                monkeypatch.setitem(hsvm.cli._FITTERS, name,
+                                    recorded(hsvm.cli._FITTERS[name]))
+        code, _, _ = run(capsys, "--format", "csv", "bench",
+                         "--scenario", scenario, "--n", "100", "--p", "300",
+                         "--s", "6", "--seed", "2", "--lambda1", "0.1",
+                         "--lambda2", "1", "--lambda3", "1")
+        assert code == 0
+        assert filled and all(f == (True, True) for f in filled)
 
 
 class TestStats:

@@ -1138,15 +1138,21 @@ class TestWorkingBlock:
             for lam2 in (0.1, 1.0, 10.0):
                 fit_binary(train, Hyperparams(lam1, lam2, lam2, 1.0))
         assert blocks and all(K is None for K in blocks)
-        if layout == "csr":
-            # a dense X fills both norm caches at once, a CSR only on request
-            assert train._col_sqnorms is None
+        assert train._col_sqnorms is None
 
-    def test_csr_column_norms_only_for_a_block(self):
-        # they take a vector as wide as X: a fit reads them once the gate
-        # passes, and B-PGH-2's full problem, which never keeps a block,
-        # never asks for them
-        data = _as_csr(binary_data(seed=1, n=200, p=4000, s=10))
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_column_norms_only_for_a_block(self, layout):
+        # they take a pass over X and a vector as wide as it: a fit reads
+        # them once the gate passes, and M-PGH and B-PGH-2's full problem,
+        # which never keep a block, never ask for them
+        multi = gen_fourclass(SynthSpec(kind="four_class", n=40, p=24, s=4,
+                                        seed=0))
+        data = binary_data(seed=1, n=200, p=4000, s=10)
+        if layout == "csr":
+            multi, data = _as_csr(multi), _as_csr(data)
+        assert fit_multi(multi, self.HP).converged
+        assert multi._row_sqnorms is not None
+        assert multi._col_sqnorms is None
         assert fit_binary_two_stage(data, self.HP).converged
         assert data._col_sqnorms is None
         prob = BinaryObjective(data, self.HP)
