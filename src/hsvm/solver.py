@@ -26,33 +26,33 @@ margin product per candidate. The plain pass extrapolates; a
 re-extrapolated pass follows when backtracking raised the step constant
 past the extrapolation cap; a re-update pass from the last iterate, with
 omega = 0 and momentum reset, follows once if the candidate raised F.
-``line_search`` returns the accepted candidate's margins along with it,
-and the extrapolated margins are formed from the two cached margin
-vectors, never from a fresh product. B-PGH keeps a working block of
-columns, dense or CSR alike, the only code that reads a subset of X:
-proximal gradient identifies the solution's support after finitely many
-steps, and while a frozen feature cannot enter the support (safe
-screening in the sense of Fercoq, Gramfort & Salmon 2015, used only to
-skip work; see ``BinaryObjective``) both products read only the block.
-B-PGH-2 runs the loop on a copy of the working-set columns and forms the
-margins of each round's result from those columns; its screen and checks
-make full transpose products. Both M-PGH products read all of X. The step
-constant only grows within an iteration (L_k = min(ETA^{n_k} L_{k-1},
-L_global)) and each accepted step satisfies the sufficient-decrease
-inequality; the extrapolation weight (``extrapolation_weight``) is capped
-at sqrt(L_{k-1}/L_k).
+Every base, omega = 0 included, is u + omega (u - u_prev) with margins
+m + omega (m - m_prev), from the margins ``line_search`` returns with each
+candidate, and one ``smooth_grad(m, u)`` call gives its smooth value and
+gradient. B-PGH keeps a working block of columns, dense or CSR alike, the
+only code that reads a subset of X: proximal gradient identifies the
+solution's support after finitely many steps, and while a frozen feature
+cannot enter the support (safe screening in the sense of Fercoq, Gramfort
+& Salmon 2015, used only to skip work; see ``BinaryObjective``) both
+products read only the block. B-PGH-2 runs the loop on a copy of the
+working-set columns and forms the margins of each round's result from
+those columns; its screen and checks make full transpose products. Both
+M-PGH products read all of X. The step constant only grows within an
+iteration (L_k = min(ETA^{n_k} L_{k-1}, L_global), ``line_search`` the
+one place that caps it, the default start included) and each accepted
+step satisfies the sufficient-decrease inequality; the extrapolation
+weight (``extrapolation_weight``) is capped at sqrt(L_{k-1}/L_k).
 
-The objective gives the smooth value and the gradient at each base in one
-call (``smooth_grad``); for M-PGH that is one fused loss call, and the
-line search's candidates take the value-only call. The stop rule depends
-on the objective. M-PGH with lambda2, lambda3 > 0 (the paper's linear
-convergence assumption) has a finite dual, so each gradient also gives a
-lower bound D on the optimum (``MultiObjective._dual_bound``, in the
-manner of the gap-safe rules of Ndiaye et al. 2017). The loop keeps the
-best D over every base, restarts included, and stops once
-F - D_best <= tol F: ``converged=True`` certifies a relative duality gap
-<= tol, recorded in ``FitResult.gap``. Every other fit stops on relative
-progress (``check_stop``) and has no gap.
+``smooth_grad`` is one fused loss call for M-PGH and a value and a
+gradient call for B-PGH; the line search's candidates take the value-only
+call. The stop rule depends on the objective. M-PGH with lambda2,
+lambda3 > 0 (the paper's linear convergence assumption) has a finite dual,
+so each gradient also gives a lower bound D on the optimum
+(``MultiObjective._dual_bound``, in the manner of the gap-safe rules of
+Ndiaye et al. 2017). The loop keeps the best D over every base, restarts
+included, and stops once F - D_best <= tol F: ``converged=True`` certifies
+a relative duality gap <= tol, recorded in ``FitResult.gap``. Every other
+fit stops on relative progress (``check_stop``) and has no gap.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ def check_stop(F_prev, F_curr, step_norm, u_prev, tol, counter):
 
 
 def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
-    """Backtracking on the step constant: starting from L_start, multiply
-    by eta (capped at L_global) until the proximal candidate
+    """Backtracking on the step constant: from min(L_start, L_global),
+    multiply by eta (capped at L_global) until the proximal candidate
     u+ = prob.prox(u_hat, grad, L) satisfies
 
         f(u+) <= f(u_hat) + <grad, u+ - u_hat> + (L/2) ||u+ - u_hat||^2.
@@ -223,7 +223,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
     (2009); ``monotone=False`` drops it, for the ablation."""
     u = weight_zeros(prob.dim)
     m = prob.margins(u)
-    f = F = None  # formed by the first step, whose base is u itself
+    F = None  # formed by the first step, whose base is u itself
     D_best = -math.inf  # best dual bound over every base so far
     u_prev, m_prev = u, m
     t = 1.0
@@ -242,20 +242,16 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
         while True:
             omega = 0.0 if restarted else extrapolation_weight(
                 t, t_next, L, L_start)
-            if omega == 0.0:
-                # The base is u itself, whose smooth value f is known.
-                u_hat, m_hat, f_hat = u, m, f
-            else:
-                u_hat, m_hat, f_hat = (u + omega * (u - u_prev),
-                                       m + omega * (m - m_prev), None)
-            f_hat, grad, dual = prob.smooth_grad(m_hat, u_hat, f_hat)
+            u_hat = u + omega * (u - u_prev)
+            m_hat = m + omega * (m - m_prev)
+            f_hat, grad, dual = prob.smooth_grad(m_hat, u_hat)
             L_acc, cand, m_cand, f_cand, gap, ev = line_search(
                 prob, u_hat, f_hat, grad, L_start, prob.L_global, ETA)
             D_best = max(D_best, dual)
             grad_products += 1
             evals += ev
             if F is None:
-                f, F = f_hat, f_hat + prob.penalty(u)
+                F = f_hat + prob.penalty(u)
             L_start = L_acc
             if omega > math.sqrt(L / L_acc) + 1e-15:
                 # Backtracking raised L beyond the extrapolation cap;
@@ -269,7 +265,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
             restarted, t_next = True, 1.0
 
         step_norm = float(np.linalg.norm(cand - u))
-        F_prev, F, f = F, F_cand, f_cand
+        F_prev, F = F, F_cand
         u_prev, u = u, cand
         m_prev, m = m, m_cand
         L = L_acc
@@ -310,7 +306,7 @@ _SUPPORT_FRACTION = 32
 class BinaryObjective:
     """B-PGH objective F = f + g over u = (b, w): the mean huberized hinge
     loss of the margins y (b + X w) plus the elastic-net penalty. The
-    default initial step constant is 2 L_f / n, clamped to the global L_f.
+    default initial step constant is 2 L_f / n; ``line_search`` caps it.
 
     The objective keeps a working block, refreshed at each full transpose
     product made at a point u: the features
@@ -341,7 +337,7 @@ class BinaryObjective:
         self.hp = hp
         self.dim = data.n_features + 1
         self.L_global = lipschitz_binary(data, hp.delta)
-        self.L0 = min(2.0 * self.L_global / data.n, self.L_global)
+        self.L0 = 2.0 * self.L_global / data.n
         self.data = data
         self._K = np.empty(0, np.intp)  # working features; None: no block
         self._XK = np.empty((self.n, 0))  # the copy X[:, K]
@@ -363,12 +359,10 @@ class BinaryObjective:
     def smooth(self, m):
         return float(huber_loss(m, self.hp.delta).sum() / self.n)
 
-    def smooth_grad(self, m, u, f=None):
-        """(f, gradient, -inf) at the point u with margins m; a given f is
-        returned as it is."""
-        if f is None:
-            f = self.smooth(m)
-        return f, self.grad(m, u), -math.inf
+    def smooth_grad(self, m, u):
+        """(f, gradient, -inf) at the point u with margins m: the value
+        call and the gradient call, at every base alike."""
+        return self.smooth(m), self.grad(m, u), -math.inf
 
     def grad(self, m, u=None):
         """Gradient at the point u with margins m. Without u (the two-stage
@@ -401,13 +395,9 @@ class BinaryObjective:
         |g_j| <= lambda1 and a zero prox output.
         """
         lam = self.hp.lambda1
-        # The support alone is counted first: on small dense problems it
-        # usually exceeds p/32 already, and the count is the cheap part.
-        keep = None
-        if np.count_nonzero(w) * _SUPPORT_FRACTION <= w.size:
-            keep = np.abs(gw) >= lam
-            keep |= w != 0
-        if keep is None or np.count_nonzero(keep) * _SUPPORT_FRACTION > w.size:
+        keep = np.abs(gw) >= lam
+        keep |= w != 0
+        if np.count_nonzero(keep) * _SUPPORT_FRACTION > w.size:
             self._K = self._XK = self._c_ref = None
             return
         K = np.flatnonzero(keep)
@@ -446,7 +436,7 @@ class MultiObjective:
     """M-PGH objective H = l + G over u = (b, vec W) with b of length J and
     W of shape (p, J). The prox keeps both in the zero-sum subspace, which
     is checked on every candidate. The default initial step constant is
-    L_m / (n J), clamped to the global L_m.
+    L_m / (n J); ``line_search`` caps it at the global L_m.
 
     With lambda2, lambda3 > 0 (``certifies``) every gradient also gives a
     lower bound on the optimum, the dual objective at the loss
@@ -464,7 +454,7 @@ class MultiObjective:
         self.J = J
         self.dim = J + data.n_features * J
         self.L_global = lipschitz_multi(data, hp.delta, J)
-        self.L0 = min(self.L_global / (data.n * J), self.L_global)
+        self.L0 = self.L_global / (data.n * J)
         self._wrong = wrong_class_mask(data.labels, J)
         # Otherwise the penalty's conjugate is an indicator, and the
         # gradient's dual point is almost never feasible.
@@ -483,10 +473,10 @@ class MultiObjective:
         return multi_smooth_from_margins(m.reshape(-1, self.J), self._wrong,
                                          self.hp.delta)
 
-    def smooth_grad(self, m, u, f=None):
+    def smooth_grad(self, m, u):
         """(f, gradient, dual bound) at the point u with margins m, from one
-        fused loss call; the bound is -inf unless ``certifies``. The call
-        forms f anyway, so a given f is not needed."""
+        fused loss call at every base alike; the bound is -inf unless
+        ``certifies``."""
         f, gb, gW, dual_loss = multi_grad_from_margins(
             m.reshape(-1, self.J), self.X, self._wrong, self.hp.delta)
         grad = np.concatenate([gb, gW.ravel(order="F")])

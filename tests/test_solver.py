@@ -137,7 +137,7 @@ class _Scripted(_Quadratic):
         self.penalties, self.bounds = list(penalties), dict(bounds)
         self.calls = {"smooth_grad": 0, "penalty": 0}
 
-    def smooth_grad(self, m, u, f=None):
+    def smooth_grad(self, m, u):
         self.calls["smooth_grad"] += 1
         bound = self.bounds.get(self.calls["smooth_grad"], -math.inf)
         return self.smooth(m), self.grad(m), bound
@@ -290,6 +290,16 @@ class TestFitBinary:
         assert res.model.b == 0.0
         np.testing.assert_array_equal(res.model.w, np.zeros(1))
         assert res.converged
+
+    def test_one_sample_starts_at_the_global_constant(self):
+        # n = 1 is the one case where the default start 2 L_f / n exceeds
+        # L_f; the line search caps it, so the first step takes L_f
+        data = Dataset(np.array([[1.0, -2.0, 0.5]]), [1])
+        hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
+        res = fit_binary(data, hp)
+        L_global = BinaryObjective(data, hp).L_global
+        assert res.trace.column("L")[0] == L_global
+        assert res.trace.column("L").max() == L_global
 
     def test_tiny_instance_matches_grid_oracle(self):
         rng = np.random.default_rng(3)
@@ -715,8 +725,8 @@ class TestDualityGap:
         bounds = []
         smooth_grad = MultiObjective.smooth_grad
 
-        def recorded(prob, m, u, f=None):
-            out = smooth_grad(prob, m, u, f)
+        def recorded(prob, m, u):
+            out = smooth_grad(prob, m, u)
             bounds.append(out[2])
             return out
 
@@ -1160,12 +1170,10 @@ class TestWorkingBlock:
         assert prob._K is not None and prob._K.size * 32 <= 4000
         assert data._col_sqnorms is not None
 
-    def test_known_smooth_value_reused_on_unextrapolated_steps(self,
-                                                              monkeypatch):
-        # a step with omega = 0 (the first, the restart's re-update and the
-        # one after it) starts at the current iterate, whose smooth value
-        # the previous line search returned; every other step evaluates
-        # the smooth part once at its extrapolated point
+    def test_every_base_evaluates_its_value_once(self, monkeypatch):
+        # every base, omega = 0 included (the first, the restart's
+        # re-update and the one after it), takes one value call, and so
+        # does every line-search candidate
         calls = [0]
         loss = hsvm.solver.huber_loss
 
@@ -1175,10 +1183,10 @@ class TestWorkingBlock:
 
         monkeypatch.setattr(hsvm.solver, "huber_loss", counted)
         res = fit_binary(binary_data(seed=3), self.HP)
-        omega = res.trace.column("omega")
         assert res.trace.column("restarted").any()
-        assert calls[0] == (1 + res.trace.column("ls_evals").sum()
-                            + res.grad_products - np.count_nonzero(omega == 0))
+        assert np.count_nonzero(res.trace.column("omega") == 0) > 1
+        assert calls[0] == (res.trace.column("ls_evals").sum()
+                            + res.grad_products)
 
 
 # The hsvm.solver globals that the benchmark's traced run rebinds. Each must
