@@ -82,6 +82,7 @@ class Dataset:
         self._true_support = true_support
         self._row_sqnorms = None
         self._col_sqnorms = None
+        self._at_zero = None  # (delta, X'c at w = 0)
 
     @staticmethod
     def _infer_kind(labels):
@@ -160,6 +161,13 @@ class Dataset:
         elif self._col_sqnorms is None:
             self._col_sqnorms = np.einsum("ij,ij->j", self._X, self._X)
         return self._col_sqnorms
+
+    def transpose_at_zero(self, delta, coef):
+        """X'coef at the loss coefficients of w = 0 for ``delta``, formed on
+        first ask and kept in one slot keyed by delta; a copy has its own."""
+        if self._at_zero is None or self._at_zero[0] != delta:
+            self._at_zero = (delta, np.asarray(self.X.T @ coef).ravel())
+        return self._at_zero[1]
 
     def subset(self, indices) -> "Dataset":
         """New dataset containing the given sample rows."""

@@ -16,9 +16,10 @@ Each model is one objective object (``BinaryObjective``, ``MultiObjective``)
 over a flat parameter vector u, the only code for its margins and
 gradient. It owns the label check, the global Lipschitz constant and the
 default initial step constant, and provides ``margins``, ``smooth``,
-``grad``, ``smooth_grad``, ``penalty``, ``prox``, ``nnz``, ``model`` and
-its inverse ``point``, plus the flag ``certifies``. ``_run_pg_loop`` runs
-on it; ``objective`` evaluates a model.
+``grad``, ``smooth_grad``, ``penalty``, ``prox``, ``nnz``, ``model``, its
+inverse ``point``, the coordinate moves ``enter``, ``gather`` and ``full``,
+and the flag ``certifies``. ``_run_pg_loop`` runs on it from any start
+point; ``objective`` evaluates a model.
 
 Per iteration ``_run_pg_loop`` takes one step in passes, each a base, one
 gradient (transpose) product there and a line search with one forward
@@ -28,20 +29,23 @@ past the extrapolation cap; a re-update pass from the last iterate, with
 omega = 0 and momentum reset, follows once if the candidate raised F.
 Every base, omega = 0 included, is u + omega (u - u_prev) with margins
 m + omega (m - m_prev), from the margins ``line_search`` returns with each
-candidate, and one ``smooth_grad(m, u)`` call gives its smooth value and
-gradient. B-PGH keeps a working block of columns, dense or CSR alike, the
-only code that reads a subset of X: proximal gradient identifies the
-solution's support after finitely many steps, and while a frozen feature
-cannot enter the support (safe screening in the sense of Fercoq, Gramfort
-& Salmon 2015, used only to skip work; see ``BinaryObjective``) both
-products read only the block. B-PGH-2 runs the loop on a copy of the
-working-set columns and forms the margins of each round's result from
-those columns; its screen and checks make full transpose products. Both
-M-PGH products read all of X. The step constant only grows within an
-iteration (L_k = min(ETA^{n_k} L_{k-1}, L_global), ``line_search`` the
-one place that caps it, the default start included) and each accepted
-step satisfies the sufficient-decrease inequality; the extrapolation
-weight (``extrapolation_weight``) is capped at sqrt(L_{k-1}/L_k).
+candidate; one ``smooth_grad(m, u)`` call gives its smooth value and
+gradient, and ``gather`` then moves the loop's vectors to the pass's
+coordinates. B-PGH's iterates live in the coordinates of a working block
+of columns, dense or CSR alike, the only code that reads a subset of X:
+proximal gradient identifies the solution's support after finitely many
+steps, and a frozen feature that cannot enter the support (safe screening
+in the sense of Fercoq, Gramfort & Salmon 2015; see ``BinaryObjective``)
+drops out of every operation. B-PGH-2 runs the loop on a copy of the
+working-set columns, each round from the last one's result, and forms
+the margins of each round's result from those columns; its screen and
+checks make full transpose products, the one at w = 0 once per data set
+and delta for both binary fits. Both M-PGH products read all of X. The
+step constant only grows within an iteration (L_k = min(ETA^{n_k}
+L_{k-1}, L_global), ``line_search`` the one place that caps it, the
+default start included) and each accepted step satisfies the
+sufficient-decrease inequality; the extrapolation weight
+(``extrapolation_weight``) is capped at sqrt(L_{k-1}/L_k).
 
 ``smooth_grad`` is one fused loss call for M-PGH and a value and a
 gradient call for B-PGH; the line search's candidates take the value-only
@@ -215,19 +219,21 @@ def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
         L = min(eta * L, L_global)
 
 
-def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
-    """Shared iteration loop from the step constant ``prob.L0``. Its inner
-    loop, the one step site, runs the passes of the module docstring and
-    counts each pass's dual bound, gradient product and evaluations once.
-    The re-update is the monotone restart of Beck & Teboulle's MFISTA
-    (2009); ``monotone=False`` drops it, for the ablation."""
-    u = weight_zeros(prob.dim)
+def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
+                 L0=None) -> FitResult:
+    """Shared iteration loop from ``u0`` (default zero) and the step
+    constant ``L0`` (default ``prob.L0``). Its inner loop, the one step
+    site, runs the passes of the module docstring and counts each pass's
+    dual bound, gradient product and evaluations once. The re-update is
+    the monotone restart of Beck & Teboulle's MFISTA (2009);
+    ``monotone=False`` drops it, for the ablation."""
+    u = prob.enter(weight_zeros(prob.dim) if u0 is None else u0)
     m = prob.margins(u)
     F = None  # formed by the first step, whose base is u itself
     D_best = -math.inf  # best dual bound over every base so far
     u_prev, m_prev = u, m
     t = 1.0
-    L = prob.L0
+    L = prob.L0 if L0 is None else L0
     trace = SolverTrace()
     iterates = [] if opts.record_iterates else None
     grad_products = 0
@@ -245,6 +251,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
             u_hat = u + omega * (u - u_prev)
             m_hat = m + omega * (m - m_prev)
             f_hat, grad, dual = prob.smooth_grad(m_hat, u_hat)
+            grad, u_hat, u, u_prev = prob.gather(grad, u_hat, u, u_prev)
             L_acc, cand, m_cand, f_cand, gap, ev = line_search(
                 prob, u_hat, f_hat, grad, L_start, prob.L_global, ETA)
             D_best = max(D_best, dual)
@@ -276,7 +283,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True) -> FitResult:
             restarted=restarted, nnz=prob.nnz(u), n_products=evals,
             ls_evals=evals, suff_gap=gap))
         if iterates is not None:
-            iterates.append(u.copy())
+            iterates.append(prob.full(u))
 
         if prob.certifies:
             stop = F - D_best <= opts.tol * F
@@ -308,19 +315,14 @@ class BinaryObjective:
     loss of the margins y (b + X w) plus the elastic-net penalty. The
     default initial step constant is 2 L_f / n; ``line_search`` caps it.
 
-    The objective keeps a working block, refreshed at each full transpose
-    product made at a point u: the features
-    K = supp(w) | {j : |g_j| >= lambda1}, the copy X[:, K] (F-order for a
-    dense X, CSR for a CSR one), the loss coefficients c_ref of that
-    product and a radius rho (see ``_refresh``). It exists only while
-    |K| <= p/32. It starts empty with rho = 0, so the margins at w = 0
-    read no column and the first gradient is a full product. The forward
-    product of any w with supp(w) in K reads X[:, K], and the gradient at
-    a u with supp(w) in K and ||c - c_ref|| < rho reads only X[:, K] and
-    returns exact zeros elsewhere. Those zeros change nothing: by
-    Cauchy-Schwarz every other |g_j| stays below lambda1, so its weight,
-    zero at u, stays zero after the prox, and its term of the line
-    search's <g, d> is zero either way.
+    While it keeps a working block of features K, the copy X[:, K]
+    (F-order for a dense X, CSR for a CSR one), the loop's vectors are in
+    its coordinates u = (b, w_K); otherwise, as on construction, in full
+    ones. From w = 0 the block is empty (``enter``), so the margins read no
+    column. ``gather`` re-forms it at each full product (``_refresh``).
+    A gradient whose loss coefficients are within a radius of that
+    product's reads only X[:, K]: every frozen |g_j| stays below lambda1,
+    so its weight, zero in every vector the loop holds, stays zero.
     """
 
     # B-PGH stops on relative progress (``check_stop``), so its gradient
@@ -339,22 +341,13 @@ class BinaryObjective:
         self.L_global = lipschitz_binary(data, hp.delta)
         self.L0 = 2.0 * self.L_global / data.n
         self.data = data
-        self._K = np.empty(0, np.intp)  # working features; None: no block
-        self._XK = np.empty((self.n, 0))  # the copy X[:, K]
-        self._c_ref = np.zeros(self.n)  # coefficients of the last full product
-        self._rho = 0.0  # certified radius around _c_ref
-
-    def _in_block(self, w):
-        """Whether supp(w) lies in the working features K (K is unique)."""
-        return np.count_nonzero(w) == np.count_nonzero(w[self._K])
+        self._K = self._XK = None  # working features and X[:, K]; None: full
+        self._c_ref = self._rho = 0.0  # the block's certificate
+        self._coef = None  # coefficients of a full product not yet gathered
 
     def margins(self, u):
-        w = u[1:]
-        if self._K is not None and self._in_block(w):
-            fwd = self._XK @ w[self._K]
-        else:
-            fwd = np.asarray(self.X @ w).ravel()
-        return self.y * (u[0] + fwd)
+        fwd = self.X @ u[1:] if self._K is None else self._XK @ u[1:]
+        return self.y * (u[0] + np.asarray(fwd).ravel())
 
     def smooth(self, m):
         return float(huber_loss(m, self.hp.delta).sum() / self.n)
@@ -365,23 +358,51 @@ class BinaryObjective:
         return self.smooth(m), self.grad(m, u), -math.inf
 
     def grad(self, m, u=None):
-        """Gradient at the point u with margins m. Without u (the two-stage
-        screen and checks) it is always the full product."""
+        """Gradient at margins m: at the loop's point u, in u's coordinates
+        while the certificate holds, else (and always without u) the full
+        product, at m = 0 (w = 0) from the data set's memo."""
         coef = huber_grad(m, self.hp.delta) * self.y / self.n
         if (u is not None and self._K is not None
-                and self._in_block(u[1:])
                 and np.linalg.norm(coef - self._c_ref) < self._rho):
-            gw = np.zeros(self.dim - 1)
-            gw[self._K] = self._XK.T @ coef
+            gw = self._XK.T @ coef
         else:
-            gw = np.asarray(self.X.T @ coef).ravel()
+            gw = (np.asarray(self.X.T @ coef).ravel() if m.any() else
+                  self.data.transpose_at_zero(self.hp.delta, coef))
             if u is not None:
-                self._refresh(u[1:], gw, coef)
+                self._coef = coef
         return np.concatenate([[coef.sum()], gw])
 
-    def _refresh(self, w, gw, coef):
-        """Rebuild the working block from the full gradient ``gw`` at a
-        point with weights ``w`` and loss coefficients ``coef``.
+    def enter(self, u):
+        """A start point u = (b, w) in full coordinates, in the objective's:
+        on the block of supp(w) with no certificate, or full past p/32."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.dim,):
+            raise ShapeError(f"u has shape {u.shape}, not ({self.dim},)")
+        return self._refresh([u])[0]
+
+    def gather(self, grad, *held):
+        """``grad`` and the vectors the loop holds in the coordinates of the
+        block that ``_refresh`` re-forms after a full product."""
+        if self._coef is None:
+            return (grad, *held)
+        held = self._refresh([self.full(v) for v in held], grad[1:])
+        return (grad[self._coords()], *held)
+
+    def full(self, u):
+        """A copy of u in full coordinates."""
+        v = np.zeros(self.dim)
+        v[self._coords()] = u
+        return v
+
+    def _coords(self):
+        """The positions of u's entries in full coordinates."""
+        return slice(None) if self._K is None else np.append(0, 1 + self._K)
+
+    def _refresh(self, held, gw=None):
+        """Re-form the block as K = supp(w) of every vector of ``held``
+        (in full coordinates) and {j : |g_j| >= lambda1} of a full gradient
+        ``gw`` at the pending coefficients ``coef``, kept as c_ref with the
+        radius rho below (0 without gw); return ``held`` gathered onto it.
 
         For a frozen j (not in K) and coefficients c, Cauchy-Schwarz gives
         |g_j(c)| <= |g_j(coef)| + ||X_j|| ||c - coef||. So ||c - coef|| < rho0,
@@ -394,22 +415,27 @@ class BinaryObjective:
         ``Dataset.col_sqnorms``) and of rho0, so a full product would give
         |g_j| <= lambda1 and a zero prox output.
         """
-        lam = self.hp.lambda1
-        keep = np.abs(gw) >= lam
-        keep |= w != 0
-        if np.count_nonzero(keep) * _SUPPORT_FRACTION > w.size:
-            self._K = self._XK = self._c_ref = None
-            return
+        lam, coef, self._coef = self.hp.lambda1, self._coef, None
+        keep = np.abs(gw) >= lam if gw is not None else held[0][1:] != 0
+        for u in held:
+            keep |= u[1:] != 0
+        if np.count_nonzero(keep) * _SUPPORT_FRACTION > keep.size:
+            self._K = self._XK = None
+            return held
         K = np.flatnonzero(keep)
-        frozen = ~keep
-        norms = np.sqrt(self.data.col_sqnorms()[frozen])
-        with np.errstate(divide="ignore"):
-            rho0 = np.min((lam - np.abs(gw[frozen])) / norms, initial=np.inf)
         if self._K is None or not np.array_equal(K, self._K):
             self._K, self._XK = K, self.X[:, K]
-        slack = 4.0 * (self.n + 2) * np.finfo(float).eps
-        self._c_ref = coef
-        self._rho = (1.0 - slack) * rho0 - slack * np.linalg.norm(coef)
+        self._rho = 0.0
+        if gw is not None:
+            frozen = ~keep
+            norms = np.sqrt(self.data.col_sqnorms()[frozen])
+            with np.errstate(divide="ignore"):
+                rho0 = np.min((lam - np.abs(gw[frozen])) / norms,
+                              initial=np.inf)
+            slack = 4.0 * (self.n + 2) * np.finfo(float).eps
+            self._c_ref = coef
+            self._rho = (1.0 - slack) * rho0 - slack * np.linalg.norm(coef)
+        return [u[self._coords()] for u in held]
 
     def penalty(self, u):
         return binary_penalty(u[0], u[1:], self.hp)
@@ -423,13 +449,11 @@ class BinaryObjective:
         return int(np.count_nonzero(u[1:]))
 
     def model(self, u):
-        return BinaryModel(b=float(u[0]), w=u[1:].copy())
+        return BinaryModel(b=float(u[0]), w=self.full(u)[1:])
 
     def point(self, model: BinaryModel):
-        """The u with ``self.model(u) == model``."""
-        if model.w.size != self.dim - 1:
-            raise ShapeError(f"w has {model.w.size} entries, not {self.dim - 1}")
-        return np.concatenate([[model.b], model.w])
+        """The u in ``enter``'s coordinates with ``self.model(u) == model``."""
+        return self.enter(np.concatenate([[model.b], model.w]))
 
 
 class MultiObjective:
@@ -464,6 +488,10 @@ class MultiObjective:
         """Views (b, W) of u = (b, vec W): W is F-order, so the per-row
         reductions of the prox and the dual bound read contiguous memory."""
         return u[:self.J], u[self.J:].reshape(self.J, -1).T
+
+    # M-PGH works in full coordinates: a coordinate move copies or keeps u.
+    enter = full = staticmethod(np.array)
+    gather = staticmethod(lambda *vectors: vectors)
 
     def margins(self, u):
         b, W = self._split(u)
@@ -571,10 +599,12 @@ def objective(model, data: Dataset, hp: Hyperparams) -> ObjectiveParts:
 
 
 def fit_binary(data: Dataset, hp: Hyperparams,
-               opts: Optional[SolverOptions] = None) -> FitResult:
-    """Train the binary model by extrapolated proximal gradient descent,
-    starting from the zero vector."""
-    return _run_pg_loop(BinaryObjective(data, hp), opts or SolverOptions())
+               opts: Optional[SolverOptions] = None, u0=None,
+               L0=None) -> FitResult:
+    """Train the binary model by extrapolated proximal gradient descent
+    from u0 = (b, w) (zero if None) at the step constant L0 (the default)."""
+    return _run_pg_loop(BinaryObjective(data, hp), opts or SolverOptions(),
+                        u0=u0, L0=L0)
 
 
 def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
@@ -586,26 +616,29 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     on the trace) runs ``fit_binary`` on the columns in S, the other
     weights frozen at zero, then adds to S every frozen j that fails the
     optimality check |grad_j f| <= lambda1 (1 + tol) at the result, whose
-    margins come from the round's columns. The rounds end when none fails,
-    or when one does not converge. Recorded iterates are those of every
-    round, in the coordinates of the full problem.
+    margins come from the round's columns. Each round starts at the full
+    problem's default step constant, after the first from the previous
+    result. The rounds end when none fails, or when one does not converge.
+    Recorded iterates are those of every round, in full coordinates.
     """
     opts = opts or SolverOptions()
     prob = BinaryObjective(data, hp)
-    grad = prob.grad(prob.margins(weight_zeros(prob.dim)))
+    u = weight_zeros(prob.dim)
+    grad = prob.grad(prob.margins(prob.enter(u)))
     support = np.flatnonzero(np.abs(grad[1:]) > hp.lambda1)
     trace, iterations, grad_products = SolverTrace(), 0, 1
     iterates = [] if opts.record_iterates else None
     for stage in range(1, data.n_features + 2):  # each adds a feature
         sub = data.restrict_features(support)
-        res = fit_binary(sub, hp, opts)
+        cols = np.append(0, 1 + support)
+        res = fit_binary(sub, hp, opts, u0=u[cols], L0=prob.L0)
         trace.rows += [replace(row, k=row.k + iterations, stage=stage)
                        for row in res.trace.rows]
         iterations += res.iterations
         grad_products += res.grad_products
         path = [*(res.iterates or ()), np.append(res.model.b, res.model.w)]
         full = np.zeros((len(path), prob.dim))
-        full[:, np.append(0, 1 + support)] = path
+        full[:, cols] = path
         u = full[-1]
         if iterates is not None:
             iterates += list(full[:-1])
@@ -621,7 +654,7 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
         if not violates.any():
             break
         support = np.union1d(support, np.flatnonzero(violates))
-    return replace(res, model=prob.model(u), trace=trace,
+    return replace(res, model=BinaryModel(b=float(u[0]), w=u[1:]), trace=trace,
                    iterations=iterations, support=support,
                    iterates=iterates, grad_products=grad_products)
 
@@ -650,6 +683,5 @@ def ablation_run(data: Dataset, hp: Hyperparams, setting: str,
         raise DomainError(f"unknown ablation setting {setting!r}")
     fixed, monotone = _ABLATION[setting]
     prob = BinaryObjective(data, hp)
-    if fixed:
-        prob.L0 = prob.L_global
-    return _run_pg_loop(prob, opts or SolverOptions(), monotone)
+    return _run_pg_loop(prob, opts or SolverOptions(), monotone,
+                        L0=prob.L_global if fixed else None)

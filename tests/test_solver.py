@@ -10,6 +10,7 @@ from hsvm import (
     DomainError,
     Hyperparams,
     LabelError,
+    ShapeError,
     SolverOptions,
     ablation_run,
     check_stop,
@@ -152,6 +153,14 @@ class _Scripted(_Quadratic):
 
     def model(self, u):
         return u.copy()
+
+    def enter(self, u):
+        return u
+
+    def gather(self, *vectors):
+        return vectors
+
+    full = model
 
 
 class TestLineSearch:
@@ -383,6 +392,26 @@ class TestFitBinary:
         assert not res.converged and res.stop_reason == "max_iter"
         assert res.iterations == 3
 
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_starts_from_u0_at_L0(self, layout):
+        # from the optimum the fit stays there, at the step constant given
+        data = binary_data(seed=4, n=100, p=3200, s=5)
+        if layout == "csr":
+            data = _as_csr(data)
+        hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
+        opts = SolverOptions(tol=1e-10)
+        ref = fit_binary(data, hp, opts)
+        u0 = np.concatenate([[ref.model.b], ref.model.w])
+        L0 = ref.trace.column("L")[-1]
+        res = fit_binary(data, hp, opts, u0=u0, L0=L0)
+        assert res.converged and res.iterations <= ref.iterations // 4
+        assert res.trace.column("L")[0] == L0
+        assert res.final_objective <= ref.final_objective * (1 + 1e-12)
+        np.testing.assert_array_equal(np.flatnonzero(res.model.w),
+                                      np.flatnonzero(ref.model.w))
+        with pytest.raises(ShapeError):
+            fit_binary(data, hp, opts, u0=u0[:-1])
+
 
 class TestFitBinaryTwoStage:
     def test_matches_single_stage_objective(self):
@@ -481,6 +510,46 @@ class TestFitBinaryTwoStage:
         full = [px for px in forwarded_X if px.a is data._X]
         assert full and all("matmul" not in px.used for px in full)
         assert res.converged and res.trace.column("stage")[-1] >= 2
+        plain = fit_binary(data, hp)
+        assert res.final_objective == pytest.approx(plain.final_objective,
+                                                    rel=1e-8)
+
+    def test_rounds_warm_start_at_the_full_problem_constant(self,
+                                                           monkeypatch):
+        # each round after the first starts from its predecessor's result,
+        # gathered onto the grown working set, so its first F is at most
+        # the predecessor's final F; every round starts at the full
+        # problem's default step constant
+        data = binary_data(seed=0, n=200, p=2000, s=20)
+        hp = Hyperparams(0.005, 1.0, 1.0, 1.0)
+        fit, restrict = hsvm.solver.fit_binary, Dataset.restrict_features
+        supports, rounds = [], []
+
+        def restricted(ds, columns):
+            supports.append(np.asarray(columns))
+            return restrict(ds, columns)
+
+        def recorded(sub, hp, opts=None, u0=None, L0=None):
+            rounds.append((u0, L0, fit(sub, hp, opts, u0=u0, L0=L0)))
+            return rounds[-1][-1]
+
+        monkeypatch.setattr(Dataset, "restrict_features", restricted)
+        monkeypatch.setattr(hsvm.solver, "fit_binary", recorded)
+        res = fit_binary_two_stage(data, hp)
+        monkeypatch.undo()
+        assert len(rounds) >= 2 and res.converged
+        L0 = BinaryObjective(data, hp).L0
+        assert [L for _, L, _ in rounds] == [L0] * len(rounds)
+        assert not np.any(rounds[0][0])
+        stages, F = res.trace.column("stage"), res.trace.column("F")
+        for r in range(1, len(rounds)):
+            u0, prev = rounds[r][0], rounds[r - 1][2]
+            pos = np.searchsorted(supports[r], supports[r - 1])
+            np.testing.assert_array_equal(supports[r][pos], supports[r - 1])
+            assert u0[0] == prev.model.b
+            np.testing.assert_array_equal(u0[1 + pos], prev.model.w)
+            assert np.count_nonzero(u0[1:]) == np.count_nonzero(prev.model.w)
+            assert F[stages == r + 1][0] <= prev.final_objective * (1 + 1e-12)
         plain = fit_binary(data, hp)
         assert res.final_objective == pytest.approx(plain.final_objective,
                                                     rel=1e-8)
@@ -827,15 +896,20 @@ class TestLinearConvergence:
 
 class _ForwardingMatrix:
     """Forwards attribute lookups to a wrapped matrix and records which of
-    ``@`` and column indexing were used."""
+    ``@``, ``.T @`` ("transpose") and column indexing were used."""
 
-    def __init__(self, a):
+    def __init__(self, a, used=None, product="matmul"):
         self.a = a
-        self.used = []
+        self.used = [] if used is None else used
+        self.product = product
 
     def __matmul__(self, other):
-        self.used.append("matmul")
+        self.used.append(self.product)
         return self.a @ other
+
+    @property
+    def T(self):
+        return _ForwardingMatrix(self.a.T, self.used, "transpose")
 
     def __getitem__(self, key):
         self.used.append("getitem")
@@ -890,7 +964,8 @@ class TestObjectiveMargins:
             y = rng.choice([-1, 1], size=50)
             prob = BinaryObjective(Dataset(_layouts(X)[layout], y), self.HP)
             b = rng.normal()
-            got = prob.margins(np.concatenate([[b], W[:, 0]]))
+            # from the block of the support when it holds <= p/32 features
+            got = prob.margins(prob.enter(np.concatenate([[b], W[:, 0]])))
             want = y * (b + X @ W[:, 0])
         else:
             labels = rng.integers(1, J + 1, size=50)
@@ -913,8 +988,11 @@ class TestObjectiveMargins:
         X = _layouts(rng.normal(size=(50, P_MARGINS)))[layout]
         prob = BinaryObjective(Dataset(X, rng.choice([-1, 1], size=50)),
                                self.HP)
-        m = prob.margins(np.zeros(prob.dim))
-        assert forwarded_X and all(px.used == [] for px in forwarded_X)
+        u = prob.enter(np.zeros(prob.dim))
+        m = prob.margins(u)
+        assert u.shape == (1,) and prob._XK.shape == (50, 0)
+        assert forwarded_X and all("matmul" not in px.used
+                                   for px in forwarded_X)
         assert m.shape == (50,) and not np.any(m)
 
 
@@ -1044,8 +1122,9 @@ class TestDenseMatchesCsrFits:
 
 
 class TestWorkingBlock:
-    """The B-PGH transpose product reads only the working block X[:, K]
-    while its certificate holds; nothing the solve computes changes."""
+    """B-PGH iterates in the working block's coordinates u = (b, w_K), and
+    its transpose product reads only X[:, K] while the certificate holds;
+    nothing the solve computes changes beyond rounding."""
 
     HP = Hyperparams(0.1, 1.0, 1.0, 1.0)
     # instances whose working set stays within p/32 features
@@ -1062,19 +1141,18 @@ class TestWorkingBlock:
         skipped, worst = [0], [0.0]
 
         def checked(prob, m, u=None):
-            c_ref, K = prob._c_ref, prob._K
             g = grad(prob, m, u)
-            if c_ref is None or prob._c_ref is not c_ref:
-                return g        # a full product, which rebuilt the block
+            if g.size == prob.dim:
+                return g        # a full product, which re-forms the block
             skipped[0] += 1
-            assert K.size * 32 <= p
+            K = prob._K
+            assert K.size * 32 <= p and g.size == 1 + K.size
             coef = hsvm.solver.huber_grad(m, prob.hp.delta) * prob.y / prob.n
             full = np.asarray(prob.X.T @ coef)
             frozen = np.ones(p, dtype=bool)
             frozen[K] = False
-            assert not np.any(g[1:][frozen])
             worst[0] = max(worst[0], np.abs(full[frozen]).max())
-            np.testing.assert_allclose(g[1:][K], full[K], rtol=1e-12,
+            np.testing.assert_allclose(g[1:], full[K], rtol=1e-12,
                                        atol=1e-15)
             return g
 
@@ -1084,9 +1162,9 @@ class TestWorkingBlock:
         assert skipped[0] >= res.iterations // 2
         assert worst[0] <= self.HP.lambda1
         with monkeypatch.context() as mp:
-            # no block is ever built, so every product is the full one
-            mp.setattr(BinaryObjective, "_refresh",
-                       lambda prob, w, gw, coef: None)
+            # no block is kept past the empty one at zero, so every
+            # product is the full one
+            mp.setattr(hsvm.solver, "_SUPPORT_FRACTION", 1 << 40)
             ref = fit_binary(data, self.HP)
         assert res.iterations == ref.iterations
         assert res.grad_products == ref.grad_products
@@ -1095,20 +1173,57 @@ class TestWorkingBlock:
         assert res.final_objective == pytest.approx(ref.final_objective,
                                                     rel=1e-12)
 
-    def test_point_outside_block_takes_full_products(self):
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_fits_match_full_coordinates(self, monkeypatch, layout):
+        # 50 random problems, p from 300 to 6400, against a fit that keeps
+        # no block (every vector of the loop in full coordinates)
+        rng = np.random.default_rng(31 if layout == "dense" else 32)
+        blocks = 0
+        for case in range(25):
+            p = int(rng.choice([300, 800, 1600, 3200, 6400]))
+            n = int(rng.choice([40, 100, 200]))
+            data = binary_data(seed=case, n=n, p=p, s=int(rng.integers(3, 15)))
+            if layout == "csr":
+                data = _as_csr(data)
+            hp = Hyperparams(float(rng.choice([0.02, 0.05, 0.1, 0.2])),
+                             float(rng.choice([0.1, 1.0])), 1.0, 1.0)
+            res = fit_binary(data, hp)
+            blocks += bool((res.trace.column("nnz") * 32 <= p).any())
+            with monkeypatch.context() as mp:
+                mp.setattr(hsvm.solver, "_SUPPORT_FRACTION", 1 << 40)
+                ref = fit_binary(data, hp)
+            assert res.iterations == ref.iterations
+            assert res.grad_products == ref.grad_products
+            assert res.final_objective == pytest.approx(
+                ref.final_objective, rel=1e-15, abs=0)
+            assert res.model.w.shape == (p,)
+        assert blocks >= 10
+
+    def test_held_supports_stay_in_the_block(self):
+        # after a full product the block keeps every weight of every
+        # vector the loop holds, here one that neither the gradient nor the
+        # base asks for, and gathers the gradient onto it
         data = binary_data(seed=1, n=200, p=4000, s=10)
         prob = BinaryObjective(data, self.HP)
-        u = prob.point(fit_binary(data, self.HP).model)
-        prob.grad(prob.margins(u), u)
-        assert prob._K is not None and prob._K.size * 32 <= 4000
-        # a weight off K so small that the coefficients barely move: only
-        # the support test can send this point to the full products
-        j = np.setdiff1d(np.arange(4000), prob._K)[0]
-        u[1 + j] = 1e-9
+        model = fit_binary(data, self.HP).model
+        u_star = np.concatenate([[model.b], model.w])
+        g_star = prob.grad(prob.margins(prob.point(model)))
+        j = np.flatnonzero((u_star[1:] == 0)
+                           & (np.abs(g_star[1:]) < self.HP.lambda1))[0]
+        v = u_star.copy()
+        v[1 + j] = 1e-9
+        u_prev = prob.enter(v)
+        assert prob._K.size * 32 <= 4000 and j in prob._K
+        u = u_star[prob._coords()]
         m = prob.margins(u)
-        np.testing.assert_allclose(m, prob.y * (u[0] + data.X @ u[1:]),
-                                   rtol=1e-12)
-        np.testing.assert_array_equal(prob.grad(m, u), prob.grad(m))
+        _, g, _ = prob.smooth_grad(m, u)    # no certificate yet: full
+        assert g.size == prob.dim
+        g, u_hat, u, u_prev = prob.gather(g, u, u, u_prev)
+        assert j in prob._K and g.size == u.size == 1 + prob._K.size
+        np.testing.assert_array_equal(prob.full(u_prev), v)
+        np.testing.assert_array_equal(prob.full(u), u_star)
+        np.testing.assert_array_equal(g, prob.grad(m)[prob._coords()])
+        np.testing.assert_array_equal(prob.margins(u), m)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_forwarding_matrix_gives_identical_fit(self, monkeypatch,
@@ -1129,21 +1244,21 @@ class TestWorkingBlock:
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_small_problem_never_builds_a_block(self, monkeypatch, layout):
         # 45 x 300 (a fold of the criterion-3 set): K always exceeds p/32,
-        # so the solve pays only for the gate
+        # so past the empty block at zero the solve pays only for the gate
         data = binary_data(seed=7, n=50, p=300, s=20)
         fold = hsvm.tuning.kfold_split(50, 10, data.labels, seed=7)[0]
         train = data.subset(np.setdiff1d(np.arange(50), fold))
         if layout == "csr":
             train = _as_csr(train)
-        grad = BinaryObjective.grad
+        gather = BinaryObjective.gather
         blocks = []
 
-        def recorded(prob, m, u=None):
-            g = grad(prob, m, u)
+        def recorded(prob, *vectors):
+            out = gather(prob, *vectors)
             blocks.append(prob._K)
-            return g
+            return out
 
-        monkeypatch.setattr(BinaryObjective, "grad", recorded)
+        monkeypatch.setattr(BinaryObjective, "gather", recorded)
         for lam1 in np.logspace(-2, -0.5, 4):
             for lam2 in (0.1, 1.0, 10.0):
                 fit_binary(train, Hyperparams(lam1, lam2, lam2, 1.0))
@@ -1187,6 +1302,55 @@ class TestWorkingBlock:
         assert np.count_nonzero(res.trace.column("omega") == 0) > 1
         assert calls[0] == (res.trace.column("ls_evals").sum()
                             + res.grad_products)
+
+
+class TestGradientAtZeroMemo:
+    """The full transpose product at w = 0 depends only on X, y and delta:
+    each data set forms it once per delta, in one slot."""
+
+    HP = Hyperparams(0.1, 1.0, 1.0, 1.0)
+
+    @staticmethod
+    def transposes(forwarded_X, ds, fit, hp):
+        """Full transpose products of X made by ``fit(ds, hp)``."""
+        def count():
+            return sum(px.used.count("transpose") for px in forwarded_X
+                       if px.a is ds._X)
+        before = count()
+        res = fit(ds, hp)
+        return count() - before, res
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_second_fit_from_zero_skips_the_product(self, forwarded_X,
+                                                    layout):
+        data = binary_data(seed=1, n=200, p=4000, s=10)
+        if layout == "csr":     # _as_csr would read the wrapper
+            data = Dataset(sp.csr_array(data._X), data.labels)
+        other = Hyperparams(0.1, 1.0, 1.0, 0.5)
+        first, r1 = self.transposes(forwarded_X, data, fit_binary, self.HP)
+        again, r2 = self.transposes(forwarded_X, data, fit_binary, self.HP)
+        assert first >= 2 and again == first - 1
+        assert r2.iterations == r1.iterations
+        np.testing.assert_array_equal(r2.model.w, r1.model.w)
+        # another delta takes the slot, and the first delta pays again
+        fresh = Dataset(data._X, data.labels)
+        want, _ = self.transposes(forwarded_X, fresh, fit_binary, other)
+        got, _ = self.transposes(forwarded_X, data, fit_binary, other)
+        assert got == want
+        assert self.transposes(forwarded_X, data, fit_binary,
+                               self.HP)[0] == first
+        # B-PGH-2's screen reads the slot plain B-PGH filled
+        cold, _ = self.transposes(forwarded_X, fresh, fit_binary_two_stage,
+                                  self.HP)
+        warm, _ = self.transposes(forwarded_X, data, fit_binary_two_stage,
+                                  self.HP)
+        assert warm == cold - 1
+        # a subset or a restriction is a new data set with its own slot
+        for copy in (data.subset(np.arange(data.n)),
+                     data.restrict_features(np.arange(data.n_features))):
+            assert copy._at_zero is None
+            assert self.transposes(forwarded_X, copy, fit_binary,
+                                   self.HP)[0] == first
 
 
 # The hsvm.solver globals that the benchmark's traced run rebinds. Each must
