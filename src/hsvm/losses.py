@@ -24,11 +24,16 @@ returns R = max(1 - t, 0) and C = min(R, delta)/delta of each margin t:
     phi(t) = C (R - delta C/2),   phi'(t) = -C,
 
 and C (1 - delta C/2) is the dual loss term at C (on [-1, 0],
-phi*(a) = a + delta a^2/2). phi at a binary margin t is the loss term of
-the wrong-class score -t, and the binary penalty and Lipschitz constant are
-the one-column case of the multi-class ones. The objectives themselves,
-with their margins and gradients, are ``hsvm.solver.BinaryObjective`` and
-``hsvm.solver.MultiObjective``.
+phi*(a) = a + delta a^2/2). ``_loss_terms`` forms the mean of phi, C and
+the mean dual loss term from one clip, for both objectives
+(``hsvm.solver.BinaryObjective`` and ``hsvm.solver.MultiObjective``): phi
+at a binary margin t is the loss term of the wrong-class score -t, and the
+binary penalty and Lipschitz constant are the one-column case of the
+multi-class ones.
+
+Inputs are checked where they enter, never in private helpers: delta in
+``Hyperparams``, X in ``_lipschitz`` (``finite_features``), u0 in
+``BinaryObjective.enter``, margins in the public kernels (``_checked``).
 """
 
 from __future__ import annotations
@@ -64,17 +69,19 @@ class Hyperparams:
             raise DomainError("delta must be positive")
 
 
-def _check_delta(delta):
+def _checked(delta, t=0.0):
+    """The margins t as a float array, once delta and t are checked."""
     if not np.isfinite(delta) or delta <= 0:
         raise DomainError("delta must be positive and finite")
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("loss argument must be finite")
+    return t
 
 
 def _pieces(t, delta, mask=None):
     """R = max(1 - t, 0) and C = min(R, delta)/delta of every margin in t,
-    C zeroed where ``mask`` is 0; see the module docstring. The caller has
-    checked delta; a non-finite margin raises ``DomainError``."""
-    if not np.all(np.isfinite(t)):
-        raise DomainError("loss argument must be finite")
+    C zeroed where ``mask`` is 0; see the module docstring."""
     R = np.maximum(1.0 - t, 0.0)
     C = np.minimum(R, delta)
     C /= delta
@@ -87,19 +94,25 @@ def _phi(R, C, delta):
     return C * (R - 0.5 * delta * C)
 
 
+def _loss_terms(t, delta, mask=None):
+    """(mean phi, C, mean C (1 - delta C/2)) over the rows of margins t."""
+    R, C = _pieces(t, delta, mask)
+    n = t.shape[0]
+    return (float(_phi(R, C, delta).sum() / n), C,
+            float((C * (1.0 - 0.5 * delta * C)).sum() / n))
+
+
 def huber_loss(t, delta):
     """Smoothed hinge penalty: 0 above 1, (1-t)^2/(2 delta) on
     (1-delta, 1], and 1 - t - delta/2 below. Accepts scalars or arrays."""
-    _check_delta(delta)
-    out = _phi(*_pieces(np.asarray(t, dtype=float), delta), delta)
+    out = _phi(*_pieces(_checked(delta, t), delta), delta)
     return float(out) if out.ndim == 0 else out
 
 
 def huber_grad(t, delta):
     """Derivative of :func:`huber_loss`: 0 above 1, (t-1)/delta on
     (1-delta, 1], and -1 below. Always lies in [-1, 0]."""
-    _check_delta(delta)
-    out = -_pieces(np.asarray(t, dtype=float), delta)[1]
+    out = -_pieces(_checked(delta, t), delta)[1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -119,7 +132,7 @@ def _lipschitz(data, delta, n_columns) -> float:
     """(J/(n delta)) sum_i (1 + ||x_i||^2) for J = ``n_columns`` columns.
     Every objective forms it first, so a NaN, inf or overflowing entry of X
     is rejected here, by ``finite_features``."""
-    _check_delta(delta)
+    _checked(delta)
     if data.n < 1:
         raise DomainError("need at least one sample")
     finite_features(data)
@@ -145,24 +158,17 @@ def wrong_class_mask(labels, n_classes) -> np.ndarray:
 def multi_smooth_from_margins(scores, wrong, delta) -> float:
     """Average huberized loss of the negated wrong-class scores; ``wrong``
     is the objective's :func:`wrong_class_mask`."""
-    R, C = _pieces(-scores, delta, wrong)
-    return float(_phi(R, C, delta).sum() / scores.shape[0])
+    return _loss_terms(-_checked(delta, scores), delta, wrong)[0]
 
 
 def multi_grad_from_margins(scores, X, wrong, delta):
-    """Value, gradient and dual loss term of the smooth part from one clip
-    of the class scores. Returns (value, grad_b, grad_W, dual_loss).
-
-    The chain rule through the negated wrong-class margin flips the sign of
-    phi', so the gradient with respect to the scores is C/n, in [0, 1/n].
-    C is also a dual point, and dual_loss = (1/n) sum C (1 - delta C/2) is
-    the loss part of the dual objective at C.
-    """
-    n = scores.shape[0]
-    R, C = _pieces(-scores, delta, wrong)
-    value = float(_phi(R, C, delta).sum() / n)
-    dual_loss = float((C * (1.0 - 0.5 * delta * C)).sum() / n)
-    G = C / n
+    """(value, grad_b, grad_W, dual_loss) of the smooth part from one clip
+    of the class scores. The chain rule through the negated wrong-class
+    margin flips the sign of phi', so the gradient with respect to the
+    scores is C/n, in [0, 1/n]; C is also a dual point, at which dual_loss
+    is the loss part of the dual objective."""
+    value, C, dual_loss = _loss_terms(-_checked(delta, scores), delta, wrong)
+    G = C / scores.shape[0]
     return value, G.sum(axis=0), np.asarray(X.T @ G), dual_loss
 
 

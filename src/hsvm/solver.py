@@ -29,8 +29,8 @@ past the extrapolation cap; a re-update pass from the last iterate, with
 omega = 0 and momentum reset, follows once if the candidate raised F.
 Every base, omega = 0 included, is u + omega (u - u_prev) with margins
 m + omega (m - m_prev), from the margins ``line_search`` returns with each
-candidate; one ``smooth_grad(m, u)`` call gives its smooth value and
-gradient, and ``gather`` then moves the loop's vectors to the pass's
+candidate; one loss call, ``smooth_grad(m, u)``, gives its smooth value
+and gradient, and ``gather`` then moves the loop's vectors to the pass's
 coordinates. B-PGH's iterates live in the coordinates of a working block
 of columns, dense or CSR alike, the only code that reads a subset of X:
 proximal gradient identifies the solution's support after finitely many
@@ -47,11 +47,9 @@ default start included) and each accepted step satisfies the
 sufficient-decrease inequality; the extrapolation weight
 (``extrapolation_weight``) is capped at sqrt(L_{k-1}/L_k).
 
-``smooth_grad`` is one fused loss call for M-PGH and a value and a
-gradient call for B-PGH; the line search's candidates take the value-only
-call. The stop rule depends on the objective. M-PGH with lambda2,
-lambda3 > 0 (the paper's linear convergence assumption) has a finite dual,
-so each gradient also gives a lower bound D on the optimum
+The stop rule depends on the objective. M-PGH with lambda2, lambda3 > 0
+(the paper's linear convergence assumption) has a finite dual, so each
+gradient also gives a lower bound D on the optimum
 (``MultiObjective._dual_bound``, in the manner of the gap-safe rules of
 Ndiaye et al. 2017). The loop keeps the best D over every base, restarts
 included, and stops once F - D_best <= tol F: ``converged=True`` certifies
@@ -71,6 +69,7 @@ from .data import Dataset
 from .errors import ConstraintError, DomainError, LabelError, ShapeError
 from .losses import (
     Hyperparams,
+    _loss_terms,
     binary_penalty,
     huber_grad,
     huber_loss,
@@ -252,13 +251,13 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
             m_hat = m + omega * (m - m_prev)
             f_hat, grad, dual = prob.smooth_grad(m_hat, u_hat)
             grad, u_hat, u, u_prev = prob.gather(grad, u_hat, u, u_prev)
+            if F is None and not math.isfinite(F := f_hat + prob.penalty(u)):
+                raise DomainError("the objective at the start is not finite")
             L_acc, cand, m_cand, f_cand, gap, ev = line_search(
                 prob, u_hat, f_hat, grad, L_start, prob.L_global, ETA)
             D_best = max(D_best, dual)
             grad_products += 1
             evals += ev
-            if F is None:
-                F = f_hat + prob.penalty(u)
             L_start = L_acc
             if omega > math.sqrt(L / L_acc) + 1e-15:
                 # Backtracking raised L beyond the extrapolation cap;
@@ -353,24 +352,27 @@ class BinaryObjective:
         return float(huber_loss(m, self.hp.delta).sum() / self.n)
 
     def smooth_grad(self, m, u):
-        """(f, gradient, -inf) at the point u with margins m: the value
-        call and the gradient call, at every base alike."""
-        return self.smooth(m), self.grad(m, u), -math.inf
-
-    def grad(self, m, u=None):
-        """Gradient at margins m: at the loop's point u, in u's coordinates
-        while the certificate holds, else (and always without u) the full
-        product, at m = 0 (w = 0) from the data set's memo."""
-        coef = huber_grad(m, self.hp.delta) * self.y / self.n
-        if (u is not None and self._K is not None
+        """(f, gradient, -inf) at the loop's point u with margins m from one
+        loss call: in u's coordinates while the certificate holds, else the
+        full product, at whose coefficients ``gather`` re-forms the block."""
+        f, C, _ = _loss_terms(m, self.hp.delta)
+        coef = -C * self.y / self.n
+        if (self._K is not None
                 and np.linalg.norm(coef - self._c_ref) < self._rho):
             gw = self._XK.T @ coef
         else:
-            gw = (np.asarray(self.X.T @ coef).ravel() if m.any() else
-                  self.data.transpose_at_zero(self.hp.delta, coef))
-            if u is not None:
-                self._coef = coef
-        return np.concatenate([[coef.sum()], gw])
+            gw, self._coef = self._transpose(m, coef), coef
+        return f, np.concatenate([[coef.sum()], gw]), -math.inf
+
+    def grad(self, m):
+        """The full gradient at margins m (B-PGH-2's screen and checks)."""
+        coef = huber_grad(m, self.hp.delta) * self.y / self.n
+        return np.concatenate([[coef.sum()], self._transpose(m, coef)])
+
+    def _transpose(self, m, coef):
+        """X' coef at margins m, at m = 0 (w = 0) from the data set's memo."""
+        return (np.asarray(self.X.T @ coef).ravel() if m.any() else
+                self.data.transpose_at_zero(self.hp.delta, coef))
 
     def enter(self, u):
         """A start point u = (b, w) in full coordinates, in the objective's:
@@ -378,6 +380,8 @@ class BinaryObjective:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ShapeError(f"u has shape {u.shape}, not ({self.dim},)")
+        if not np.all(np.isfinite(u)):
+            raise DomainError("u must be finite")
         return self._refresh([u])[0]
 
     def gather(self, grad, *held):
@@ -512,8 +516,8 @@ class MultiObjective:
                 else -math.inf)
         return f, grad, dual
 
-    def grad(self, m, u=None):
-        """Gradient at the point u with margins m; reads only m."""
+    def grad(self, m):
+        """Gradient at margins m."""
         _, gb, gW, _ = multi_grad_from_margins(
             m.reshape(-1, self.J), self.X, self._wrong, self.hp.delta)
         return np.concatenate([gb, gW.ravel(order="F")])

@@ -21,6 +21,7 @@ from hsvm import (
 )
 from hsvm.errors import ConstraintError
 from hsvm.losses import (
+    _loss_terms,
     binary_penalty,
     multi_grad_from_margins,
     multi_penalty,
@@ -135,6 +136,14 @@ class TestBinaryIsTheOneColumnCase:
         np.testing.assert_array_equal(huber_grad(t, delta), -np.array(coef))
         assert huber_loss(t[0], delta) == value[0]
         assert huber_grad(t[0], delta) == -coef[0]
+        # the kernel both objectives share: the mean of phi and C bit for
+        # bit, and the mean dual loss term C (1 - delta C/2)
+        mean, C, dual = _loss_terms(t, delta)
+        assert mean == huber_loss(t, delta).sum() / t.size
+        np.testing.assert_array_equal(C, -huber_grad(t, delta))
+        c = np.array(coef)
+        assert dual == pytest.approx((c - 0.5 * delta * c**2).sum() / t.size,
+                                     rel=1e-14, abs=0)
 
     def test_penalty(self):
         rng = np.random.default_rng(5)

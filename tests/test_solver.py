@@ -412,6 +412,18 @@ class TestFitBinary:
         with pytest.raises(ShapeError):
             fit_binary(data, hp, opts, u0=u0[:-1])
 
+    @pytest.mark.parametrize("entry", [0, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_start_point_must_have_a_finite_objective(self, bad, entry):
+        # a non-finite u0 is rejected as it enters; a finite one whose
+        # penalty overflows is rejected before the first step
+        data = binary_data(seed=0, n=50, p=300, s=5)
+        u0 = np.zeros(301)
+        u0[entry] = bad
+        with np.errstate(over="ignore"), \
+                pytest.raises(DomainError, match="finite"):
+            fit_binary(data, Hyperparams(0.05, 1.0, 1.0, 1.0), u0=u0)
+
 
 class TestFitBinaryTwoStage:
     def test_matches_single_stage_objective(self):
@@ -436,13 +448,17 @@ class TestFitBinaryTwoStage:
         # lambda1 small enough that the screen misses features, so the
         # KKT check adds some and a second round runs
         grad_calls = [0]
-        grad = BinaryObjective.grad
 
-        def counted(prob, m, u=None):
-            grad_calls[0] += 1
-            return grad(prob, m, u)
+        def counted(name):
+            method = getattr(BinaryObjective, name)
 
-        monkeypatch.setattr(BinaryObjective, "grad", counted)
+            def wrapper(prob, *args):
+                grad_calls[0] += 1
+                return method(prob, *args)
+            return wrapper
+
+        for name in ("grad", "smooth_grad"):
+            monkeypatch.setattr(BinaryObjective, name, counted(name))
         data = binary_data(seed=0, n=200, p=2000, s=20)
         res = fit_binary_two_stage(data, Hyperparams(0.005, 1.0, 1.0, 1.0))
         stages = res.trace.column("stage")
@@ -450,7 +466,8 @@ class TestFitBinaryTwoStage:
         assert set(np.diff(stages)) <= {0, 1}
         ks = res.trace.column("k")
         np.testing.assert_array_equal(ks, np.arange(1, res.iterations + 1))
-        # the screen and every check are transpose products too
+        # the screen and every check (grad) are transpose products too, as
+        # is every base of every round (smooth_grad)
         assert res.grad_products == grad_calls[0]
 
     def test_iteration_cap_reports_not_converged(self):
@@ -1137,13 +1154,14 @@ class TestWorkingBlock:
         data = binary_data(seed=seed, n=n, p=p, s=s)
         if layout == "csr":
             data = _as_csr(data)
-        grad = BinaryObjective.grad
+        smooth_grad = BinaryObjective.smooth_grad
         skipped, worst = [0], [0.0]
 
-        def checked(prob, m, u=None):
-            g = grad(prob, m, u)
+        def checked(prob, m, u):
+            out = smooth_grad(prob, m, u)
+            g = out[1]
             if g.size == prob.dim:
-                return g        # a full product, which re-forms the block
+                return out      # a full product, which re-forms the block
             skipped[0] += 1
             K = prob._K
             assert K.size * 32 <= p and g.size == 1 + K.size
@@ -1154,10 +1172,10 @@ class TestWorkingBlock:
             worst[0] = max(worst[0], np.abs(full[frozen]).max())
             np.testing.assert_allclose(g[1:], full[K], rtol=1e-12,
                                        atol=1e-15)
-            return g
+            return out
 
         with monkeypatch.context() as mp:
-            mp.setattr(BinaryObjective, "grad", checked)
+            mp.setattr(BinaryObjective, "smooth_grad", checked)
             res = fit_binary(data, self.HP)
         assert skipped[0] >= res.iterations // 2
         assert worst[0] <= self.HP.lambda1
@@ -1287,21 +1305,26 @@ class TestWorkingBlock:
 
     def test_every_base_evaluates_its_value_once(self, monkeypatch):
         # every base, omega = 0 included (the first, the restart's
-        # re-update and the one after it), takes one value call, and so
-        # does every line-search candidate
-        calls = [0]
-        loss = hsvm.solver.huber_loss
+        # re-update and the one after it), takes one fused loss call for
+        # its value and gradient, and every line-search candidate one
+        # value call; no base calls huber_grad
+        calls = dict.fromkeys(["huber_loss", "_loss_terms", "huber_grad"], 0)
 
-        def counted(m, delta):
-            calls[0] += 1
-            return loss(m, delta)
+        def counted(name):
+            kernel = getattr(hsvm.solver, name)
 
-        monkeypatch.setattr(hsvm.solver, "huber_loss", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(hsvm.solver, name, counted(name))
         res = fit_binary(binary_data(seed=3), self.HP)
         assert res.trace.column("restarted").any()
         assert np.count_nonzero(res.trace.column("omega") == 0) > 1
-        assert calls[0] == (res.trace.column("ls_evals").sum()
-                            + res.grad_products)
+        assert calls == {"huber_loss": res.trace.column("ls_evals").sum(),
+                         "_loss_terms": res.grad_products, "huber_grad": 0}
 
 
 class TestGradientAtZeroMemo:
