@@ -24,12 +24,12 @@ returns R = max(1 - t, 0) and C = min(R, delta)/delta of each margin t:
     phi(t) = C (R - delta C/2),   phi'(t) = -C,
 
 and C (1 - delta C/2) is the dual loss term at C (on [-1, 0],
-phi*(a) = a + delta a^2/2). ``_loss_terms`` forms the mean of phi, C and
-the mean dual loss term from one clip, for both objectives
-(``hsvm.solver.BinaryObjective`` and ``hsvm.solver.MultiObjective``): phi
-at a binary margin t is the loss term of the wrong-class score -t, and the
-binary penalty and Lipschitz constant are the one-column case of the
-multi-class ones.
+phi*(a) = a + delta a^2/2), formed only by ``multi_grad_from_margins``.
+``_loss_terms`` forms the mean of phi and C from one clip, for both
+objectives (``hsvm.solver.BinaryObjective`` and
+``hsvm.solver.MultiObjective``): phi at a binary margin t is the loss term
+of the wrong-class score -t, and the binary penalty and Lipschitz constant
+are the one-column case of the multi-class ones.
 
 Inputs are checked where they enter, never in private helpers: delta in
 ``Hyperparams``, X in ``_lipschitz`` (``finite_features``), u0 in
@@ -95,11 +95,9 @@ def _phi(R, C, delta):
 
 
 def _loss_terms(t, delta, mask=None):
-    """(mean phi, C, mean C (1 - delta C/2)) over the rows of margins t."""
+    """(mean phi, C) over the rows of margins t."""
     R, C = _pieces(t, delta, mask)
-    n = t.shape[0]
-    return (float(_phi(R, C, delta).sum() / n), C,
-            float((C * (1.0 - 0.5 * delta * C)).sum() / n))
+    return float(_phi(R, C, delta).sum() / t.shape[0]), C
 
 
 def huber_loss(t, delta):
@@ -121,11 +119,13 @@ def binary_penalty(b, w, hp: Hyperparams) -> float:
 
 
 def multi_penalty(b, W, hp: Hyperparams) -> float:
+    """G(b, W); inf, with no warning, where it overflows."""
     W = np.asarray(W, dtype=float)
     b = np.asarray(b, dtype=float)
-    return float(hp.lambda1 * np.abs(W).sum()
-                 + 0.5 * hp.lambda2 * (W * W).sum()
-                 + 0.5 * hp.lambda3 * (b @ b))
+    with np.errstate(over="ignore"):
+        return float(hp.lambda1 * np.abs(W).sum()
+                     + 0.5 * hp.lambda2 * (W * W).sum()
+                     + 0.5 * hp.lambda3 * (b @ b))
 
 
 def _lipschitz(data, delta, n_columns) -> float:
@@ -167,8 +167,10 @@ def multi_grad_from_margins(scores, X, wrong, delta):
     margin flips the sign of phi', so the gradient with respect to the
     scores is C/n, in [0, 1/n]; C is also a dual point, at which dual_loss
     is the loss part of the dual objective."""
-    value, C, dual_loss = _loss_terms(-_checked(delta, scores), delta, wrong)
-    G = C / scores.shape[0]
+    n = scores.shape[0]
+    value, C = _loss_terms(-_checked(delta, scores), delta, wrong)
+    dual_loss = float((C * (1.0 - 0.5 * delta * C)).sum() / n)
+    G = C / n
     return value, G.sum(axis=0), np.asarray(X.T @ G), dual_loss
 
 

@@ -17,9 +17,9 @@ over a flat parameter vector u, the only code for its margins and
 gradient. It owns the label check, the global Lipschitz constant and the
 default initial step constant, and provides ``margins``, ``smooth``,
 ``grad``, ``smooth_grad``, ``penalty``, ``prox``, ``nnz``, ``model``, its
-inverse ``point``, the coordinate moves ``enter``, ``gather`` and ``full``,
-and the flag ``certifies``. ``_run_pg_loop`` runs on it from any start
-point; ``objective`` evaluates a model.
+inverse ``point``, and the coordinate moves ``enter`` and ``full``.
+``_run_pg_loop`` runs on it from any start point; ``objective`` evaluates
+a model.
 
 Per iteration ``_run_pg_loop`` takes one step in passes, each a base, one
 gradient (transpose) product there and a line search with one forward
@@ -29,32 +29,33 @@ past the extrapolation cap; a re-update pass from the last iterate, with
 omega = 0 and momentum reset, follows once if the candidate raised F.
 Every base, omega = 0 included, is u + omega (u - u_prev) with margins
 m + omega (m - m_prev), from the margins ``line_search`` returns with each
-candidate; one loss call, ``smooth_grad(m, u)``, gives its smooth value
-and gradient, and ``gather`` then moves the loop's vectors to the pass's
-coordinates. B-PGH's iterates live in the coordinates of a working block
-of columns, dense or CSR alike, the only code that reads a subset of X:
-proximal gradient identifies the solution's support after finitely many
-steps, and a frozen feature that cannot enter the support (safe screening
-in the sense of Fercoq, Gramfort & Salmon 2015; see ``BinaryObjective``)
-drops out of every operation. B-PGH-2 runs the loop on a copy of the
-working-set columns, each round from the last one's result, and forms
-the margins of each round's result from those columns; its screen and
-checks make full transpose products, the one at w = 0 once per data set
-and delta for both binary fits. Both M-PGH products read all of X. The
-step constant only grows within an iteration (L_k = min(ETA^{n_k}
-L_{k-1}, L_global), ``line_search`` the one place that caps it, the
-default start included) and each accepted step satisfies the
-sufficient-decrease inequality; the extrapolation weight
+candidate. One call per base, ``smooth_grad(m, u_hat, u, u_prev)``, gives
+its smooth value, gradient and dual bound from one loss call, and returns
+the loop's vectors in the pass's coordinates. B-PGH's iterates live in the
+coordinates of a working block of columns, dense or CSR alike, the only
+code that reads a subset of X: proximal gradient identifies the solution's
+support after finitely many steps, and a frozen feature that cannot enter
+the support (safe screening in the sense of Fercoq, Gramfort & Salmon
+2015; see ``BinaryObjective``) drops out of every operation. B-PGH-2 runs
+the loop on a copy of the working-set columns, each round from the last
+one's result, and forms the margins of each round's result from those
+columns; its screen and checks make full transpose products, the one at
+w = 0 once per data set and delta for both binary fits. Both M-PGH
+products read all of X. The step constant only grows within an iteration
+(L_k = min(ETA^{n_k} L_{k-1}, L_global), ``line_search`` the one place
+that caps it, the default start included) and each accepted step
+satisfies the sufficient-decrease inequality; the extrapolation weight
 (``extrapolation_weight``) is capped at sqrt(L_{k-1}/L_k).
 
-The stop rule depends on the objective. M-PGH with lambda2, lambda3 > 0
-(the paper's linear convergence assumption) has a finite dual, so each
-gradient also gives a lower bound D on the optimum
+The bound picks the stop rule. M-PGH with lambda2, lambda3 > 0 (the
+paper's linear convergence assumption) has a finite dual, so each gradient
+also gives a finite lower bound D on the optimum
 (``MultiObjective._dual_bound``, in the manner of the gap-safe rules of
-Ndiaye et al. 2017). The loop keeps the best D over every base, restarts
-included, and stops once F - D_best <= tol F: ``converged=True`` certifies
-a relative duality gap <= tol, recorded in ``FitResult.gap``. Every other
-fit stops on relative progress (``check_stop``) and has no gap.
+Ndiaye et al. 2017); every other gradient gives D = -inf. The loop keeps
+the best D over every base, restarts included. Once it is finite, the fit
+stops when F - D_best <= tol F: ``converged=True`` certifies a relative
+duality gap <= tol, recorded in ``FitResult.gap``. Until then it stops on
+relative progress (``check_stop``), and a fit with no finite D has no gap.
 """
 
 from __future__ import annotations
@@ -192,17 +193,17 @@ def check_stop(F_prev, F_curr, step_norm, u_prev, tol, counter):
     return counter >= CONSEC_STOP, counter
 
 
-def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
-    """Backtracking on the step constant: from min(L_start, L_global),
-    multiply by eta (capped at L_global) until the proximal candidate
-    u+ = prob.prox(u_hat, grad, L) satisfies
+def line_search(prob, u_hat, f_hat, grad, L_start):
+    """Backtracking on the step constant: from min(L_start, prob.L_global),
+    multiply by ``ETA`` (capped at prob.L_global) until the proximal
+    candidate u+ = prob.prox(u_hat, grad, L) satisfies
 
         f(u+) <= f(u_hat) + <grad, u+ - u_hat> + (L/2) ||u+ - u_hat||^2.
 
     The cap always satisfies the test, so termination is guaranteed.
     Returns (L, candidate, margins of candidate, f(candidate), gap, evals).
     """
-    L = min(L_start, L_global)
+    L = min(L_start, prob.L_global)
     evals = 0
     while True:
         cand = prob.prox(u_hat, grad, L)
@@ -213,9 +214,9 @@ def line_search(prob, u_hat, f_hat, grad, L_start, L_global, eta):
         bound = f_hat + float(grad @ d) + 0.5 * L * float(d @ d)
         gap = bound - f_cand
         # Tiny slack absorbs roundoff when the bound holds with equality.
-        if gap >= -1e-12 * (1.0 + abs(bound)) or L >= L_global:
+        if gap >= -1e-12 * (1.0 + abs(bound)) or L >= prob.L_global:
             return L, cand, m_cand, f_cand, gap, evals
-        L = min(eta * L, L_global)
+        L = min(ETA * L, prob.L_global)
 
 
 def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
@@ -249,12 +250,12 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
                 t, t_next, L, L_start)
             u_hat = u + omega * (u - u_prev)
             m_hat = m + omega * (m - m_prev)
-            f_hat, grad, dual = prob.smooth_grad(m_hat, u_hat)
-            grad, u_hat, u, u_prev = prob.gather(grad, u_hat, u, u_prev)
+            f_hat, grad, dual, (u_hat, u, u_prev) = prob.smooth_grad(
+                m_hat, u_hat, u, u_prev)
             if F is None and not math.isfinite(F := f_hat + prob.penalty(u)):
                 raise DomainError("the objective at the start is not finite")
             L_acc, cand, m_cand, f_cand, gap, ev = line_search(
-                prob, u_hat, f_hat, grad, L_start, prob.L_global, ETA)
+                prob, u_hat, f_hat, grad, L_start)
             D_best = max(D_best, dual)
             grad_products += 1
             evals += ev
@@ -284,7 +285,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
         if iterates is not None:
             iterates.append(prob.full(u))
 
-        if prob.certifies:
+        if D_best > -math.inf:
             stop = F - D_best <= opts.tol * F
         else:
             stop, counter = check_stop(F_prev, F, step_norm, u_prev,
@@ -298,7 +299,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
         converged=stop_reason == "converged", final_objective=F,
         stop_reason=stop_reason, iterates=iterates,
         grad_products=grad_products,
-        gap=(F - D_best) / F if prob.certifies else None)
+        gap=(F - D_best) / F if D_best > -math.inf else None)
 
 
 # B-PGH keeps its working block only while it holds at most 1/32 of the
@@ -318,15 +319,13 @@ class BinaryObjective:
     (F-order for a dense X, CSR for a CSR one), the loop's vectors are in
     its coordinates u = (b, w_K); otherwise, as on construction, in full
     ones. From w = 0 the block is empty (``enter``), so the margins read no
-    column. ``gather`` re-forms it at each full product (``_refresh``).
+    column. ``smooth_grad`` re-forms it at each full product (``_refresh``).
     A gradient whose loss coefficients are within a radius of that
     product's reads only X[:, K]: every frozen |g_j| stays below lambda1,
-    so its weight, zero in every vector the loop holds, stays zero.
+    so its weight, zero in every vector the loop holds, stays zero. Its
+    gradient gives no dual bound, so B-PGH stops on relative progress
+    (``check_stop``).
     """
-
-    # B-PGH stops on relative progress (``check_stop``), so its gradient
-    # carries no dual bound.
-    certifies = False
 
     def __init__(self, data: Dataset, hp: Hyperparams):
         if data.kind != "binary":
@@ -342,7 +341,6 @@ class BinaryObjective:
         self.data = data
         self._K = self._XK = None  # working features and X[:, K]; None: full
         self._c_ref = self._rho = 0.0  # the block's certificate
-        self._coef = None  # coefficients of a full product not yet gathered
 
     def margins(self, u):
         fwd = self.X @ u[1:] if self._K is None else self._XK @ u[1:]
@@ -351,18 +349,21 @@ class BinaryObjective:
     def smooth(self, m):
         return float(huber_loss(m, self.hp.delta).sum() / self.n)
 
-    def smooth_grad(self, m, u):
-        """(f, gradient, -inf) at the loop's point u with margins m from one
-        loss call: in u's coordinates while the certificate holds, else the
-        full product, at whose coefficients ``gather`` re-forms the block."""
-        f, C, _ = _loss_terms(m, self.hp.delta)
+    def smooth_grad(self, m, *held):
+        """(f, gradient, -inf, held) at the base held[0] with margins m from
+        one loss call. While the certificate holds, the product reads only
+        X[:, K] and ``held``, the vectors the loop holds, is returned as it
+        came; otherwise the full product re-forms the block (``_refresh``),
+        and the gradient and ``held`` come back in its coordinates."""
+        f, C = _loss_terms(m, self.hp.delta)
         coef = -C * self.y / self.n
         if (self._K is not None
                 and np.linalg.norm(coef - self._c_ref) < self._rho):
             gw = self._XK.T @ coef
         else:
-            gw, self._coef = self._transpose(m, coef), coef
-        return f, np.concatenate([[coef.sum()], gw]), -math.inf
+            gw, held = self._refresh([self.full(v) for v in held], coef,
+                                     self._transpose(m, coef))
+        return f, np.concatenate([[coef.sum()], gw]), -math.inf, held
 
     def grad(self, m):
         """The full gradient at margins m (B-PGH-2's screen and checks)."""
@@ -382,15 +383,7 @@ class BinaryObjective:
             raise ShapeError(f"u has shape {u.shape}, not ({self.dim},)")
         if not np.all(np.isfinite(u)):
             raise DomainError("u must be finite")
-        return self._refresh([u])[0]
-
-    def gather(self, grad, *held):
-        """``grad`` and the vectors the loop holds in the coordinates of the
-        block that ``_refresh`` re-forms after a full product."""
-        if self._coef is None:
-            return (grad, *held)
-        held = self._refresh([self.full(v) for v in held], grad[1:])
-        return (grad[self._coords()], *held)
+        return self._refresh([u])[1][0]
 
     def full(self, u):
         """A copy of u in full coordinates."""
@@ -402,11 +395,11 @@ class BinaryObjective:
         """The positions of u's entries in full coordinates."""
         return slice(None) if self._K is None else np.append(0, 1 + self._K)
 
-    def _refresh(self, held, gw=None):
+    def _refresh(self, held, coef=None, gw=None):
         """Re-form the block as K = supp(w) of every vector of ``held``
-        (in full coordinates) and {j : |g_j| >= lambda1} of a full gradient
-        ``gw`` at the pending coefficients ``coef``, kept as c_ref with the
-        radius rho below (0 without gw); return ``held`` gathered onto it.
+        (in full coordinates) and {j : |g_j| >= lambda1} of the full
+        product ``gw`` = X' coef, coef kept as c_ref with the radius rho
+        below (0 without gw); return ``gw`` and ``held`` gathered onto it.
 
         For a frozen j (not in K) and coefficients c, Cauchy-Schwarz gives
         |g_j(c)| <= |g_j(coef)| + ||X_j|| ||c - coef||. So ||c - coef|| < rho0,
@@ -419,13 +412,13 @@ class BinaryObjective:
         ``Dataset.col_sqnorms``) and of rho0, so a full product would give
         |g_j| <= lambda1 and a zero prox output.
         """
-        lam, coef, self._coef = self.hp.lambda1, self._coef, None
+        lam = self.hp.lambda1
         keep = np.abs(gw) >= lam if gw is not None else held[0][1:] != 0
         for u in held:
             keep |= u[1:] != 0
         if np.count_nonzero(keep) * _SUPPORT_FRACTION > keep.size:
             self._K = self._XK = None
-            return held
+            return gw, held
         K = np.flatnonzero(keep)
         if self._K is None or not np.array_equal(K, self._K):
             self._K, self._XK = K, self.X[:, K]
@@ -439,7 +432,8 @@ class BinaryObjective:
             slack = 4.0 * (self.n + 2) * np.finfo(float).eps
             self._c_ref = coef
             self._rho = (1.0 - slack) * rho0 - slack * np.linalg.norm(coef)
-        return [u[self._coords()] for u in held]
+            gw = gw[K]
+        return gw, [u[self._coords()] for u in held]
 
     def penalty(self, u):
         return binary_penalty(u[0], u[1:], self.hp)
@@ -467,8 +461,9 @@ class MultiObjective:
     L_m / (n J); ``line_search`` caps it at the global L_m.
 
     With lambda2, lambda3 > 0 (``certifies``) every gradient also gives a
-    lower bound on the optimum, the dual objective at the loss
-    coefficients C of the gradient's point (see ``_dual_bound``).
+    finite lower bound on the optimum, the dual objective at the loss
+    coefficients C of the gradient's point (see ``_dual_bound``), and the
+    fit stops on the duality gap.
     """
 
     def __init__(self, data: Dataset, hp: Hyperparams):
@@ -493,9 +488,8 @@ class MultiObjective:
         reductions of the prox and the dual bound read contiguous memory."""
         return u[:self.J], u[self.J:].reshape(self.J, -1).T
 
-    # M-PGH works in full coordinates: a coordinate move copies or keeps u.
+    # M-PGH works in full coordinates: a coordinate move copies u.
     enter = full = staticmethod(np.array)
-    gather = staticmethod(lambda *vectors: vectors)
 
     def margins(self, u):
         b, W = self._split(u)
@@ -505,16 +499,16 @@ class MultiObjective:
         return multi_smooth_from_margins(m.reshape(-1, self.J), self._wrong,
                                          self.hp.delta)
 
-    def smooth_grad(self, m, u):
-        """(f, gradient, dual bound) at the point u with margins m, from one
-        fused loss call at every base alike; the bound is -inf unless
-        ``certifies``."""
+    def smooth_grad(self, m, *held):
+        """(f, gradient, dual bound, held) at the base held[0] with margins
+        m, from one fused loss call at every base alike; the bound is -inf
+        unless ``certifies``, and ``held`` is returned as it came."""
         f, gb, gW, dual_loss = multi_grad_from_margins(
             m.reshape(-1, self.J), self.X, self._wrong, self.hp.delta)
         grad = np.concatenate([gb, gW.ravel(order="F")])
-        dual = (self._dual_bound(dual_loss, grad, u) if self.certifies
+        dual = (self._dual_bound(dual_loss, grad, held[0]) if self.certifies
                 else -math.inf)
-        return f, grad, dual
+        return f, grad, dual, held
 
     def grad(self, m):
         """Gradient at margins m."""

@@ -137,10 +137,16 @@ class TestBinaryIsTheOneColumnCase:
         assert huber_loss(t[0], delta) == value[0]
         assert huber_grad(t[0], delta) == -coef[0]
         # the kernel both objectives share: the mean of phi and C bit for
-        # bit, and the mean dual loss term C (1 - delta C/2)
-        mean, C, dual = _loss_terms(t, delta)
+        # bit
+        mean, C = _loss_terms(t, delta)
         assert mean == huber_loss(t, delta).sum() / t.size
         np.testing.assert_array_equal(C, -huber_grad(t, delta))
+        # the mean dual loss term C (1 - delta C/2), which only the fused
+        # kernel forms, over every margin at once as a wrong-class score
+        scores = np.column_stack([np.zeros(t.size), -t])
+        wrong_all = wrong_class_mask(np.ones(t.size, dtype=int), 2)
+        dual = multi_grad_from_margins(scores, np.zeros((t.size, 1)),
+                                       wrong_all, delta)[3]
         c = np.array(coef)
         assert dual == pytest.approx((c - 0.5 * delta * c**2).sum() / t.size,
                                      rel=1e-14, abs=0)
@@ -204,6 +210,16 @@ class TestBinaryObjective:
         data = random_binary(np.random.default_rng(9), 6, 4)
         with pytest.raises(ShapeError):
             objective(BinaryModel(0.0, np.zeros(3)), data, Hyperparams(1, 1, 1))
+
+    def test_overflowing_penalty_is_inf(self):
+        # w_j^2 overflows: the total is inf, with no NumPy warning
+        data = random_binary(np.random.default_rng(10), 50, 300)
+        w = np.zeros(300)
+        w[3] = 1e300
+        parts = objective(BinaryModel(0.0, w), data,
+                          Hyperparams(0.05, 1.0, 1.0, 1.0))
+        assert np.isfinite(parts.smooth)
+        assert parts.penalty == parts.total == np.inf
 
 
 def binary_grad_at(data, u, delta):

@@ -131,17 +131,15 @@ class _Scripted(_Quadratic):
     script), both keyed by their call number from 1. It tests the loop's
     bookkeeping of the gap on its own."""
 
-    certifies = True
-
     def __init__(self, penalties, bounds):
         super().__init__(np.ones(2))
         self.penalties, self.bounds = list(penalties), dict(bounds)
         self.calls = {"smooth_grad": 0, "penalty": 0}
 
-    def smooth_grad(self, m, u):
+    def smooth_grad(self, m, *held):
         self.calls["smooth_grad"] += 1
         bound = self.bounds.get(self.calls["smooth_grad"], -math.inf)
-        return self.smooth(m), self.grad(m), bound
+        return self.smooth(m), self.grad(m), bound, held
 
     def penalty(self, u):
         self.calls["penalty"] += 1
@@ -157,9 +155,6 @@ class _Scripted(_Quadratic):
     def enter(self, u):
         return u
 
-    def gather(self, *vectors):
-        return vectors
-
     full = model
 
 
@@ -171,18 +166,19 @@ class TestLineSearch:
         grad = c * u_hat
         f_hat = 0.5 * c * float(u_hat @ u_hat)
 
-        L, cand, m_cand, f_cand, gap, evals = line_search(
-            _Quadratic(np.zeros(2), c), u_hat, f_hat, grad, c, 10 * c, 1.5)
+        prob = _Quadratic(np.zeros(2), c, L_global=10 * c)
+        L, cand, m_cand, f_cand, gap, evals = line_search(prob, u_hat, f_hat,
+                                                          grad, c)
         assert L == c and evals == 1
         assert gap >= -1e-12 * (1 + abs(f_hat))
 
     def test_cap_accepts_immediately(self):
         u_hat = np.zeros(2)
         grad = np.ones(2)
-        prob = _Quadratic(np.zeros(2), 200.0)  # curvature far above the cap
+        # curvature far above the cap
+        prob = _Quadratic(np.zeros(2), 200.0, L_global=5.0)
 
-        L, _, _, _, _, evals = line_search(prob, u_hat, 0.0, grad,
-                                           5.0, 5.0, 1.5)
+        L, _, _, _, _, evals = line_search(prob, u_hat, 0.0, grad, 5.0)
         assert L == 5.0 and evals == 1
 
     def test_grows_until_sufficient(self):
@@ -191,8 +187,8 @@ class TestLineSearch:
         grad = c * u_hat
         f_hat = 0.5 * c
 
-        L, _, _, _, _, evals = line_search(_Quadratic(np.zeros(1), c), u_hat,
-                                           f_hat, grad, 1.0, 1000.0, 2.0)
+        prob = _Quadratic(np.zeros(1), c, L_global=1000.0)
+        L, _, _, _, _, evals = line_search(prob, u_hat, f_hat, grad, 1.0)
         assert L >= c and evals > 1
         assert L <= 1000.0
 
@@ -201,7 +197,7 @@ class TestLineSearch:
         u_hat = np.zeros(3)
         m_hat = prob.margins(u_hat)
         _, cand, m_cand, f_cand, _, evals = line_search(
-            prob, u_hat, prob.smooth(m_hat), prob.grad(m_hat), 0.5, 4.0, 2.0)
+            prob, u_hat, prob.smooth(m_hat), prob.grad(m_hat), 0.5)
         assert evals > 1
         np.testing.assert_array_equal(m_cand, prob.margins(cand))
         assert f_cand == prob.smooth(m_cand)
@@ -231,12 +227,12 @@ class TestEnginePasses:
         prob.L0, prob.L_global = 2.0, 100.0
         passes = []
 
-        def backtracking(prob, u_hat, f_hat, grad, L_start, L_global, eta):
+        def backtracking(prob, u_hat, f_hat, grad, L_start):
             n = self.BACKTRACKS.get(len(passes) + 1, 0)
             passes.append((u_hat.copy(), L_start))
             L = L_start
             for _ in range(n):
-                L = min(eta * L, L_global)
+                L = min(hsvm.solver.ETA * L, prob.L_global)
             cand = prob.prox(u_hat, grad, L)
             m_cand = prob.margins(cand)
             return L, cand, m_cand, prob.smooth(m_cand), 0.0, n + 1
@@ -420,8 +416,7 @@ class TestFitBinary:
         data = binary_data(seed=0, n=50, p=300, s=5)
         u0 = np.zeros(301)
         u0[entry] = bad
-        with np.errstate(over="ignore"), \
-                pytest.raises(DomainError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             fit_binary(data, Hyperparams(0.05, 1.0, 1.0, 1.0), u0=u0)
 
 
@@ -729,7 +724,7 @@ class TestDualityGap:
             for model, exact_at_sign in ((opt.model, True),
                                          (MultiModel(b, W), False)):
                 u = prob.point(model)
-                _, _, bound = prob.smooth_grad(prob.margins(u), u)
+                _, _, bound, _ = prob.smooth_grad(prob.margins(u), u)
                 exact = multi_dual_direct(model.b, model.W, data, hp)
                 F_opt = opt.final_objective
                 assert bound <= exact + 1e-12 * abs(exact)
@@ -811,8 +806,8 @@ class TestDualityGap:
         bounds = []
         smooth_grad = MultiObjective.smooth_grad
 
-        def recorded(prob, m, u):
-            out = smooth_grad(prob, m, u)
+        def recorded(prob, m, *held):
+            out = smooth_grad(prob, m, *held)
             bounds.append(out[2])
             return out
 
@@ -1155,12 +1150,18 @@ class TestWorkingBlock:
         if layout == "csr":
             data = _as_csr(data)
         smooth_grad = BinaryObjective.smooth_grad
-        skipped, worst = [0], [0.0]
+        refresh = BinaryObjective._refresh
+        skipped, worst, refreshed = [0], [0.0], [False]
 
-        def checked(prob, m, u):
-            out = smooth_grad(prob, m, u)
+        def refreshing(prob, *args):
+            refreshed[0] = True
+            return refresh(prob, *args)
+
+        def checked(prob, m, *held):
+            refreshed[0] = False
+            out = smooth_grad(prob, m, *held)
             g = out[1]
-            if g.size == prob.dim:
+            if refreshed[0]:
                 return out      # a full product, which re-forms the block
             skipped[0] += 1
             K = prob._K
@@ -1176,6 +1177,7 @@ class TestWorkingBlock:
 
         with monkeypatch.context() as mp:
             mp.setattr(BinaryObjective, "smooth_grad", checked)
+            mp.setattr(BinaryObjective, "_refresh", refreshing)
             res = fit_binary(data, self.HP)
         assert skipped[0] >= res.iterations // 2
         assert worst[0] <= self.HP.lambda1
@@ -1234,9 +1236,8 @@ class TestWorkingBlock:
         assert prob._K.size * 32 <= 4000 and j in prob._K
         u = u_star[prob._coords()]
         m = prob.margins(u)
-        _, g, _ = prob.smooth_grad(m, u)    # no certificate yet: full
-        assert g.size == prob.dim
-        g, u_hat, u, u_prev = prob.gather(g, u, u, u_prev)
+        assert prob._rho == 0.0     # no certificate yet: a full product
+        _, g, _, (u_hat, u, u_prev) = prob.smooth_grad(m, u, u, u_prev)
         assert j in prob._K and g.size == u.size == 1 + prob._K.size
         np.testing.assert_array_equal(prob.full(u_prev), v)
         np.testing.assert_array_equal(prob.full(u), u_star)
@@ -1268,15 +1269,15 @@ class TestWorkingBlock:
         train = data.subset(np.setdiff1d(np.arange(50), fold))
         if layout == "csr":
             train = _as_csr(train)
-        gather = BinaryObjective.gather
+        smooth_grad = BinaryObjective.smooth_grad
         blocks = []
 
-        def recorded(prob, *vectors):
-            out = gather(prob, *vectors)
+        def recorded(prob, m, *held):
+            out = smooth_grad(prob, m, *held)
             blocks.append(prob._K)
             return out
 
-        monkeypatch.setattr(BinaryObjective, "gather", recorded)
+        monkeypatch.setattr(BinaryObjective, "smooth_grad", recorded)
         for lam1 in np.logspace(-2, -0.5, 4):
             for lam2 in (0.1, 1.0, 10.0):
                 fit_binary(train, Hyperparams(lam1, lam2, lam2, 1.0))
