@@ -24,7 +24,7 @@ returns R = max(1 - t, 0) and C = min(R, delta)/delta of each margin t:
     phi(t) = C (R - delta C/2),   phi'(t) = -C,
 
 and C (1 - delta C/2) is the dual loss term at C (on [-1, 0],
-phi*(a) = a + delta a^2/2), formed only by ``multi_grad_from_margins``.
+phi*(a) = a + delta a^2/2), formed only by ``_dual_loss``.
 ``_loss_terms`` forms the mean of phi and C from one clip, for both
 objectives (``hsvm.solver.BinaryObjective`` and
 ``hsvm.solver.MultiObjective``): phi at a binary margin t is the loss term
@@ -100,6 +100,11 @@ def _loss_terms(t, delta, mask=None):
     return float(_phi(R, C, delta).sum() / t.shape[0]), C
 
 
+def _dual_loss(C, delta):
+    """Mean over the rows of C of the dual loss term C (1 - delta C/2)."""
+    return float((C * (1.0 - 0.5 * delta * C)).sum() / C.shape[0])
+
+
 def huber_loss(t, delta):
     """Smoothed hinge penalty: 0 above 1, (1-t)^2/(2 delta) on
     (1-delta, 1], and 1 - t - delta/2 below. Accepts scalars or arrays."""
@@ -119,13 +124,19 @@ def binary_penalty(b, w, hp: Hyperparams) -> float:
 
 
 def multi_penalty(b, W, hp: Hyperparams) -> float:
-    """G(b, W); inf, with no warning, where it overflows."""
+    """G(b, W); inf, with no warning, where a weighted term overflows. A
+    term whose weight is 0 is left out: it adds 0 however large its sum."""
     W = np.asarray(W, dtype=float)
     b = np.asarray(b, dtype=float)
+    total = 0.0
     with np.errstate(over="ignore"):
-        return float(hp.lambda1 * np.abs(W).sum()
-                     + 0.5 * hp.lambda2 * (W * W).sum()
-                     + 0.5 * hp.lambda3 * (b @ b))
+        if hp.lambda1:
+            total += hp.lambda1 * np.abs(W).sum()
+        if hp.lambda2:
+            total += 0.5 * hp.lambda2 * (W * W).sum()
+        if hp.lambda3:
+            total += 0.5 * hp.lambda3 * (b @ b)
+    return float(total)
 
 
 def _lipschitz(data, delta, n_columns) -> float:
@@ -169,9 +180,8 @@ def multi_grad_from_margins(scores, X, wrong, delta):
     is the loss part of the dual objective."""
     n = scores.shape[0]
     value, C = _loss_terms(-_checked(delta, scores), delta, wrong)
-    dual_loss = float((C * (1.0 - 0.5 * delta * C)).sum() / n)
     G = C / n
-    return value, G.sum(axis=0), np.asarray(X.T @ G), dual_loss
+    return value, G.sum(axis=0), np.asarray(X.T @ G), _dual_loss(C, delta)
 
 
 def lipschitz_multi(data, delta, n_classes=None) -> float:

@@ -47,15 +47,18 @@ that caps it, the default start included) and each accepted step
 satisfies the sufficient-decrease inequality; the extrapolation weight
 (``extrapolation_weight``) is capped at sqrt(L_{k-1}/L_k).
 
-The bound picks the stop rule. M-PGH with lambda2, lambda3 > 0 (the
-paper's linear convergence assumption) has a finite dual, so each gradient
-also gives a finite lower bound D on the optimum
-(``MultiObjective._dual_bound``, in the manner of the gap-safe rules of
-Ndiaye et al. 2017); every other gradient gives D = -inf. The loop keeps
-the best D over every base, restarts included. Once it is finite, the fit
-stops when F - D_best <= tol F: ``converged=True`` certifies a relative
-duality gap <= tol, recorded in ``FitResult.gap``. Until then it stops on
-relative progress (``check_stop``), and a fit with no finite D has no gap.
+The bound picks the stop rule. With lambda2, lambda3 > 0 (the paper's
+linear convergence assumption) both models have a finite dual, so each
+gradient also gives a finite lower bound D on the optimum
+(``BinaryObjective._dual_bound``, ``MultiObjective._dual_bound``, in the
+manner of the gap-safe rules of Ndiaye et al. 2017); every gradient of a
+fit with lambda2 = 0 or lambda3 = 0, or of ``ablation_run``, gives
+D = -inf. The loop keeps the best D over every base, restarts included.
+Once it is finite, the fit stops when F - D_best <= tol F:
+``converged=True`` certifies a relative duality gap <= tol, recorded in
+``FitResult.gap``. Until then it stops on relative progress
+(``check_stop``), and a fit with no finite D has no gap. B-PGH-2's gap is
+the full problem's at its result (see ``fit_binary_two_stage``).
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from .data import Dataset
 from .errors import ConstraintError, DomainError, LabelError, ShapeError
 from .losses import (
     Hyperparams,
+    _dual_loss,
     _loss_terms,
     binary_penalty,
     huber_grad,
@@ -96,11 +100,13 @@ class SolverOptions:
     ``ETA`` and re-updates after an objective increase; only the settings
     of ``ablation_run`` choose another step policy.
 
-    ``tol`` is the stop rule's tolerance. An M-PGH fit with lambda2,
-    lambda3 > 0 stops once its certified relative duality gap is <= tol.
-    Binary fits, and M-PGH fits with lambda2 = 0 or lambda3 = 0, stop after
-    ``CONSEC_STOP`` iterations whose relative objective decrease and
-    relative step are both <= tol (``check_stop``).
+    ``tol`` is the stop rule's tolerance. A fit with lambda2, lambda3 > 0,
+    B-PGH, each B-PGH-2 round and M-PGH alike, stops once its certified
+    relative duality gap is <= tol. Fits with lambda2 = 0 or lambda3 = 0,
+    and every ``ablation_run`` setting, stop after ``CONSEC_STOP``
+    iterations whose relative objective decrease and relative step are
+    both <= tol (``check_stop``). B-PGH-2's ``gap`` is the full problem's
+    at its result, which its rounds' gaps do not bound: it can exceed tol.
 
     ``max_iter`` caps one solve: each B-PGH-2 round gets that cap, and
     B-PGH-2's ``FitResult.iterations`` sums its rounds.
@@ -322,9 +328,11 @@ class BinaryObjective:
     column. ``smooth_grad`` re-forms it at each full product (``_refresh``).
     A gradient whose loss coefficients are within a radius of that
     product's reads only X[:, K]: every frozen |g_j| stays below lambda1,
-    so its weight, zero in every vector the loop holds, stays zero. Its
-    gradient gives no dual bound, so B-PGH stops on relative progress
-    (``check_stop``).
+    so its weight, zero in every vector the loop holds, stays zero.
+
+    With lambda2, lambda3 > 0 (``certifies``) every gradient also gives a
+    finite lower bound on the optimum (``_dual_bound``), and the fit stops
+    on the duality gap.
     """
 
     def __init__(self, data: Dataset, hp: Hyperparams):
@@ -341,6 +349,9 @@ class BinaryObjective:
         self.data = data
         self._K = self._XK = None  # working features and X[:, K]; None: full
         self._c_ref = self._rho = 0.0  # the block's certificate
+        # Otherwise the penalty's conjugate is an indicator, and the
+        # gradient's dual point is almost never feasible.
+        self.certifies = hp.lambda2 > 0 and hp.lambda3 > 0
 
     def margins(self, u):
         fwd = self.X @ u[1:] if self._K is None else self._XK @ u[1:]
@@ -350,11 +361,12 @@ class BinaryObjective:
         return float(huber_loss(m, self.hp.delta).sum() / self.n)
 
     def smooth_grad(self, m, *held):
-        """(f, gradient, -inf, held) at the base held[0] with margins m from
-        one loss call. While the certificate holds, the product reads only
-        X[:, K] and ``held``, the vectors the loop holds, is returned as it
-        came; otherwise the full product re-forms the block (``_refresh``),
-        and the gradient and ``held`` come back in its coordinates."""
+        """(f, gradient, dual bound, held) at the base held[0] with margins
+        m from one loss call. While the certificate holds, the product reads
+        only X[:, K] and ``held``, the vectors the loop holds, is returned as
+        it came; otherwise the full product re-forms the block
+        (``_refresh``), and the gradient and ``held`` come back in its
+        coordinates."""
         f, C = _loss_terms(m, self.hp.delta)
         coef = -C * self.y / self.n
         if (self._K is not None
@@ -363,7 +375,26 @@ class BinaryObjective:
         else:
             gw, held = self._refresh([self.full(v) for v in held], coef,
                                      self._transpose(m, coef))
-        return f, np.concatenate([[coef.sum()], gw]), -math.inf, held
+        grad = np.concatenate([[coef.sum()], gw])
+        return f, grad, self._dual_bound(C, grad), held
+
+    def _dual_bound(self, C, grad):
+        """Dual objective at the loss coefficients C (a = -C) behind the
+        gradient grad = (g_b, g_w), -inf unless ``certifies``:
+
+            D = mean(C (1 - delta C/2)) - g_b^2 / (2 lam3)
+                                        - ||S_lam1(g_w)||^2 / (2 lam2).
+
+        On a working block g_w holds only K's entries: every frozen
+        |g_j| < lambda1 (the block's certificate), so its S_lam1 term is 0.
+        """
+        if not self.certifies:
+            return -math.inf
+        r = np.abs(grad[1:]) - self.hp.lambda1
+        np.maximum(r, 0.0, out=r)  # |S_lam1(g_w)|
+        return (_dual_loss(C, self.hp.delta)
+                - grad[0] * grad[0] / (2.0 * self.hp.lambda3)
+                - float(r @ r) / (2.0 * self.hp.lambda2))
 
     def grad(self, m):
         """The full gradient at margins m (B-PGH-2's screen and checks)."""
@@ -618,6 +649,11 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     problem's default step constant, after the first from the previous
     result. The rounds end when none fails, or when one does not converge.
     Recorded iterates are those of every round, in full coordinates.
+
+    A round's gap bounds only its restricted problem. The fit's ``gap`` is
+    the full problem's at its result, from the last check's full product
+    (``BinaryObjective._dual_bound``); it is None when a round does not
+    converge, as no check follows, or when the objective does not certify.
     """
     opts = opts or SolverOptions()
     prob = BinaryObjective(data, hp)
@@ -626,6 +662,7 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     support = np.flatnonzero(np.abs(grad[1:]) > hp.lambda1)
     trace, iterations, grad_products = SolverTrace(), 0, 1
     iterates = [] if opts.record_iterates else None
+    gap = None
     for stage in range(1, data.n_features + 2):  # each adds a feature
         sub = data.restrict_features(support)
         cols = np.append(0, 1 + support)
@@ -645,16 +682,20 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
         # The round's own columns give the margins at its result; only
         # the check's transpose product reads all of X.
         sub_prob = BinaryObjective(sub, hp)
-        grad = prob.grad(sub_prob.margins(sub_prob.point(res.model)))
+        m = sub_prob.margins(sub_prob.point(res.model))
+        grad = prob.grad(m)
         grad_products += 1
         violates = np.abs(grad[1:]) > hp.lambda1 * (1.0 + opts.tol)
         violates[support] = False
         if not violates.any():
+            F = res.final_objective
+            dual = prob._dual_bound(_loss_terms(m, hp.delta)[1], grad)
+            gap = (F - dual) / F if dual > -math.inf else None
             break
         support = np.union1d(support, np.flatnonzero(violates))
     return replace(res, model=BinaryModel(b=float(u[0]), w=u[1:]), trace=trace,
                    iterations=iterations, support=support,
-                   iterates=iterates, grad_products=grad_products)
+                   iterates=iterates, grad_products=grad_products, gap=gap)
 
 
 def fit_multi(data: Dataset, hp: Hyperparams,
@@ -675,11 +716,13 @@ def ablation_run(data: Dataset, hp: Hyperparams, setting: str,
                  opts: Optional[SolverOptions] = None) -> FitResult:
     """Run B-PGH under one of the step-rule/monotonicity settings compared
     in the solver ablation, the only place where the step policy is
-    chosen; all share the stopping rule. A fixed step starts at the global
+    chosen. All share the paper's stopping rule, relative progress
+    (``check_stop``), and report no gap. A fixed step starts at the global
     constant, where the line search accepts at once."""
     if setting not in _ABLATION:
         raise DomainError(f"unknown ablation setting {setting!r}")
     fixed, monotone = _ABLATION[setting]
     prob = BinaryObjective(data, hp)
+    prob.certifies = False
     return _run_pg_loop(prob, opts or SolverOptions(), monotone,
                         L0=prob.L_global if fixed else None)

@@ -221,6 +221,24 @@ class TestBinaryObjective:
         assert np.isfinite(parts.smooth)
         assert parts.penalty == parts.total == np.inf
 
+    @pytest.mark.parametrize("b, w3, hp, want", [
+        # w_3^2 overflows under a zero lambda2, b^2 under a zero lambda3
+        (0.0, 1e300, Hyperparams(0.05, 0.0, 1.0, 1.0), 0.05 * 1e300),
+        (1e300, 2.0, Hyperparams(0.05, 1.0, 0.0, 1.0), 0.05 * 2.0 + 2.0),
+        (1e300, 1e300, Hyperparams(0.0, 0.0, 0.0, 1.0), 0.0),
+    ])
+    def test_zero_weight_leaves_out_its_overflowing_term(self, b, w3, hp,
+                                                         want):
+        # 0 * inf would be NaN: a term whose weight is 0 adds nothing
+        data = random_binary(np.random.default_rng(10), 50, 300)
+        w = np.zeros(300)
+        w[3] = w3
+        assert binary_penalty(b, w, hp) == want
+        assert multi_penalty([b], w[:, None], hp) == want
+        parts = objective(BinaryModel(b, w), data, hp)
+        assert parts.penalty == want
+        assert parts.total == parts.smooth + want
+
 
 def binary_grad_at(data, u, delta):
     obj = BinaryObjective(data, Hyperparams(0.0, 0.0, 0.0, delta))

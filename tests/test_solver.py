@@ -475,9 +475,10 @@ class TestFitBinaryTwoStage:
     def test_kkt_certificate_on_small_lambda1(self):
         # the old support-stability heuristic stopped 1e-5 to 2e-4 above
         # the optimum on some of these instances and fell back to the plain
-        # solver on others
+        # solver on others. Each fit stops within its gap of the optimum,
+        # so both run to 1e-10 for a 1e-8 comparison.
         hp = Hyperparams(0.005, 1.0, 1.0, 1.0)
-        opts = SolverOptions()
+        opts = SolverOptions(tol=1e-10)
         rounds = []
         for seed in range(4):
             data = binary_data(seed=seed, n=200, p=2000, s=20)
@@ -518,11 +519,12 @@ class TestFitBinaryTwoStage:
         # the margins at its round's result from the round's own columns
         data = binary_data(seed=0, n=200, p=2000, s=20)
         hp = Hyperparams(0.005, 1.0, 1.0, 1.0)
-        res = fit_binary_two_stage(data, hp)
+        opts = SolverOptions(tol=1e-10)     # see the KKT certificate test
+        res = fit_binary_two_stage(data, hp, opts)
         full = [px for px in forwarded_X if px.a is data._X]
         assert full and all("matmul" not in px.used for px in full)
         assert res.converged and res.trace.column("stage")[-1] >= 2
-        plain = fit_binary(data, hp)
+        plain = fit_binary(data, hp, opts)
         assert res.final_objective == pytest.approx(plain.final_objective,
                                                     rel=1e-8)
 
@@ -547,7 +549,8 @@ class TestFitBinaryTwoStage:
 
         monkeypatch.setattr(Dataset, "restrict_features", restricted)
         monkeypatch.setattr(hsvm.solver, "fit_binary", recorded)
-        res = fit_binary_two_stage(data, hp)
+        opts = SolverOptions(tol=1e-10)     # see the KKT certificate test
+        res = fit_binary_two_stage(data, hp, opts)
         monkeypatch.undo()
         assert len(rounds) >= 2 and res.converged
         L0 = BinaryObjective(data, hp).L0
@@ -562,7 +565,7 @@ class TestFitBinaryTwoStage:
             np.testing.assert_array_equal(u0[1 + pos], prev.model.w)
             assert np.count_nonzero(u0[1:]) == np.count_nonzero(prev.model.w)
             assert F[stages == r + 1][0] <= prev.final_objective * (1 + 1e-12)
-        plain = fit_binary(data, hp)
+        plain = fit_binary(data, hp, opts)
         assert res.final_objective == pytest.approx(plain.final_objective,
                                                     rel=1e-8)
 
@@ -671,10 +674,11 @@ class TestFitMulti:
 
 
 class TestDualityGap:
-    """With lambda2, lambda3 > 0 an M-PGH fit stops once F - D_best <=
-    tol F, where D_best is the best dual bound given by the gradients it
-    took; ``FitResult.gap`` is (F - D_best) / F. Other fits stop on
-    relative progress and have no gap."""
+    """With lambda2, lambda3 > 0 an M-PGH or B-PGH fit stops once
+    F - D_best <= tol F, where D_best is the best dual bound given by the
+    gradients it took; ``FitResult.gap`` is (F - D_best) / F. Fits with
+    lambda2 = 0 or lambda3 = 0, and ``ablation_run``, stop on relative
+    progress and have no gap."""
 
     REF = SolverOptions(tol=1e-13, max_iter=100_000)
 
@@ -841,9 +845,25 @@ class TestDualityGap:
         stops[0] = 0
         res = fit_multi(data, Hyperparams(0.05, 1.0, 1.0, 1.0))
         assert res.converged and res.gap is not None and stops[0] == 0
-        res = fit_binary(binary_data(seed=3), Hyperparams(0.05, 1.0, 1.0, 1.0))
-        assert res.converged and res.gap is None
-        assert stops[0] == res.iterations
+        # binary fits and the ablation's settings alike
+        binary = binary_data(seed=3)
+        hp = Hyperparams(0.05, lambda2, lambda3, 1.0)
+        for fit in (fit_binary, fit_binary_two_stage):
+            stops[0] = 0
+            res = fit(binary, hp)
+            assert res.converged and res.gap is None
+            assert stops[0] == res.iterations
+        hp = Hyperparams(0.05, 1.0, 1.0, 1.0)
+        for fit in (fit_binary, fit_binary_two_stage):
+            stops[0] = 0
+            res = fit(binary, hp)
+            assert res.converged and 0.0 <= res.gap <= SolverOptions.tol
+            assert stops[0] == 0
+        for setting in hsvm.solver.ABLATION_SETTINGS:
+            stops[0] = 0
+            res = ablation_run(binary, hp, setting)
+            assert res.converged and res.gap is None
+            assert stops[0] == res.iterations
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
     def test_gap_at_the_stop_is_within_tol(self, tol):
@@ -855,6 +875,41 @@ class TestDualityGap:
         capped = fit_multi(data, Hyperparams(0.02, 0.3, 1.0, 1.0),
                            SolverOptions(tol=tol, max_iter=2))
         assert not capped.converged and capped.gap > tol
+
+    def test_binary_gap_bounds_the_true_suboptimality(self):
+        # 28 problems, half of them on CSR, each fitted by B-PGH and B-PGH-2:
+        # 56 fits, some with a working block and some without. Every gap
+        # is at least the suboptimality against a tol=1e-13 reference, with
+        # 4 ulp of F for the rounding of the two objectives; B-PGH's is at
+        # most tol. B-PGH-2's is the full problem's at its result, which
+        # its rounds' gaps do not bound, so it may exceed tol.
+        rng = np.random.default_rng(64)
+        blocks = no_blocks = 0
+        for k in range(28):
+            p = int(rng.choice([10, 300, 2000, 4000]))
+            data = binary_data(seed=k, n=int(rng.choice([30, 100, 200])),
+                               p=p, s=int(rng.integers(3, 10)))
+            if k % 2 == 1:
+                data = _as_csr(data)
+            hp = Hyperparams(10 ** rng.uniform(-2.5, -0.5),
+                             10 ** rng.uniform(-1.5, 1),
+                             10 ** rng.uniform(-1.5, 1),
+                             float(rng.choice([0.5, 1.0, 2.0])))
+            ref = fit_binary(data, hp, self.REF)
+            assert ref.converged and ref.gap <= self.REF.tol
+            for fit in (fit_binary, fit_binary_two_stage):
+                res = fit(data, hp)
+                assert res.converged and res.gap is not None
+                F = res.final_objective
+                assert (F - ref.final_objective
+                        <= res.gap * F + 4 * np.spacing(F))
+                if fit is fit_binary:
+                    assert res.gap <= SolverOptions.tol
+                    if (res.trace.column("nnz") * 32 <= p).any():
+                        blocks += 1
+                    else:
+                        no_blocks += 1
+        assert blocks >= 8 and no_blocks >= 8
 
 
 @pytest.fixture(scope="module")
@@ -893,9 +948,11 @@ class TestLinearConvergence:
     def test_contraction_toward_reference(self):
         data = binary_data(seed=23, n=200, p=50, s=8)
         hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
-        ref = fit_binary(data, hp, SolverOptions(tol=1e-12, max_iter=20000))
+        # the fit stops on its gap, so it runs to 1e-14 to leave iterates
+        # past the first 19; the reference runs to the rounding of F
+        ref = fit_binary(data, hp, SolverOptions(tol=1e-16, max_iter=20000))
         u_star = np.concatenate([[ref.model.b], ref.model.w])
-        res = fit_binary(data, hp, SolverOptions(tol=1e-9,
+        res = fit_binary(data, hp, SolverOptions(tol=1e-14,
                                                  record_iterates=True))
         d = np.array([np.linalg.norm(u - u_star) for u in res.iterates])
         d = d[19:]
@@ -1175,17 +1232,19 @@ class TestWorkingBlock:
                                        atol=1e-15)
             return out
 
+        # past the gap stop at 1e-6, as deep as the progress rule's stop
+        opts = SolverOptions(tol=1e-10)
         with monkeypatch.context() as mp:
             mp.setattr(BinaryObjective, "smooth_grad", checked)
             mp.setattr(BinaryObjective, "_refresh", refreshing)
-            res = fit_binary(data, self.HP)
+            res = fit_binary(data, self.HP, opts)
         assert skipped[0] >= res.iterations // 2
         assert worst[0] <= self.HP.lambda1
         with monkeypatch.context() as mp:
             # no block is kept past the empty one at zero, so every
             # product is the full one
             mp.setattr(hsvm.solver, "_SUPPORT_FRACTION", 1 << 40)
-            ref = fit_binary(data, self.HP)
+            ref = fit_binary(data, self.HP, opts)
         assert res.iterations == ref.iterations
         assert res.grad_products == ref.grad_products
         np.testing.assert_array_equal(np.flatnonzero(res.model.w),
@@ -1321,7 +1380,9 @@ class TestWorkingBlock:
 
         for name in calls:
             monkeypatch.setattr(hsvm.solver, name, counted(name))
-        res = fit_binary(binary_data(seed=3), self.HP)
+        # deep enough for two restarts, as the progress rule's stop was
+        res = fit_binary(binary_data(seed=3), self.HP,
+                         SolverOptions(tol=1e-12))
         assert res.trace.column("restarted").any()
         assert np.count_nonzero(res.trace.column("omega") == 0) > 1
         assert calls == {"huber_loss": res.trace.column("ls_evals").sum(),
