@@ -148,11 +148,14 @@ class Dataset:
             self._row_sqnorms = np.einsum("ij,ij->i", self._X, self._X)
         return self._row_sqnorms
 
-    def col_sqnorms(self):
+    def col_sqnorms(self, form=True):
         """Squared euclidean norm of each feature column, formed on first
-        ask (only a B-PGH working block asks): for a dense X as the rows
-        are. A sparse X adds its squares by column index in storage order,
-        as SciPy's column sum does. A sum of n squares is within gamma_n."""
+        ask (only a B-PGH working block asks; with ``form=False``, None
+        until then): for a dense X as the rows are. A sparse X adds its
+        squares by column index in storage order, as SciPy's column sum
+        does. A sum of n squares is within gamma_n."""
+        if not form:
+            return self._col_sqnorms
         if self._col_sqnorms is None and issparse(self._X):
             self._col_sqnorms = np.zeros(self.n_features)
             with np.errstate(over="ignore"):

@@ -40,12 +40,15 @@ the support (safe screening in the sense of Fercoq, Gramfort & Salmon
 the loop on a copy of the working-set columns, each round from the last
 one's result, and forms the margins of each round's result from those
 columns; its screen and checks make full transpose products, the one at
-w = 0 once per data set and delta for both binary fits. Both M-PGH
-products read all of X. The step constant only grows within an iteration
-(L_k = min(ETA^{n_k} L_{k-1}, L_global), ``line_search`` the one place
-that caps it, the default start included) and each accepted step
-satisfies the sufficient-decrease inequality; the extrapolation weight
-(``extrapolation_weight``) is capped at sqrt(L_{k-1}/L_k).
+w = 0 once per data set and delta for both binary fits. X' is linear, so
+both fits keep their latest full products and skip the next one whenever
+a combination of them already proves every frozen |g_j| < lambda1
+(``BinaryObjective._span``). Both M-PGH products read all of X. The step
+constant only grows within an iteration (L_k = min(ETA^{n_k} L_{k-1},
+L_global), ``line_search`` the one place that caps it, the default start
+included) and each accepted step satisfies the sufficient-decrease
+inequality; the extrapolation weight (``extrapolation_weight``) is capped
+at sqrt(L_{k-1}/L_k).
 
 The bound picks the stop rule. With lambda2, lambda3 > 0 (the paper's
 linear convergence assumption) both models have a finite dual, so each
@@ -106,10 +109,12 @@ class SolverOptions:
     and every ``ablation_run`` setting, stop after ``CONSEC_STOP``
     iterations whose relative objective decrease and relative step are
     both <= tol (``check_stop``). B-PGH-2's ``gap`` is the full problem's
-    at its result, which its rounds' gaps do not bound: it can exceed tol.
+    at its result, which its rounds' gaps do not bound: its last round
+    runs on until that gap is <= tol too (see ``fit_binary_two_stage``).
 
-    ``max_iter`` caps one solve: each B-PGH-2 round gets that cap, and
-    B-PGH-2's ``FitResult.iterations`` sums its rounds.
+    ``max_iter`` caps one solve: each B-PGH-2 round gets that cap, its
+    run-on included, and B-PGH-2's ``FitResult.iterations`` sums its
+    rounds.
     """
 
     tol: float = 1e-6
@@ -314,6 +319,11 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
 # on a 2000 x 20000 C-order X, and 2.5-3x on a 4000 x 50 000 text-like CSR
 # X, so past p/32 a rebuild soon costs more than the full products saved.
 _SUPPORT_FRACTION = 32
+# The latest full transpose products, with their coefficients, that B-PGH
+# and B-PGH-2 keep to certify frozen features from (``_span``): 4 of a
+# 2000 x 20 000 X hold 0.7 MB, and certify every base of a warm
+# large_dense body.
+_KEPT = 4
 
 
 class BinaryObjective:
@@ -328,7 +338,12 @@ class BinaryObjective:
     column. ``smooth_grad`` re-forms it at each full product (``_refresh``).
     A gradient whose loss coefficients are within a radius of that
     product's reads only X[:, K]: every frozen |g_j| stays below lambda1,
-    so its weight, zero in every vector the loop holds, stays zero.
+    so its weight, zero in every vector the loop holds, stays zero. Past
+    the radius, the latest ``_KEPT`` full products, from the one at w = 0
+    on, can still prove it: their coefficients' span holds a point near
+    enough, whose product is their combination (``_span``).
+    Then K stays, that point becomes the reference, and only X[:, K] is
+    read; otherwise a full product follows.
 
     With lambda2, lambda3 > 0 (``certifies``) every gradient also gives a
     finite lower bound on the optimum (``_dual_bound``), and the fit stops
@@ -349,6 +364,7 @@ class BinaryObjective:
         self.data = data
         self._K = self._XK = None  # working features and X[:, K]; None: full
         self._c_ref = self._rho = 0.0  # the block's certificate
+        self._kept = []  # (c, X'c) of the latest _KEPT full products
         # Otherwise the penalty's conjugate is an indicator, and the
         # gradient's dual point is almost never feasible.
         self.certifies = hp.lambda2 > 0 and hp.lambda3 > 0
@@ -369,8 +385,9 @@ class BinaryObjective:
         coordinates."""
         f, C = _loss_terms(m, self.hp.delta)
         coef = -C * self.y / self.n
-        if (self._K is not None
-                and np.linalg.norm(coef - self._c_ref) < self._rho):
+        if self._K is not None and (
+                np.linalg.norm(coef - self._c_ref) < self._rho
+                or self._recenter(coef)):
             gw = self._XK.T @ coef
         else:
             gw, held = self._refresh([self.full(v) for v in held], coef,
@@ -402,9 +419,53 @@ class BinaryObjective:
         return np.concatenate([[coef.sum()], self._transpose(m, coef)])
 
     def _transpose(self, m, coef):
-        """X' coef at margins m, at m = 0 (w = 0) from the data set's memo."""
-        return (np.asarray(self.X.T @ coef).ravel() if m.any() else
-                self.data.transpose_at_zero(self.hp.delta, coef))
+        """X' coef at margins m, at m = 0 (w = 0) from the data set's memo,
+        kept with coef as the latest of the ``_KEPT`` references."""
+        gw = (np.asarray(self.X.T @ coef).ravel() if m.any() else
+              self.data.transpose_at_zero(self.hp.delta, coef))
+        self._kept = self._kept[1 - _KEPT:] + [(coef, gw)]
+        return gw
+
+    def _span(self, coef, K):
+        """(c~, radius) when the kept products prove |g_j(coef)| < lambda1
+        for every j outside K with no pass over X, else None.
+
+        c~ = sum_i alpha_i c_i is coef's least-squares projection onto the
+        span of the kept c_i. X' is linear, so X' c~ = sum_i alpha_i X' c_i
+        is known, and ``_radius`` gives the radius around c~ within which
+        every frozen |g_j| stays below lambda1; coef certifies when
+        ||coef - c~|| is below it (in the manner of the gap-safe spheres of
+        Ndiaye et al. 2017)."""
+        if not self._kept:
+            return None
+        frozen = np.ones(self.dim - 1, dtype=bool)
+        frozen[K] = False
+        c_kept = np.column_stack([c for c, _ in self._kept])
+        alpha = np.linalg.lstsq(c_kept, coef, rcond=None)[0]
+        c_t = c_kept @ alpha
+        g_t = sum(a * g for a, (_, g) in zip(alpha, self._kept))
+        scale = sum(abs(a) * np.linalg.norm(c)
+                    for a, (c, _) in zip(alpha, self._kept))
+        rho = self._radius(g_t, frozen, scale)
+        return (c_t, rho) if np.linalg.norm(coef - c_t) < rho else None
+
+    def _recenter(self, coef):
+        """Whether the kept products certify coef on the block (``_span``);
+        if so, the block's certificate moves to c~ and its radius."""
+        cert = self._span(coef, self._K)
+        if cert is not None:
+            self._c_ref, self._rho = cert
+        return cert is not None
+
+    def frozen_certified(self, m, support):
+        """Whether the kept products prove |g_j| < lambda1 at margins m for
+        every j outside ``support`` (B-PGH-2's check). Only once the data
+        set holds its column norms: a norms pass costs about as much as the
+        full product it would save."""
+        if self.data.col_sqnorms(form=False) is None:
+            return False
+        coef = huber_grad(m, self.hp.delta) * self.y / self.n
+        return self._span(coef, support) is not None
 
     def enter(self, u):
         """A start point u = (b, w) in full coordinates, in the objective's:
@@ -429,22 +490,11 @@ class BinaryObjective:
     def _refresh(self, held, coef=None, gw=None):
         """Re-form the block as K = supp(w) of every vector of ``held``
         (in full coordinates) and {j : |g_j| >= lambda1} of the full
-        product ``gw`` = X' coef, coef kept as c_ref with the radius rho
-        below (0 without gw); return ``gw`` and ``held`` gathered onto it.
-
-        For a frozen j (not in K) and coefficients c, Cauchy-Schwarz gives
-        |g_j(c)| <= |g_j(coef)| + ||X_j|| ||c - coef||. So ||c - coef|| < rho0,
-        rho0 = min_j (lambda1 - |g_j|) / ||X_j||, keeps every frozen |g_j|
-        below lambda1. rho0 is then shrunk by 4 (n + 2) eps (rho0 + ||coef||).
-        That covers the rounding of both gradients as a floating-point
-        product would compute them (Higham's dot-product bound,
-        gamma_n ||X_j|| ||c|| each, with ||c|| below ||coef|| + rho0), of
-        the column norms (sums of n squares, within gamma_n relative, see
-        ``Dataset.col_sqnorms``) and of rho0, so a full product would give
-        |g_j| <= lambda1 and a zero prox output.
-        """
-        lam = self.hp.lambda1
-        keep = np.abs(gw) >= lam if gw is not None else held[0][1:] != 0
+        product ``gw`` = X' coef, coef kept as c_ref with its radius
+        (``_radius``; 0 without gw); return ``gw`` and ``held`` gathered
+        onto it."""
+        keep = (np.abs(gw) >= self.hp.lambda1 if gw is not None
+                else held[0][1:] != 0)
         for u in held:
             keep |= u[1:] != 0
         if np.count_nonzero(keep) * _SUPPORT_FRACTION > keep.size:
@@ -455,16 +505,38 @@ class BinaryObjective:
             self._K, self._XK = K, self.X[:, K]
         self._rho = 0.0
         if gw is not None:
-            frozen = ~keep
-            norms = np.sqrt(self.data.col_sqnorms()[frozen])
-            with np.errstate(divide="ignore"):
-                rho0 = np.min((lam - np.abs(gw[frozen])) / norms,
-                              initial=np.inf)
-            slack = 4.0 * (self.n + 2) * np.finfo(float).eps
             self._c_ref = coef
-            self._rho = (1.0 - slack) * rho0 - slack * np.linalg.norm(coef)
+            self._rho = self._radius(gw, ~keep, np.linalg.norm(coef))
             gw = gw[K]
         return gw, [u[self._coords()] for u in held]
+
+    def _radius(self, gw, frozen, scale):
+        """The radius around a reference c_ref with X' c_ref = gw within
+        which every frozen |g_j| stays below lambda1.
+
+        For a frozen j and coefficients c, Cauchy-Schwarz gives
+        |g_j(c)| <= |g_j(c_ref)| + ||X_j|| ||c - c_ref||. So
+        ||c - c_ref|| < rho0, rho0 = min_j (lambda1 - |g_j|) / ||X_j||,
+        keeps every frozen |g_j| below lambda1. rho0 is then shrunk by
+        4 (n + 2) eps (rho0 + scale), with scale = ||c_ref|| for one
+        product and sum_i |alpha_i| ||c_i|| for a combination
+        c_ref = sum_i alpha_i c_i of kept products (``_span``). That covers
+        the rounding of both gradients as a floating-point product would
+        compute them (Higham's dot-product bound, gamma_n ||X_j|| ||c||
+        each, with ||c|| below scale + rho0), of the combination (its k <= 4
+        terms add gamma_k ||X_j|| scale to gw and to c_ref), of the column
+        norms (sums of n squares, within gamma_n relative, see
+        ``Dataset.col_sqnorms``) and of rho0, so a full product would give
+        |g_j| <= lambda1 and a zero prox output.
+        """
+        norms = np.sqrt(self.data.col_sqnorms()[frozen])
+        # A zero column's term is inf, or NaN at lambda1 = 0, which fails
+        # every certificate.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho0 = np.min((self.hp.lambda1 - np.abs(gw[frozen])) / norms,
+                          initial=np.inf)
+        slack = 4.0 * (self.n + 2) * np.finfo(float).eps
+        return (1.0 - slack) * rho0 - slack * scale
 
     def penalty(self, u):
         return binary_penalty(u[0], u[1:], self.hp)
@@ -650,10 +722,21 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     result. The rounds end when none fails, or when one does not converge.
     Recorded iterates are those of every round, in full coordinates.
 
+    The check reads all of X only when the products it keeps, the screen's
+    at w = 0 and each earlier check's, do not prove every frozen
+    |grad_j f| < lambda1 (``BinaryObjective.frozen_certified``). That
+    proof needs the column norms, and is tried only once the data set
+    holds them. A proof leaves no violator, and no frozen term in the
+    dual bound, so the round's columns give the gradient the bound reads.
+
     A round's gap bounds only its restricted problem. The fit's ``gap`` is
-    the full problem's at its result, from the last check's full product
-    (``BinaryObjective._dual_bound``); it is None when a round does not
-    converge, as no check follows, or when the objective does not certify.
+    the full problem's at its result (``BinaryObjective._dual_bound``).
+    When the check finds no violator but that gap is above tol, the last
+    round runs on from its result, on the same support and within what is
+    left of its ``max_iter``, until the gap is <= tol. So
+    ``converged=True`` certifies gap <= tol. The gap is None when a round
+    does not converge, as no check follows, or when the objective does
+    not certify.
     """
     opts = opts or SolverOptions()
     prob = BinaryObjective(data, hp)
@@ -662,11 +745,13 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
     support = np.flatnonzero(np.abs(grad[1:]) > hp.lambda1)
     trace, iterations, grad_products = SolverTrace(), 0, 1
     iterates = [] if opts.record_iterates else None
-    gap = None
-    for stage in range(1, data.n_features + 2):  # each adds a feature
-        sub = data.restrict_features(support)
-        cols = np.append(0, 1 + support)
-        res = fit_binary(sub, hp, opts, u0=u[cols], L0=prob.L0)
+    gap, stage, left, sub = None, 1, opts.max_iter, None
+    while True:  # each round adds a feature or spends an iteration
+        if sub is None:
+            sub = data.restrict_features(support)
+            cols = np.append(0, 1 + support)
+        res = fit_binary(sub, hp, replace(opts, max_iter=left), u0=u[cols],
+                         L0=prob.L0)
         trace.rows += [replace(row, k=row.k + iterations, stage=stage)
                        for row in res.trace.rows]
         iterations += res.iterations
@@ -678,21 +763,31 @@ def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
         if iterates is not None:
             iterates += list(full[:-1])
         if not res.converged:
+            gap = None  # no check follows
             break
         # The round's own columns give the margins at its result; only
-        # the check's transpose product reads all of X.
+        # an uncertified check's transpose product reads all of X.
         sub_prob = BinaryObjective(sub, hp)
         m = sub_prob.margins(sub_prob.point(res.model))
-        grad = prob.grad(m)
         grad_products += 1
-        violates = np.abs(grad[1:]) > hp.lambda1 * (1.0 + opts.tol)
-        violates[support] = False
-        if not violates.any():
-            F = res.final_objective
-            dual = prob._dual_bound(_loss_terms(m, hp.delta)[1], grad)
-            gap = (F - dual) / F if dual > -math.inf else None
+        if prob.frozen_certified(m, support):
+            grad = sub_prob.grad(m)
+        else:
+            grad = prob.grad(m)
+            violates = np.abs(grad[1:]) > hp.lambda1 * (1.0 + opts.tol)
+            violates[support] = False
+            if violates.any():
+                support = np.union1d(support, np.flatnonzero(violates))
+                stage, left, sub = stage + 1, opts.max_iter, None
+                continue
+        F = res.final_objective
+        dual = prob._dual_bound(_loss_terms(m, hp.delta)[1], grad)
+        gap = (F - dual) / F if dual > -math.inf else None
+        left -= res.iterations
+        if gap is None or gap <= opts.tol or left == 0:
             break
-        support = np.union1d(support, np.flatnonzero(violates))
+    if gap is not None and gap > opts.tol:
+        res = replace(res, converged=False, stop_reason="max_iter")
     return replace(res, model=BinaryModel(b=float(u[0]), w=u[1:]), trace=trace,
                    iterations=iterations, support=support,
                    iterates=iterates, grad_products=grad_products, gap=gap)

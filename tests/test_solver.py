@@ -472,6 +472,34 @@ class TestFitBinaryTwoStage:
         assert not res.converged and res.stop_reason == "max_iter"
         assert res.iterations == 2 and not res.two_stage_fallback
 
+    @pytest.mark.parametrize("n, p, s, seed, hp", [
+        (86, 2418, 18, 94, Hyperparams(0.0038028902349822075,
+                                       0.09846480884967779,
+                                       0.01505164407805447)),
+        (52, 2390, 13, 110, Hyperparams(0.007497396332065327,
+                                        0.021003180243829578,
+                                        0.03100654518543955))])
+    def test_converged_certifies_the_full_gap(self, n, p, s, seed, hp):
+        # the last round's own gap is <= tol, but the full problem's at its
+        # result, from that one dual point, is not (1.016e-6 and 1.044e-6
+        # here), so the round runs on from its result on the same support
+        data = binary_data(seed=seed, n=n, p=p, s=s)
+        res = fit_binary_two_stage(data, hp)
+        assert res.converged and res.stop_reason == "converged"
+        assert 0 <= res.gap <= SolverOptions().tol
+        assert set(res.trace.column("stage")) == {1}
+        np.testing.assert_array_equal(
+            res.trace.column("k"), np.arange(1, res.iterations + 1))
+        # an independent dual bound at the result: the full product, not
+        # the rounds' columns
+        prob = BinaryObjective(data, hp)
+        m = prob.margins(prob.point(res.model))
+        grad = prob.grad(m)
+        dual = prob._dual_bound(hsvm.solver._loss_terms(m, hp.delta)[1],
+                                grad)
+        F = res.final_objective
+        assert (F - dual) / F <= SolverOptions().tol * (1 + 1e-9)
+
     def test_kkt_certificate_on_small_lambda1(self):
         # the old support-stability heuristic stopped 1e-5 to 2e-4 above
         # the optimum on some of these instances and fell back to the plain
@@ -1253,6 +1281,57 @@ class TestWorkingBlock:
                                                     rel=1e-12)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_kept_products_certify_only_what_a_full_product_shows(
+            self, monkeypatch, layout):
+        # 60 random problems, each through fit_binary and then, with the
+        # column norms it formed, fit_binary_two_stage. Wherever a
+        # combination of kept products, not the radius, skips B-PGH's full
+        # product, an explicit X'c shows every frozen |g_j| <= lambda1; a
+        # B-PGH-2 check it certifies finds no violator in the full product
+        recenter = BinaryObjective._recenter
+        certified = BinaryObjective.frozen_certified
+        fired = {"block": 0, "check": 0}
+
+        def frozen_grad(prob, coef, K):
+            frozen = np.ones(prob.dim - 1, dtype=bool)
+            frozen[K] = False
+            return np.asarray(prob.data._X.T @ coef).ravel()[frozen]
+
+        def checked_block(prob, coef):
+            out = recenter(prob, coef)
+            if out:
+                fired["block"] += 1
+                g = frozen_grad(prob, coef, prob._K)
+                assert np.abs(g).max(initial=0.0) <= prob.hp.lambda1
+            return out
+
+        def checked_check(prob, m, support):
+            out = certified(prob, m, support)
+            if out:
+                fired["check"] += 1
+                coef = (hsvm.solver.huber_grad(m, prob.hp.delta) * prob.y
+                        / prob.n)
+                g = frozen_grad(prob, coef, support)
+                assert np.abs(g).max(initial=0.0) <= prob.hp.lambda1
+            return out
+
+        monkeypatch.setattr(BinaryObjective, "_recenter", checked_block)
+        monkeypatch.setattr(BinaryObjective, "frozen_certified",
+                            checked_check)
+        rng = np.random.default_rng(41 if layout == "dense" else 42)
+        for case in range(60):
+            n = int(rng.choice([60, 100, 200]))
+            data = binary_data(seed=case, n=n, p=int(rng.choice([1000, 2000])),
+                               s=int(rng.integers(3, 16)))
+            if layout == "csr":
+                data = _as_csr(data)
+            hp = Hyperparams(float(rng.choice([0.1, 0.2, 0.3, 0.4])),
+                             float(rng.choice([0.1, 1.0])), 1.0, 1.0)
+            fit_binary(data, hp)
+            fit_binary_two_stage(data, hp)
+        assert fired["block"] >= 150 and fired["check"] >= 5
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_fits_match_full_coordinates(self, monkeypatch, layout):
         # 50 random problems, p from 300 to 6400, against a fit that keeps
         # no block (every vector of the loop in full coordinates)
@@ -1286,7 +1365,9 @@ class TestWorkingBlock:
         prob = BinaryObjective(data, self.HP)
         model = fit_binary(data, self.HP).model
         u_star = np.concatenate([[model.b], model.w])
-        g_star = prob.grad(prob.margins(prob.point(model)))
+        # on another objective: prob keeps no product to certify from
+        ref = BinaryObjective(data, self.HP)
+        g_star = ref.grad(ref.margins(ref.point(model)))
         j = np.flatnonzero((u_star[1:] == 0)
                            & (np.abs(g_star[1:]) < self.HP.lambda1))[0]
         v = u_star.copy()
@@ -1295,7 +1376,8 @@ class TestWorkingBlock:
         assert prob._K.size * 32 <= 4000 and j in prob._K
         u = u_star[prob._coords()]
         m = prob.margins(u)
-        assert prob._rho == 0.0     # no certificate yet: a full product
+        # no certificate yet and no kept product: a full product
+        assert prob._rho == 0.0 and not prob._kept
         _, g, _, (u_hat, u, u_prev) = prob.smooth_grad(m, u, u, u_prev)
         assert j in prob._K and g.size == u.size == 1 + prob._K.size
         np.testing.assert_array_equal(prob.full(u_prev), v)
@@ -1436,6 +1518,29 @@ class TestGradientAtZeroMemo:
             assert copy._at_zero is None
             assert self.transposes(forwarded_X, copy, fit_binary,
                                    self.HP)[0] == first
+
+    def test_kept_products_replace_the_later_full_products(self,
+                                                           forwarded_X):
+        # at lambda1 = 0.25 every frozen gradient at the products a fit
+        # holds stays well below lambda1: plain B-PGH makes only the one at
+        # w = 0, and B-PGH-2 after it none, its check certified from the
+        # screen's product and the column norms plain B-PGH formed
+        data = binary_data(seed=1, n=400, p=4000, s=20)
+        hp = Hyperparams(0.25, 1.0, 1.0)
+        fresh = Dataset(data._X, data.labels)
+        plain, r1 = self.transposes(forwarded_X, data, fit_binary, hp)
+        two, r2 = self.transposes(forwarded_X, data, fit_binary_two_stage, hp)
+        assert (plain, two) == (1, 0)
+        assert r1.converged and r2.converged and r2.gap <= 1e-6
+        # without the column norms B-PGH-2 makes its check's product, and
+        # forms no norms to certify it
+        cold, r3 = self.transposes(forwarded_X, fresh, fit_binary_two_stage,
+                                   hp)
+        assert cold == 2 and fresh._col_sqnorms is None
+        assert r3.iterations == r2.iterations
+        assert r3.final_objective == pytest.approx(r2.final_objective,
+                                                   rel=1e-14)
+        assert r3.gap == pytest.approx(r2.gap, rel=1e-6)
 
 
 # The hsvm.solver globals that the benchmark's traced run rebinds. Each must
