@@ -148,14 +148,12 @@ class Dataset:
             self._row_sqnorms = np.einsum("ij,ij->i", self._X, self._X)
         return self._row_sqnorms
 
-    def col_sqnorms(self, form=True):
+    def col_sqnorms(self):
         """Squared euclidean norm of each feature column, formed on first
-        ask (only a B-PGH working block asks; with ``form=False``, None
-        until then): for a dense X as the rows are. A sparse X adds its
-        squares by column index in storage order, as SciPy's column sum
-        does. A sum of n squares is within gamma_n."""
-        if not form:
-            return self._col_sqnorms
+        ask (only a binary fit's working block asks): for a dense X as the
+        rows are. A sparse X adds its squares by column index in storage
+        order, as SciPy's column sum does. A sum of n squares is within
+        gamma_n."""
         if self._col_sqnorms is None and issparse(self._X):
             self._col_sqnorms = np.zeros(self.n_features)
             with np.errstate(over="ignore"):
@@ -166,8 +164,9 @@ class Dataset:
         return self._col_sqnorms
 
     def transpose_at_zero(self, delta, coef):
-        """X'coef at the loss coefficients of w = 0 for ``delta``, formed on
-        first ask and kept in one slot keyed by delta; a copy has its own."""
+        """X'coef at the loss coefficients of w = 0 for ``delta``: the
+        screen of both binary fits, formed on first ask and kept in one slot
+        keyed by delta; a copy has its own."""
         if self._at_zero is None or self._at_zero[0] != delta:
             self._at_zero = (delta, np.asarray(self.X.T @ coef).ravel())
         return self._at_zero[1]
@@ -180,9 +179,10 @@ class Dataset:
                        true_support=self._true_support)
 
     def restrict_features(self, columns) -> "Dataset":
-        """New dataset keeping only the given feature columns (in order)."""
+        """New dataset keeping only the given feature columns (in order):
+        the only code that takes a column subset of X."""
         cols = np.asarray(columns, dtype=np.int64)
-        return Dataset(self._X[:, cols], self._labels, kind=self._kind,
+        return Dataset(self.X[:, cols], self._labels, kind=self._kind,
                        n_classes=self._n_classes)
 
 

@@ -5,10 +5,9 @@ Three training entry points share one iteration skeleton:
 * ``fit_binary``   -- B-PGH: extrapolated proximal gradient with
   backtracking on the step constant and a monotone re-update whenever the
   extrapolated step increases the objective.
-* ``fit_binary_two_stage`` -- B-PGH-2: B-PGH on a working set of
-  features. The set starts as the features whose gradient at zero exceeds
-  lambda1 in magnitude, and grows by every frozen feature that fails the
-  full-problem optimality check |grad_j f| <= lambda1, until none fails.
+* ``fit_binary_two_stage`` -- B-PGH-2: the paper's two stages, identify
+  the support and solve the restricted problem, are B-PGH's own phases
+  (its working block, below), so it is one call of ``fit_binary``.
 * ``fit_multi``    -- M-PGH: the same loop over (b, W) with the closed-form
   zero-sum intercept step and the row-decomposed dual prox.
 
@@ -32,23 +31,23 @@ m + omega (m - m_prev), from the margins ``line_search`` returns with each
 candidate. One call per base, ``smooth_grad(m, u_hat, u, u_prev)``, gives
 its smooth value, gradient and dual bound from one loss call, and returns
 the loop's vectors in the pass's coordinates. B-PGH's iterates live in the
-coordinates of a working block of columns, dense or CSR alike, the only
-code that reads a subset of X: proximal gradient identifies the solution's
-support after finitely many steps, and a frozen feature that cannot enter
-the support (safe screening in the sense of Fercoq, Gramfort & Salmon
-2015; see ``BinaryObjective``) drops out of every operation. B-PGH-2 runs
-the loop on a copy of the working-set columns, each round from the last
-one's result, and forms the margins of each round's result from those
-columns; its screen and checks make full transpose products, the one at
-w = 0 once per data set and delta for both binary fits. X' is linear, so
-both fits keep their latest full products and skip the next one whenever
-a combination of them already proves every frozen |g_j| < lambda1
-(``BinaryObjective._span``). Both M-PGH products read all of X. The step
-constant only grows within an iteration (L_k = min(ETA^{n_k} L_{k-1},
-L_global), ``line_search`` the one place that caps it, the default start
-included) and each accepted step satisfies the sufficient-decrease
-inequality; the extrapolation weight (``extrapolation_weight``) is capped
-at sqrt(L_{k-1}/L_k).
+coordinates of a working block of columns, dense or CSR alike, taken
+through ``Dataset.restrict_features``, the only code that reads a subset
+of X: proximal gradient identifies the solution's support after finitely
+many steps, and a frozen feature that cannot enter the support (safe
+screening in the sense of Fercoq, Gramfort & Salmon 2015; see
+``BinaryObjective``) drops out of every operation. From zero, the first
+full transpose product, at w = 0 and formed once per data set and delta,
+is the screen that forms the block; each trace row's ``stage`` numbers
+the working set its iteration ran on. X' is linear, so a fit keeps its
+latest full products and skips the next one whenever a combination of
+them already proves every frozen |g_j| < lambda1
+(``BinaryObjective._recenter``). Both M-PGH products read all of X. The
+step constant only grows within an iteration (L_k = min(ETA^{n_k}
+L_{k-1}, L_global), ``line_search`` the one place that caps it, the
+default start included) and each accepted step satisfies the
+sufficient-decrease inequality; the extrapolation weight
+(``extrapolation_weight``) is capped at sqrt(L_{k-1}/L_k).
 
 The bound picks the stop rule. With lambda2, lambda3 > 0 (the paper's
 linear convergence assumption) both models have a finite dual, so each
@@ -60,14 +59,13 @@ D = -inf. The loop keeps the best D over every base, restarts included.
 Once it is finite, the fit stops when F - D_best <= tol F:
 ``converged=True`` certifies a relative duality gap <= tol, recorded in
 ``FitResult.gap``. Until then it stops on relative progress
-(``check_stop``), and a fit with no finite D has no gap. B-PGH-2's gap is
-the full problem's at its result (see ``fit_binary_two_stage``).
+(``check_stop``), and a fit with no finite D has no gap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
@@ -104,17 +102,13 @@ class SolverOptions:
     of ``ablation_run`` choose another step policy.
 
     ``tol`` is the stop rule's tolerance. A fit with lambda2, lambda3 > 0,
-    B-PGH, each B-PGH-2 round and M-PGH alike, stops once its certified
-    relative duality gap is <= tol. Fits with lambda2 = 0 or lambda3 = 0,
-    and every ``ablation_run`` setting, stop after ``CONSEC_STOP``
-    iterations whose relative objective decrease and relative step are
-    both <= tol (``check_stop``). B-PGH-2's ``gap`` is the full problem's
-    at its result, which its rounds' gaps do not bound: its last round
-    runs on until that gap is <= tol too (see ``fit_binary_two_stage``).
+    B-PGH, B-PGH-2 and M-PGH alike, stops once its certified relative
+    duality gap is <= tol. Fits with lambda2 = 0 or lambda3 = 0, and every
+    ``ablation_run`` setting, stop after ``CONSEC_STOP`` iterations whose
+    relative objective decrease and relative step are both <= tol
+    (``check_stop``).
 
-    ``max_iter`` caps one solve: each B-PGH-2 round gets that cap, its
-    run-on included, and B-PGH-2's ``FitResult.iterations`` sums its
-    rounds.
+    ``max_iter`` caps the iterations of one fit.
     """
 
     tol: float = 1e-6
@@ -141,7 +135,7 @@ class TraceRow:
     step_norm: float
     restarted: bool
     nnz: int
-    stage: int = 1           # B-PGH-2 working-set round; 1 for other solvers
+    stage: int = 1           # index of the working set the iteration ran on
     n_products: int = 1      # forward margin products spent this iteration
     ls_evals: int = 1        # candidate evaluations (1 + retries)
     suff_gap: float = 0.0    # majorization bound minus smooth value at accept
@@ -177,7 +171,7 @@ class FitResult:
     final_objective: float
     stop_reason: str = "max_iter"   # or "converged"
     two_stage_fallback: bool = False  # always False, kept for its readers
-    support: Optional[np.ndarray] = None  # B-PGH-2's final working set
+    support: Optional[np.ndarray] = None  # a binary fit's final working set
     iterates: Optional[list] = None
     grad_products: int = 0
     gap: Optional[float] = None  # certified relative duality gap, if any
@@ -237,7 +231,9 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
     site, runs the passes of the module docstring and counts each pass's
     dual bound, gradient product and evaluations once. The re-update is
     the monotone restart of Beck & Teboulle's MFISTA (2009);
-    ``monotone=False`` drops it, for the ablation."""
+    ``monotone=False`` drops it, for the ablation. A row's ``stage`` is 1
+    at the first iteration and grows by 1 at each later one whose full
+    products changed the objective's working set (``working_sets``)."""
     u = prob.enter(weight_zeros(prob.dim) if u0 is None else u0)
     m = prob.margins(u)
     F = None  # formed by the first step, whose base is u itself
@@ -249,6 +245,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
     iterates = [] if opts.record_iterates else None
     grad_products = 0
     counter = 0
+    stage, sets = 0, None
     stop_reason = "max_iter"
 
     for k in range(1, opts.max_iter + 1):
@@ -288,11 +285,14 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
         m_prev, m = m, m_cand
         L = L_acc
         t = t_next
+        # sets is None before the first row, whose working set is the first
+        stage += sets != prob.working_sets
+        sets = prob.working_sets
 
         trace.append(TraceRow(
             k=k, F=F, L=L, omega=omega, step_norm=step_norm,
-            restarted=restarted, nnz=prob.nnz(u), n_products=evals,
-            ls_evals=evals, suff_gap=gap))
+            restarted=restarted, nnz=prob.nnz(u), stage=stage,
+            n_products=evals, ls_evals=evals, suff_gap=gap))
         if iterates is not None:
             iterates.append(prob.full(u))
 
@@ -308,7 +308,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
     return FitResult(
         model=prob.model(u), trace=trace, iterations=k,
         converged=stop_reason == "converged", final_objective=F,
-        stop_reason=stop_reason, iterates=iterates,
+        stop_reason=stop_reason, support=prob.support, iterates=iterates,
         grad_products=grad_products,
         gap=(F - D_best) / F if D_best > -math.inf else None)
 
@@ -319,10 +319,10 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
 # on a 2000 x 20000 C-order X, and 2.5-3x on a 4000 x 50 000 text-like CSR
 # X, so past p/32 a rebuild soon costs more than the full products saved.
 _SUPPORT_FRACTION = 32
-# The latest full transpose products, with their coefficients, that B-PGH
-# and B-PGH-2 keep to certify frozen features from (``_span``): 4 of a
+# The latest full transpose products, with their coefficients, that a
+# binary fit keeps to certify frozen features from (``_recenter``): 4 of a
 # 2000 x 20 000 X hold 0.7 MB, and certify every base of a warm
-# large_dense body.
+# large_dense fit.
 _KEPT = 4
 
 
@@ -332,18 +332,21 @@ class BinaryObjective:
     default initial step constant is 2 L_f / n; ``line_search`` caps it.
 
     While it keeps a working block of features K, the copy X[:, K]
-    (F-order for a dense X, CSR for a CSR one), the loop's vectors are in
-    its coordinates u = (b, w_K); otherwise, as on construction, in full
-    ones. From w = 0 the block is empty (``enter``), so the margins read no
-    column. ``smooth_grad`` re-forms it at each full product (``_refresh``).
-    A gradient whose loss coefficients are within a radius of that
-    product's reads only X[:, K]: every frozen |g_j| stays below lambda1,
-    so its weight, zero in every vector the loop holds, stays zero. Past
-    the radius, the latest ``_KEPT`` full products, from the one at w = 0
-    on, can still prove it: their coefficients' span holds a point near
-    enough, whose product is their combination (``_span``).
-    Then K stays, that point becomes the reference, and only X[:, K] is
-    read; otherwise a full product follows.
+    (``Dataset.restrict_features``: F-order for a dense X, CSR for a CSR
+    one), the loop's vectors are in its coordinates u = (b, w_K);
+    otherwise, as on construction, in full ones. From w = 0 the block is
+    empty (``enter``), so the margins read no column. ``smooth_grad``
+    re-forms it at each full product (``_refresh``); the first, at w = 0,
+    is the paper's screen. A gradient whose loss coefficients are within a
+    radius of that product's reads only X[:, K]: every frozen |g_j| stays
+    below lambda1, so its weight, zero in every vector the loop holds,
+    stays zero. Past the radius, the latest ``_KEPT`` full products, from
+    the one at w = 0 on, can still prove it: their coefficients' span holds
+    a point near enough, whose product is their combination
+    (``_recenter``). Then K stays, that point becomes the reference, and
+    only X[:, K] is read; otherwise a full product follows.
+    ``working_sets`` counts the changes of the working set, and ``support``
+    is the working set: K, or every feature while no block is kept.
 
     With lambda2, lambda3 > 0 (``certifies``) every gradient also gives a
     finite lower bound on the optimum (``_dual_bound``), and the fit stops
@@ -363,6 +366,7 @@ class BinaryObjective:
         self.L0 = 2.0 * self.L_global / data.n
         self.data = data
         self._K = self._XK = None  # working features and X[:, K]; None: full
+        self.working_sets = 0
         self._c_ref = self._rho = 0.0  # the block's certificate
         self._kept = []  # (c, X'c) of the latest _KEPT full products
         # Otherwise the penalty's conjugate is an indicator, and the
@@ -413,8 +417,12 @@ class BinaryObjective:
                 - grad[0] * grad[0] / (2.0 * self.hp.lambda3)
                 - float(r @ r) / (2.0 * self.hp.lambda2))
 
+    @property
+    def support(self):
+        return np.arange(self.dim - 1) if self._K is None else self._K
+
     def grad(self, m):
-        """The full gradient at margins m (B-PGH-2's screen and checks)."""
+        """The full gradient at margins m, from a full product."""
         coef = huber_grad(m, self.hp.delta) * self.y / self.n
         return np.concatenate([[coef.sum()], self._transpose(m, coef)])
 
@@ -426,9 +434,10 @@ class BinaryObjective:
         self._kept = self._kept[1 - _KEPT:] + [(coef, gw)]
         return gw
 
-    def _span(self, coef, K):
-        """(c~, radius) when the kept products prove |g_j(coef)| < lambda1
-        for every j outside K with no pass over X, else None.
+    def _recenter(self, coef):
+        """Whether the kept products prove |g_j(coef)| < lambda1 for every j
+        outside K with no pass over X; if so, the block's certificate moves
+        to c~ and its radius.
 
         c~ = sum_i alpha_i c_i is coef's least-squares projection onto the
         span of the kept c_i. X' is linear, so X' c~ = sum_i alpha_i X' c_i
@@ -437,9 +446,9 @@ class BinaryObjective:
         ||coef - c~|| is below it (in the manner of the gap-safe spheres of
         Ndiaye et al. 2017)."""
         if not self._kept:
-            return None
+            return False
         frozen = np.ones(self.dim - 1, dtype=bool)
-        frozen[K] = False
+        frozen[self._K] = False
         c_kept = np.column_stack([c for c, _ in self._kept])
         alpha = np.linalg.lstsq(c_kept, coef, rcond=None)[0]
         c_t = c_kept @ alpha
@@ -447,25 +456,10 @@ class BinaryObjective:
         scale = sum(abs(a) * np.linalg.norm(c)
                     for a, (c, _) in zip(alpha, self._kept))
         rho = self._radius(g_t, frozen, scale)
-        return (c_t, rho) if np.linalg.norm(coef - c_t) < rho else None
-
-    def _recenter(self, coef):
-        """Whether the kept products certify coef on the block (``_span``);
-        if so, the block's certificate moves to c~ and its radius."""
-        cert = self._span(coef, self._K)
-        if cert is not None:
-            self._c_ref, self._rho = cert
-        return cert is not None
-
-    def frozen_certified(self, m, support):
-        """Whether the kept products prove |g_j| < lambda1 at margins m for
-        every j outside ``support`` (B-PGH-2's check). Only once the data
-        set holds its column norms: a norms pass costs about as much as the
-        full product it would save."""
-        if self.data.col_sqnorms(form=False) is None:
+        if np.linalg.norm(coef - c_t) >= rho:
             return False
-        coef = huber_grad(m, self.hp.delta) * self.y / self.n
-        return self._span(coef, support) is not None
+        self._c_ref, self._rho = c_t, rho
+        return True
 
     def enter(self, u):
         """A start point u = (b, w) in full coordinates, in the objective's:
@@ -498,11 +492,13 @@ class BinaryObjective:
         for u in held:
             keep |= u[1:] != 0
         if np.count_nonzero(keep) * _SUPPORT_FRACTION > keep.size:
+            self.working_sets += self._K is not None
             self._K = self._XK = None
             return gw, held
         K = np.flatnonzero(keep)
         if self._K is None or not np.array_equal(K, self._K):
-            self._K, self._XK = K, self.X[:, K]
+            self.working_sets += 1
+            self._K, self._XK = K, self.data.restrict_features(K).X
         self._rho = 0.0
         if gw is not None:
             self._c_ref = coef
@@ -520,7 +516,7 @@ class BinaryObjective:
         keeps every frozen |g_j| below lambda1. rho0 is then shrunk by
         4 (n + 2) eps (rho0 + scale), with scale = ||c_ref|| for one
         product and sum_i |alpha_i| ||c_i|| for a combination
-        c_ref = sum_i alpha_i c_i of kept products (``_span``). That covers
+        c_ref = sum_i alpha_i c_i of kept products (``_recenter``). That covers
         the rounding of both gradients as a floating-point product would
         compute them (Higham's dot-product bound, gamma_n ||X_j|| ||c||
         each, with ||c|| below scale + rho0), of the combination (its k <= 4
@@ -593,6 +589,7 @@ class MultiObjective:
 
     # M-PGH works in full coordinates: a coordinate move copies u.
     enter = full = staticmethod(np.array)
+    working_sets, support = 0, None
 
     def margins(self, u):
         b, W = self._split(u)
@@ -710,87 +707,13 @@ def fit_binary(data: Dataset, hp: Hyperparams,
 
 def fit_binary_two_stage(data: Dataset, hp: Hyperparams,
                          opts: Optional[SolverOptions] = None) -> FitResult:
-    """B-PGH on a working set S of features, certified on the full problem.
-
-    S starts as {j : |grad_j f(0)| > lambda1}, the support of the first
-    fixed-step proximal gradient iterate from zero. Each round (``stage``
-    on the trace) runs ``fit_binary`` on the columns in S, the other
-    weights frozen at zero, then adds to S every frozen j that fails the
-    optimality check |grad_j f| <= lambda1 (1 + tol) at the result, whose
-    margins come from the round's columns. Each round starts at the full
-    problem's default step constant, after the first from the previous
-    result. The rounds end when none fails, or when one does not converge.
-    Recorded iterates are those of every round, in full coordinates.
-
-    The check reads all of X only when the products it keeps, the screen's
-    at w = 0 and each earlier check's, do not prove every frozen
-    |grad_j f| < lambda1 (``BinaryObjective.frozen_certified``). That
-    proof needs the column norms, and is tried only once the data set
-    holds them. A proof leaves no violator, and no frozen term in the
-    dual bound, so the round's columns give the gradient the bound reads.
-
-    A round's gap bounds only its restricted problem. The fit's ``gap`` is
-    the full problem's at its result (``BinaryObjective._dual_bound``).
-    When the check finds no violator but that gap is above tol, the last
-    round runs on from its result, on the same support and within what is
-    left of its ``max_iter``, until the gap is <= tol. So
-    ``converged=True`` certifies gap <= tol. The gap is None when a round
-    does not converge, as no check follows, or when the objective does
-    not certify.
-    """
-    opts = opts or SolverOptions()
-    prob = BinaryObjective(data, hp)
-    u = weight_zeros(prob.dim)
-    grad = prob.grad(prob.margins(prob.enter(u)))
-    support = np.flatnonzero(np.abs(grad[1:]) > hp.lambda1)
-    trace, iterations, grad_products = SolverTrace(), 0, 1
-    iterates = [] if opts.record_iterates else None
-    gap, stage, left, sub = None, 1, opts.max_iter, None
-    while True:  # each round adds a feature or spends an iteration
-        if sub is None:
-            sub = data.restrict_features(support)
-            cols = np.append(0, 1 + support)
-        res = fit_binary(sub, hp, replace(opts, max_iter=left), u0=u[cols],
-                         L0=prob.L0)
-        trace.rows += [replace(row, k=row.k + iterations, stage=stage)
-                       for row in res.trace.rows]
-        iterations += res.iterations
-        grad_products += res.grad_products
-        path = [*(res.iterates or ()), np.append(res.model.b, res.model.w)]
-        full = np.zeros((len(path), prob.dim))
-        full[:, cols] = path
-        u = full[-1]
-        if iterates is not None:
-            iterates += list(full[:-1])
-        if not res.converged:
-            gap = None  # no check follows
-            break
-        # The round's own columns give the margins at its result; only
-        # an uncertified check's transpose product reads all of X.
-        sub_prob = BinaryObjective(sub, hp)
-        m = sub_prob.margins(sub_prob.point(res.model))
-        grad_products += 1
-        if prob.frozen_certified(m, support):
-            grad = sub_prob.grad(m)
-        else:
-            grad = prob.grad(m)
-            violates = np.abs(grad[1:]) > hp.lambda1 * (1.0 + opts.tol)
-            violates[support] = False
-            if violates.any():
-                support = np.union1d(support, np.flatnonzero(violates))
-                stage, left, sub = stage + 1, opts.max_iter, None
-                continue
-        F = res.final_objective
-        dual = prob._dual_bound(_loss_terms(m, hp.delta)[1], grad)
-        gap = (F - dual) / F if dual > -math.inf else None
-        left -= res.iterations
-        if gap is None or gap <= opts.tol or left == 0:
-            break
-    if gap is not None and gap > opts.tol:
-        res = replace(res, converged=False, stop_reason="max_iter")
-    return replace(res, model=BinaryModel(b=float(u[0]), w=u[1:]), trace=trace,
-                   iterations=iterations, support=support,
-                   iterates=iterates, grad_products=grad_products, gap=gap)
+    """B-PGH-2, the paper's two-stage method: identify the support, then
+    solve the problem restricted to it. B-PGH from zero does both in one
+    fit: its screen at w = 0 forms the working block, and its certificate
+    proves the full problem's optimality condition on every frozen feature
+    at every later base. So this is ``fit_binary``: ``stage`` on the trace
+    numbers the working sets, and ``support`` is the last one."""
+    return fit_binary(data, hp, opts)
 
 
 def fit_multi(data: Dataset, hp: Hyperparams,

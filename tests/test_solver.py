@@ -156,6 +156,7 @@ class _Scripted(_Quadratic):
         return u
 
     full = model
+    working_sets, support = 0, None
 
 
 class TestLineSearch:
@@ -440,8 +441,8 @@ class TestFitBinaryTwoStage:
         assert res.support.size == 10
 
     def test_stage_boundary_marked(self, monkeypatch):
-        # lambda1 small enough that the screen misses features, so the
-        # KKT check adds some and a second round runs
+        # the screen at w = 0 keeps more than p/32 features, so the fit
+        # starts full width, and a later full product forms the block
         grad_calls = [0]
 
         def counted(name):
@@ -454,16 +455,55 @@ class TestFitBinaryTwoStage:
 
         for name in ("grad", "smooth_grad"):
             monkeypatch.setattr(BinaryObjective, name, counted(name))
-        data = binary_data(seed=0, n=200, p=2000, s=20)
-        res = fit_binary_two_stage(data, Hyperparams(0.005, 1.0, 1.0, 1.0))
+        data = binary_data(seed=0, n=200, p=4000, s=10)
+        res = fit_binary_two_stage(data, Hyperparams(0.1, 1.0, 1.0, 1.0))
         stages = res.trace.column("stage")
         assert stages[0] == 1 and stages[-1] >= 2
         assert set(np.diff(stages)) <= {0, 1}
         ks = res.trace.column("k")
         np.testing.assert_array_equal(ks, np.arange(1, res.iterations + 1))
-        # the screen and every check (grad) are transpose products too, as
-        # is every base of every round (smooth_grad)
+        # every base's transpose product (smooth_grad), the screen's
+        # included, and no other (grad)
         assert res.grad_products == grad_calls[0]
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("p, s, lambda1", [
+        (4000, 10, 0.2),    # the screen forms the block every iteration keeps
+        (4000, 10, 0.1),    # full width at first, then a block
+        (2000, 20, 0.005)])  # no block: 640 live features, over p/32
+    def test_one_path_with_fit_binary(self, layout, p, s, lambda1):
+        data = binary_data(seed=0, n=200, p=p, s=s)
+        if layout == "csr":
+            data = _as_csr(data)
+        hp = Hyperparams(lambda1, 1.0, 1.0, 1.0)
+        plain = fit_binary(data, hp)
+        res = fit_binary_two_stage(data, hp)
+        assert res.converged and res.iterations == plain.iterations
+        assert res.final_objective == plain.final_objective
+        assert res.gap == plain.gap and res.model.b == plain.model.b
+        np.testing.assert_array_equal(res.model.w, plain.model.w)
+        np.testing.assert_array_equal(res.support, plain.support)
+        assert res.trace.rows == plain.trace.rows
+        stages = res.trace.column("stage")
+        assert stages[0] == 1 and set(np.diff(stages)) <= {0, 1}
+        assert np.isin(np.flatnonzero(res.model.w), res.support).all()
+        # an explicit full X'c at the result: no frozen feature may enter
+        prob = BinaryObjective(data, hp)
+        m = prob.margins(prob.point(res.model))
+        coef = hsvm.solver.huber_grad(m, hp.delta) * prob.y / prob.n
+        g = np.asarray(data.X.T @ coef).ravel()
+        frozen = np.ones(p, dtype=bool)
+        frozen[res.support] = False
+        assert np.all(np.abs(g[frozen]) <= hp.lambda1)
+        if lambda1 == 0.005:
+            assert res.support.size == p and set(stages) == {1}
+        else:
+            assert res.support.size * 32 <= p
+            assert stages[-1] == (2 if lambda1 == 0.1 else 1)
+        multi = fit_multi(gen_fourclass(SynthSpec(kind="four_class", n=40,
+                                                  p=24, s=4, seed=19)), hp)
+        assert set(multi.trace.column("stage")) == {1}
+        assert multi.support is None
 
     def test_iteration_cap_reports_not_converged(self):
         data = binary_data(seed=15, n=60, p=80, s=5)
@@ -480,36 +520,36 @@ class TestFitBinaryTwoStage:
                                         0.021003180243829578,
                                         0.03100654518543955))])
     def test_converged_certifies_the_full_gap(self, n, p, s, seed, hp):
-        # the last round's own gap is <= tol, but the full problem's at its
-        # result, from that one dual point, is not (1.016e-6 and 1.044e-6
-        # here), so the round runs on from its result on the same support
+        # the fit's gap is from the best dual bound over its bases, which
+        # bounds the full problem's suboptimality at its result: against a
+        # tol=1e-13 reference, with 4 ulp of F for the rounding of the two
+        # objectives
         data = binary_data(seed=seed, n=n, p=p, s=s)
         res = fit_binary_two_stage(data, hp)
         assert res.converged and res.stop_reason == "converged"
         assert 0 <= res.gap <= SolverOptions().tol
-        assert set(res.trace.column("stage")) == {1}
+        assert set(np.diff(res.trace.column("stage"))) <= {0, 1}
         np.testing.assert_array_equal(
             res.trace.column("k"), np.arange(1, res.iterations + 1))
-        # an independent dual bound at the result: the full product, not
-        # the rounds' columns
-        prob = BinaryObjective(data, hp)
-        m = prob.margins(prob.point(res.model))
-        grad = prob.grad(m)
-        dual = prob._dual_bound(hsvm.solver._loss_terms(m, hp.delta)[1],
-                                grad)
+        ref = fit_binary(data, hp, SolverOptions(tol=1e-13))
+        assert ref.converged
         F = res.final_objective
-        assert (F - dual) / F <= SolverOptions().tol * (1 + 1e-9)
+        assert F - ref.final_objective <= res.gap * F + 4 * np.spacing(F)
 
-    def test_kkt_certificate_on_small_lambda1(self):
+    @pytest.mark.parametrize("n, p, s, lambda1", [(200, 2000, 20, 0.005),
+                                                   (200, 4000, 10, 0.1)])
+    def test_kkt_certificate_on_small_lambda1(self, n, p, s, lambda1):
         # the old support-stability heuristic stopped 1e-5 to 2e-4 above
-        # the optimum on some of these instances and fell back to the plain
-        # solver on others. Each fit stops within its gap of the optimum,
-        # so both run to 1e-10 for a 1e-8 comparison.
-        hp = Hyperparams(0.005, 1.0, 1.0, 1.0)
+        # the optimum on some of the small-lambda1 instances and fell back
+        # to the plain solver on others. Each fit stops within its gap of
+        # the optimum, so both run to 1e-10 for a 1e-8 comparison. At
+        # lambda1 = 0.005 no block forms (640 live features, over p/32);
+        # at 0.1 one forms after the first iterations.
+        hp = Hyperparams(lambda1, 1.0, 1.0, 1.0)
         opts = SolverOptions(tol=1e-10)
-        rounds = []
+        stages = []
         for seed in range(4):
-            data = binary_data(seed=seed, n=200, p=2000, s=20)
+            data = binary_data(seed=seed, n=n, p=p, s=s)
             plain = fit_binary(data, hp, opts)
             res = fit_binary_two_stage(data, hp, opts)
             assert res.converged and not res.two_stage_fallback
@@ -521,21 +561,23 @@ class TestFitBinaryTwoStage:
             frozen[res.support] = False
             assert np.all(np.abs(grad[frozen]) <= hp.lambda1 * (1 + opts.tol))
             np.testing.assert_array_equal(res.model.w[frozen], 0.0)
-            rounds.append(res.trace.column("stage")[-1])
-        assert max(rounds) >= 2
+            stages.append(res.trace.column("stage")[-1])
+        assert max(stages) >= 2 if lambda1 == 0.1 else stages == [1] * 4
 
     def test_iterates_of_every_round_in_full_coordinates(self):
-        # one iterate per iteration of every round, each as wide as the
-        # full problem and zero off the final working set
-        data = binary_data(seed=3, n=40, p=300, s=5)
-        hp = Hyperparams(0.05, 1.0, 1.0, 1.0)
+        # one iterate per iteration, each as wide as the full problem; those
+        # of the last working set are zero off it
+        data = binary_data(seed=0, n=200, p=4000, s=10)
+        hp = Hyperparams(0.1, 1.0, 1.0, 1.0)
         res = fit_binary_two_stage(data, hp,
                                    SolverOptions(record_iterates=True))
-        assert res.trace.column("stage")[-1] >= 2
+        stages = res.trace.column("stage")
+        assert stages[-1] >= 2
         assert len(res.iterates) == res.iterations
         assert all(u.shape == (data.n_features + 1,) for u in res.iterates)
         off = np.setdiff1d(np.arange(data.n_features), res.support)
-        assert not any(np.any(u[1 + off]) for u in res.iterates)
+        assert not any(np.any(u[1 + off]) for u, stage
+                       in zip(res.iterates, stages) if stage == stages[-1])
         F = [objective(BinaryModel(b=u[0], w=u[1:]), data, hp).total
              for u in res.iterates]
         np.testing.assert_allclose(F, res.trace.column("F"), rtol=1e-12)
@@ -543,56 +585,16 @@ class TestFitBinaryTwoStage:
             res.iterates[-1], np.concatenate([[res.model.b], res.model.w]))
 
     def test_rounds_make_no_full_width_forward_product(self, forwarded_X):
-        # the screen's margins at zero read no column, and each check takes
-        # the margins at its round's result from the round's own columns
-        data = binary_data(seed=0, n=200, p=2000, s=20)
-        hp = Hyperparams(0.005, 1.0, 1.0, 1.0)
+        # the screen's margins at zero read no column, and the screen
+        # forms a working block (under p/32 features here) that every later
+        # forward product reads instead of X
+        data = binary_data(seed=0, n=200, p=4000, s=10)
+        hp = Hyperparams(0.2, 1.0, 1.0, 1.0)
         opts = SolverOptions(tol=1e-10)     # see the KKT certificate test
         res = fit_binary_two_stage(data, hp, opts)
         full = [px for px in forwarded_X if px.a is data._X]
         assert full and all("matmul" not in px.used for px in full)
-        assert res.converged and res.trace.column("stage")[-1] >= 2
-        plain = fit_binary(data, hp, opts)
-        assert res.final_objective == pytest.approx(plain.final_objective,
-                                                    rel=1e-8)
-
-    def test_rounds_warm_start_at_the_full_problem_constant(self,
-                                                           monkeypatch):
-        # each round after the first starts from its predecessor's result,
-        # gathered onto the grown working set, so its first F is at most
-        # the predecessor's final F; every round starts at the full
-        # problem's default step constant
-        data = binary_data(seed=0, n=200, p=2000, s=20)
-        hp = Hyperparams(0.005, 1.0, 1.0, 1.0)
-        fit, restrict = hsvm.solver.fit_binary, Dataset.restrict_features
-        supports, rounds = [], []
-
-        def restricted(ds, columns):
-            supports.append(np.asarray(columns))
-            return restrict(ds, columns)
-
-        def recorded(sub, hp, opts=None, u0=None, L0=None):
-            rounds.append((u0, L0, fit(sub, hp, opts, u0=u0, L0=L0)))
-            return rounds[-1][-1]
-
-        monkeypatch.setattr(Dataset, "restrict_features", restricted)
-        monkeypatch.setattr(hsvm.solver, "fit_binary", recorded)
-        opts = SolverOptions(tol=1e-10)     # see the KKT certificate test
-        res = fit_binary_two_stage(data, hp, opts)
-        monkeypatch.undo()
-        assert len(rounds) >= 2 and res.converged
-        L0 = BinaryObjective(data, hp).L0
-        assert [L for _, L, _ in rounds] == [L0] * len(rounds)
-        assert not np.any(rounds[0][0])
-        stages, F = res.trace.column("stage"), res.trace.column("F")
-        for r in range(1, len(rounds)):
-            u0, prev = rounds[r][0], rounds[r - 1][2]
-            pos = np.searchsorted(supports[r], supports[r - 1])
-            np.testing.assert_array_equal(supports[r][pos], supports[r - 1])
-            assert u0[0] == prev.model.b
-            np.testing.assert_array_equal(u0[1 + pos], prev.model.w)
-            assert np.count_nonzero(u0[1:]) == np.count_nonzero(prev.model.w)
-            assert F[stages == r + 1][0] <= prev.final_objective * (1 + 1e-12)
+        assert res.converged and res.support.size * 32 <= data.n_features
         plain = fit_binary(data, hp, opts)
         assert res.final_objective == pytest.approx(plain.final_objective,
                                                     rel=1e-8)
@@ -908,9 +910,8 @@ class TestDualityGap:
         # 28 problems, half of them on CSR, each fitted by B-PGH and B-PGH-2:
         # 56 fits, some with a working block and some without. Every gap
         # is at least the suboptimality against a tol=1e-13 reference, with
-        # 4 ulp of F for the rounding of the two objectives; B-PGH's is at
-        # most tol. B-PGH-2's is the full problem's at its result, which
-        # its rounds' gaps do not bound, so it may exceed tol.
+        # 4 ulp of F for the rounding of the two objectives, and at most
+        # tol.
         rng = np.random.default_rng(64)
         blocks = no_blocks = 0
         for k in range(28):
@@ -931,8 +932,8 @@ class TestDualityGap:
                 F = res.final_objective
                 assert (F - ref.final_objective
                         <= res.gap * F + 4 * np.spacing(F))
+                assert res.gap <= SolverOptions.tol
                 if fit is fit_binary:
-                    assert res.gap <= SolverOptions.tol
                     if (res.trace.column("nnz") * 32 <= p).any():
                         blocks += 1
                     else:
@@ -1088,8 +1089,9 @@ class TestObjectiveMargins:
         u = prob.enter(np.zeros(prob.dim))
         m = prob.margins(u)
         assert u.shape == (1,) and prob._XK.shape == (50, 0)
-        assert forwarded_X and all("matmul" not in px.used
-                                   for px in forwarded_X)
+        # the empty block is a data set of its own; no product reads X
+        full = [px for px in forwarded_X if px.a is X]
+        assert full and all("matmul" not in px.used for px in full)
         assert m.shape == (50,) and not np.any(m)
 
 
@@ -1283,41 +1285,23 @@ class TestWorkingBlock:
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_kept_products_certify_only_what_a_full_product_shows(
             self, monkeypatch, layout):
-        # 60 random problems, each through fit_binary and then, with the
-        # column norms it formed, fit_binary_two_stage. Wherever a
-        # combination of kept products, not the radius, skips B-PGH's full
-        # product, an explicit X'c shows every frozen |g_j| <= lambda1; a
-        # B-PGH-2 check it certifies finds no violator in the full product
+        # 60 random problems. Wherever a combination of kept products, not
+        # the radius, skips B-PGH's full product, an explicit X'c shows
+        # every frozen |g_j| <= lambda1
         recenter = BinaryObjective._recenter
-        certified = BinaryObjective.frozen_certified
-        fired = {"block": 0, "check": 0}
+        fired = [0]
 
-        def frozen_grad(prob, coef, K):
-            frozen = np.ones(prob.dim - 1, dtype=bool)
-            frozen[K] = False
-            return np.asarray(prob.data._X.T @ coef).ravel()[frozen]
-
-        def checked_block(prob, coef):
+        def checked(prob, coef):
             out = recenter(prob, coef)
             if out:
-                fired["block"] += 1
-                g = frozen_grad(prob, coef, prob._K)
+                fired[0] += 1
+                frozen = np.ones(prob.dim - 1, dtype=bool)
+                frozen[prob._K] = False
+                g = np.asarray(prob.data._X.T @ coef).ravel()[frozen]
                 assert np.abs(g).max(initial=0.0) <= prob.hp.lambda1
             return out
 
-        def checked_check(prob, m, support):
-            out = certified(prob, m, support)
-            if out:
-                fired["check"] += 1
-                coef = (hsvm.solver.huber_grad(m, prob.hp.delta) * prob.y
-                        / prob.n)
-                g = frozen_grad(prob, coef, support)
-                assert np.abs(g).max(initial=0.0) <= prob.hp.lambda1
-            return out
-
-        monkeypatch.setattr(BinaryObjective, "_recenter", checked_block)
-        monkeypatch.setattr(BinaryObjective, "frozen_certified",
-                            checked_check)
+        monkeypatch.setattr(BinaryObjective, "_recenter", checked)
         rng = np.random.default_rng(41 if layout == "dense" else 42)
         for case in range(60):
             n = int(rng.choice([60, 100, 200]))
@@ -1328,8 +1312,7 @@ class TestWorkingBlock:
             hp = Hyperparams(float(rng.choice([0.1, 0.2, 0.3, 0.4])),
                              float(rng.choice([0.1, 1.0])), 1.0, 1.0)
             fit_binary(data, hp)
-            fit_binary_two_stage(data, hp)
-        assert fired["block"] >= 150 and fired["check"] >= 5
+        assert fired[0] >= 150
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_fits_match_full_coordinates(self, monkeypatch, layout):
@@ -1428,8 +1411,8 @@ class TestWorkingBlock:
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_column_norms_only_for_a_block(self, layout):
         # they take a pass over X and a vector as wide as it: a fit reads
-        # them once the gate passes, and M-PGH and B-PGH-2's full problem,
-        # which never keep a block, never ask for them
+        # them once the gate passes, and M-PGH, which never keeps a block,
+        # never asks for them
         multi = gen_fourclass(SynthSpec(kind="four_class", n=40, p=24, s=4,
                                         seed=0))
         data = binary_data(seed=1, n=200, p=4000, s=10)
@@ -1438,8 +1421,6 @@ class TestWorkingBlock:
         assert fit_multi(multi, self.HP).converged
         assert multi._row_sqnorms is not None
         assert multi._col_sqnorms is None
-        assert fit_binary_two_stage(data, self.HP).converged
-        assert data._col_sqnorms is None
         prob = BinaryObjective(data, self.HP)
         assert hsvm.solver._run_pg_loop(prob, SolverOptions()).converged
         assert prob._K is not None and prob._K.size * 32 <= 4000
@@ -1523,8 +1504,8 @@ class TestGradientAtZeroMemo:
                                                            forwarded_X):
         # at lambda1 = 0.25 every frozen gradient at the products a fit
         # holds stays well below lambda1: plain B-PGH makes only the one at
-        # w = 0, and B-PGH-2 after it none, its check certified from the
-        # screen's product and the column norms plain B-PGH formed
+        # w = 0, and B-PGH-2 after it none, as it reads that one from the
+        # data set's memo
         data = binary_data(seed=1, n=400, p=4000, s=20)
         hp = Hyperparams(0.25, 1.0, 1.0)
         fresh = Dataset(data._X, data.labels)
@@ -1532,11 +1513,11 @@ class TestGradientAtZeroMemo:
         two, r2 = self.transposes(forwarded_X, data, fit_binary_two_stage, hp)
         assert (plain, two) == (1, 0)
         assert r1.converged and r2.converged and r2.gap <= 1e-6
-        # without the column norms B-PGH-2 makes its check's product, and
-        # forms no norms to certify it
+        # on a fresh data set B-PGH-2 makes only the product at w = 0, and
+        # forms the column norms its block's certificate reads
         cold, r3 = self.transposes(forwarded_X, fresh, fit_binary_two_stage,
                                    hp)
-        assert cold == 2 and fresh._col_sqnorms is None
+        assert cold == 1 and fresh._col_sqnorms is not None
         assert r3.iterations == r2.iterations
         assert r3.final_objective == pytest.approx(r2.final_objective,
                                                    rel=1e-14)
@@ -1544,7 +1525,9 @@ class TestGradientAtZeroMemo:
 
 
 # The hsvm.solver globals that the benchmark's traced run rebinds. Each must
-# stay a module global that the solve path calls, or its span goes missing.
+# stay a module global that the solve path calls, or its span goes missing;
+# huber_grad, which no solve path calls, stays one that
+# BinaryObjective.grad calls.
 TRACED_SOLVER_NAMES = (
     "huber_loss", "huber_grad", "multi_smooth_from_margins",
     "multi_grad_from_margins", "binary_penalty", "multi_penalty",
@@ -1569,4 +1552,7 @@ class TestTracedNames:
         fit_multi(gen_fourclass(SynthSpec(kind="four_class", n=40, p=24, s=4,
                                           seed=19)), hp)
         fit_binary_two_stage(binary_data(seed=1), hp)
-        assert [name for name, n in calls.items() if n == 0] == []
+        assert [name for name, n in calls.items() if n == 0] == ["huber_grad"]
+        prob = BinaryObjective(binary_data(seed=1), hp)
+        prob.grad(prob.margins(prob.enter(np.zeros(prob.dim))))
+        assert calls["huber_grad"] == 1
