@@ -28,7 +28,7 @@ from .data import (
 )
 from .errors import FormatError, HsvmError, LabelError, ParseError, ShapeError
 from .losses import Hyperparams
-from .model import check_labels, load_model, predict, save_model
+from .model import _columns, check_labels, load_model, predict, save_model
 from .solver import ABLATION_SETTINGS, SolverOptions, ablation_run
 from .stats import RANKS, RAW_SCORES, RankTable, compare_to_control, friedman, holm, wilcoxon_z
 from .tuning import LAMBDA3_TIED, SOLVERS, Grid, grid_search
@@ -169,9 +169,9 @@ def cmd_train(args) -> int:
         with open(args.trace_out, "w", encoding="ascii") as fh:
             res.trace.to_csv(fh)
     gap = "" if res.gap is None else f" gap={res.gap:.3g}"
+    nnz = np.count_nonzero(_columns(res.model))  # the model file's w lines
     print(f"converged={res.converged} iterations={res.iterations} "
-          f"objective={res.final_objective:.12g} nnz={res.trace.rows[-1].nnz}"
-          + gap)
+          f"objective={res.final_objective:.12g} nnz={nnz}" + gap)
     return 0 if res.converged else 2
 
 

@@ -58,8 +58,16 @@ fit with lambda2 = 0 or lambda3 = 0, or of ``ablation_run``, gives
 D = -inf. The loop keeps the best D over every base, restarts included.
 Once it is finite, the fit stops when F - D_best <= tol F:
 ``converged=True`` certifies a relative duality gap <= tol, recorded in
-``FitResult.gap``. Until then it stops on relative progress
-(``check_stop``), and a fit with no finite D has no gap.
+``FitResult.gap`` as max(F - D_best, 0)/F (at an exact optimum rounding
+can put D_best a few ulp above F). Until then it stops on relative
+progress (``check_stop``), and a fit with no finite D has no gap. A
+certified binary fit with a block also tries an exact finish, a finite
+Newton solve over the block (``BinaryObjective.finish``), at iteration 8
+and then after twice the last wait. A try costs a Gram matrix of the
+block, n (|K| + 1)^2 flops, and a few (|K| + 1)-square solves. Its point
+ends the fit, as one more trace row and iterate, only if F does not
+rise, its dual bound certifies it and the product there moves no feature
+into the block: such a fit is at the optimum to rounding.
 """
 
 from __future__ import annotations
@@ -70,12 +78,13 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, issparse
 from .errors import ConstraintError, DomainError, LabelError, ShapeError
 from .losses import (
     Hyperparams,
     _dual_loss,
     _loss_terms,
+    _pieces,
     binary_penalty,
     huber_grad,
     huber_loss,
@@ -108,7 +117,9 @@ class SolverOptions:
     relative objective decrease and relative step are both <= tol
     (``check_stop``).
 
-    ``max_iter`` caps the iterations of one fit.
+    ``max_iter`` caps the iterations of one fit. A certified binary fit
+    with a working block may stop sooner, on its exact finish (see the
+    module docstring), whose gap passes the same test.
     """
 
     tol: float = 1e-6
@@ -174,7 +185,7 @@ class FitResult:
     support: Optional[np.ndarray] = None  # a binary fit's final working set
     iterates: Optional[list] = None
     grad_products: int = 0
-    gap: Optional[float] = None  # certified relative duality gap, if any
+    gap: Optional[float] = None  # certified max(F - D, 0)/F, if any
 
 
 def extrapolation_weight(t_prev, t_curr, L_prev, L_curr) -> float:
@@ -227,13 +238,13 @@ def line_search(prob, u_hat, f_hat, grad, L_start):
 def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
                  L0=None) -> FitResult:
     """Shared iteration loop from ``u0`` (default zero) and the step
-    constant ``L0`` (default ``prob.L0``). Its inner loop, the one step
-    site, runs the passes of the module docstring and counts each pass's
-    dual bound, gradient product and evaluations once. The re-update is
-    the monotone restart of Beck & Teboulle's MFISTA (2009);
-    ``monotone=False`` drops it, for the ablation. A row's ``stage`` is 1
-    at the first iteration and grows by 1 at each later one whose full
-    products changed the objective's working set (``working_sets``)."""
+    constant ``L0`` (default ``prob.L0``). Its inner loop, the one PG step
+    site, runs the passes of the module docstring; each pass, and each
+    finish try, counts its dual bound, gradient product and evaluations
+    once. The re-update is the monotone restart of Beck & Teboulle's
+    MFISTA (2009); ``monotone=False`` drops it, for the ablation. A row's
+    ``stage`` is 1 at the first iteration and grows by 1 at each later one
+    whose full products changed the working set (``working_sets``)."""
     u = prob.enter(weight_zeros(prob.dim) if u0 is None else u0)
     m = prob.margins(u)
     F = None  # formed by the first step, whose base is u itself
@@ -247,13 +258,30 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
     counter = 0
     stage, sets = 0, None
     stop_reason = "max_iter"
+    next_try = wait = _FINISH_AT
 
     for k in range(1, opts.max_iter + 1):
         evals = 0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         L_start = L
-        restarted = False
-        while True:
+        restarted = finished = False
+        if k == next_try and prob.certifies:
+            v, block = prob.finish(u), prob.support  # v: optimal on block
+            if v is not None:
+                m_v = prob.margins(v)
+                F_v = prob.smooth(m_v) + prob.penalty(v)
+                evals += 1
+            if v is not None and F_v <= F:
+                _, _, dual, (v, u, u_prev) = prob.smooth_grad(m_v, v, u,
+                                                              u_prev)
+                D_best = max(D_best, dual)
+                grad_products += 1
+                finished = (F_v - D_best <= opts.tol * F_v
+                            and np.isin(prob.support, block).all())
+            next_try, wait = next_try + 2 * wait, 2 * wait
+            if finished:
+                cand, m_cand, F_cand, L_acc, omega, gap = v, m_v, F_v, L, 0, 0
+        while not finished:
             omega = 0.0 if restarted else extrapolation_weight(
                 t, t_next, L, L_start)
             u_hat = u + omega * (u - u_prev)
@@ -310,7 +338,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
         converged=stop_reason == "converged", final_objective=F,
         stop_reason=stop_reason, support=prob.support, iterates=iterates,
         grad_products=grad_products,
-        gap=(F - D_best) / F if D_best > -math.inf else None)
+        gap=max(F - D_best, 0.0) / F if D_best > -math.inf else None)
 
 
 # B-PGH keeps its working block only while it holds at most 1/32 of the
@@ -324,6 +352,17 @@ _SUPPORT_FRACTION = 32
 # 2000 x 20 000 X hold 0.7 MB, and certify every base of a warm
 # large_dense fit.
 _KEPT = 4
+# The iteration of a fit's first exact finish (each failed try doubles the
+# wait for the next), and the most Newton steps a finish takes.
+_FINISH_AT, _FINISH_STEPS = 8, 10
+
+
+def _gram(A):
+    """Z'Z for Z = [1, A], A dense or CSR, as a dense array."""
+    s = A.T @ np.ones(A.shape[0])
+    G = A.T @ A
+    return np.block([[np.full((1, 1), float(A.shape[0])), s[None]],
+                     [s[:, None], G.toarray() if issparse(G) else G]])
 
 
 class BinaryObjective:
@@ -534,6 +573,46 @@ class BinaryObjective:
         slack = 4.0 * (self.n + 2) * np.finfo(float).eps
         return (1.0 - slack) * rho0 - slack * scale
 
+    def finish(self, u):
+        """From u, the minimiser of F over the working block K, or None.
+
+        F is quadratic on each piece (rows Q with margins in (1 - delta, 1),
+        rows L at or below 1 - delta, signs s of w_K); with Z = [1, X_K] its
+        minimiser over the weights with s != 0 solves
+            (Z_Q'Z_Q/(n delta) + diag(lam3, lam2 I)) v
+                = Z_Q'y_Q/(n delta) + Z_L'y_L/n - (0, lam1 s).
+        Each finite Newton step (Keerthi & DeCoste 2005) solves the piece of
+        its start, where zero weights with |g_j| > lambda1 enter with the
+        sign of -g_j, and zeroes the weights whose sign flipped; one that
+        lands on its own piece with none to enter is optimal on K. None with
+        no block (|K| <= p/32), if |K| + 1 > n or if no step lands within
+        ``_FINISH_STEPS``."""
+        if self._K is None or self._K.size >= self.n:
+            return None
+        Z = self._XK[:, :]
+        G = _gram(Z)
+        hp, nd = self.hp, self.n * self.hp.delta
+        ridge = np.diag(np.append(hp.lambda3, np.full(u.size - 1, hp.lambda2)))
+        v, last = u, None
+        for _ in range(_FINISH_STEPS):
+            m = self.y * (v[0] + Z @ v[1:])
+            C = _pieces(m, hp.delta)[1]
+            Q, L = (C > 0.0) & (C < 1.0), C == 1.0
+            g = Z.T @ (C * self.y) / self.n    # -(gradient of f in w)
+            enter = (v[1:] == 0.0) & (np.abs(g) > hp.lambda1)
+            s = np.sign(v[1:]) + enter * np.sign(g)
+            same = np.array_equal(last, last := np.concatenate([Q, L, s]))
+            if same and not enter.any():
+                return v
+            c = self.y * (Q / nd + L / self.n)
+            on = np.append(True, s != 0)
+            H = (G - _gram(Z[~Q])) / nd + ridge  # Z_Q'Z_Q / nd + ridge
+            rhs = np.append(c.sum(), Z.T @ c - hp.lambda1 * s)
+            v = np.zeros(u.size)
+            v[on] = np.linalg.solve(H[np.ix_(on, on)], rhs[on])
+            v[1:][np.sign(v[1:]) != s] = 0.0
+        return None
+
     def penalty(self, u):
         return binary_penalty(u[0], u[1:], self.hp)
 
@@ -590,6 +669,7 @@ class MultiObjective:
     # M-PGH works in full coordinates: a coordinate move copies u.
     enter = full = staticmethod(np.array)
     working_sets, support = 0, None
+    finish = staticmethod(lambda u: None)  # none: its signs settle last
 
     def margins(self, u):
         b, W = self._split(u)

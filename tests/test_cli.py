@@ -277,6 +277,38 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver", ["bpgh", "bpgh2", "mpgh"])
+    def test_nnz_counts_the_model_files_weights(self, tmp_path, capsys,
+                                                monkeypatch, solver):
+        # the summary's nnz is the returned model's: the model file holds
+        # one w line per nonzero weight. Both binary fits end with the
+        # exact finish here (a working block fits under p/32 = 31).
+        finish = hsvm.solver.BinaryObjective.finish
+        points = []
+
+        def recorded(prob, u):
+            points.append(finish(prob, u))
+            return points[-1]
+
+        monkeypatch.setattr(hsvm.solver.BinaryObjective, "finish", recorded)
+        if solver == "mpgh":
+            prefix = str(tmp_path / "four")
+            assert run(capsys, "gen", "--kind", "four_class", "--n", "40",
+                       "--p", "12", "--s", "4", "--seed", "3",
+                       "--out", prefix)[0] == 0
+        else:
+            prefix = gen_binary(tmp_path, capsys, n=100, p=1000, s=5)
+        model = tmp_path / "m"
+        code, out, _ = run(capsys, "train", "--data", prefix + ".train.libsvm",
+                           "--solver", solver, "--lambda1", "0.1",
+                           "--lambda2", "1", "--lambda3", "1",
+                           "--model-out", str(model))
+        assert code == 0
+        nnz = int(re.search(r" nnz=(\d+)", out).group(1))
+        lines = model.read_text().splitlines()
+        assert nnz > 0 and nnz == sum(ln.startswith("w ") for ln in lines)
+        assert bool(points and points[-1] is not None) == (solver != "mpgh")
+
     def test_mpgh_reports_its_gap(self, tmp_path, capsys):
         prefix = str(tmp_path / "four")
         assert run(capsys, "gen", "--kind", "four_class", "--n", "40",

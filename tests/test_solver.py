@@ -1033,6 +1033,13 @@ def forwarded_X(monkeypatch):
     return proxies
 
 
+@pytest.fixture
+def no_finish(monkeypatch):
+    """Hold off the exact finish of certified binary fits, for tests of the
+    proximal gradient steps themselves."""
+    monkeypatch.setattr(hsvm.solver, "_FINISH_AT", math.inf)
+
+
 P_MARGINS = 320    # p/32 = 10
 
 
@@ -1232,7 +1239,8 @@ class TestWorkingBlock:
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     @pytest.mark.parametrize("seed, n, p, s", CASES)
     def test_certificate_holds_at_every_skipped_step(self, monkeypatch,
-                                                     seed, n, p, s, layout):
+                                                     no_finish, seed, n, p, s,
+                                                     layout):
         data = binary_data(seed=seed, n=n, p=p, s=s)
         if layout == "csr":
             data = _as_csr(data)
@@ -1284,7 +1292,7 @@ class TestWorkingBlock:
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_kept_products_certify_only_what_a_full_product_shows(
-            self, monkeypatch, layout):
+            self, monkeypatch, no_finish, layout):
         # 60 random problems. Wherever a combination of kept products, not
         # the radius, skips B-PGH's full product, an explicit X'c shows
         # every frozen |g_j| <= lambda1
@@ -1315,7 +1323,8 @@ class TestWorkingBlock:
         assert fired[0] >= 150
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
-    def test_fits_match_full_coordinates(self, monkeypatch, layout):
+    def test_fits_match_full_coordinates(self, monkeypatch, no_finish,
+                                         layout):
         # 50 random problems, p from 300 to 6400, against a fit that keeps
         # no block (every vector of the loop in full coordinates)
         rng = np.random.default_rng(31 if layout == "dense" else 32)
@@ -1522,6 +1531,142 @@ class TestGradientAtZeroMemo:
         assert r3.final_objective == pytest.approx(r2.final_objective,
                                                    rel=1e-14)
         assert r3.gap == pytest.approx(r2.gap, rel=1e-6)
+
+
+class TestFinish:
+    """A certified binary fit with a working block tries an exact finish,
+    a finite Newton solve on the piece of F that holds its iterate, at
+    iteration 8 and after each failed try twice as long after the last;
+    its point ends the fit only once its own duality gap certifies it."""
+
+    HP = Hyperparams(0.1, 1.0, 1.0, 1.0)
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Record every point the finish returns, in full coordinates."""
+        finish = BinaryObjective.finish
+        points = []
+
+        def recorded(prob, u):
+            v = finish(prob, u)
+            points.append(None if v is None else prob.full(v))
+            return v
+
+        monkeypatch.setattr(BinaryObjective, "finish", recorded)
+        return points
+
+    def test_finish_matches_reference_fits(self, monkeypatch):
+        # 120 random problems, half of them on CSR: n from 40 to 400, p
+        # from 50 to 4000, random penalties. Every fit that ends on
+        # the finish's point is within 1e-10 of a tol=1e-13 reference fit
+        # that never tries it, and certifies its gap <= tol.
+        rng = np.random.default_rng(73)
+        finished = 0
+        for case in range(120):
+            n, p = 2 * int(rng.integers(20, 201)), int(rng.integers(50, 4001))
+            data = binary_data(seed=case, n=n, p=p, s=int(rng.integers(2, 12)))
+            if case % 2 == 1:
+                data = _as_csr(data)
+            hp = Hyperparams(10 ** rng.uniform(-2, -0.3),
+                             10 ** rng.uniform(-1.5, 1),
+                             10 ** rng.uniform(-1.5, 1),
+                             float(rng.choice([0.5, 1.0, 2.0])))
+            with monkeypatch.context() as mp:
+                points = self.recording(mp)
+                res = fit_binary(data, hp)
+            with monkeypatch.context() as mp:
+                mp.setattr(hsvm.solver, "_FINISH_AT", math.inf)
+                ref = fit_binary(data, hp, TestDualityGap.REF)
+            assert res.converged and ref.converged
+            u = np.concatenate([[res.model.b], res.model.w])
+            if points and points[-1] is not None and np.array_equal(
+                    points[-1], u):
+                finished += 1
+                assert 0.0 <= res.gap <= SolverOptions.tol
+                assert res.final_objective == pytest.approx(
+                    ref.final_objective, rel=1e-10, abs=0)
+        assert finished >= 50
+
+    def test_finish_point_satisfies_the_optimality_conditions(self):
+        # the finish's point is the optimum to rounding: an explicit full
+        # gradient meets every KKT condition; the trace's last row and the
+        # last recorded iterate are that point
+        data = binary_data(seed=1, n=200, p=4000, s=10)
+        hp = self.HP
+        res = fit_binary(data, hp, SolverOptions(record_iterates=True))
+        assert res.converged and res.iterations == 8
+        row = res.trace.rows[-1]
+        assert (row.k, row.omega, row.restarted) == (8, 0.0, False)
+        assert row.F == res.final_objective
+        assert row.nnz == np.count_nonzero(res.model.w)
+        assert len(res.iterates) == res.iterations
+        u = np.concatenate([[res.model.b], res.model.w])
+        np.testing.assert_array_equal(res.iterates[-1], u)
+        assert objective(res.model, data, hp).total == pytest.approx(
+            res.final_objective, rel=1e-14)
+        prob = BinaryObjective(data, hp)
+        g = prob.grad(prob.margins(prob.point(res.model)))
+        w, on = res.model.w, res.model.w != 0
+        assert abs(g[0] + hp.lambda3 * res.model.b) <= 1e-14
+        r = g[1:][on] + hp.lambda2 * w[on] + hp.lambda1 * np.sign(w[on])
+        assert np.abs(r).max() <= 1e-14
+        assert np.abs(g[1:][~on]).max() < hp.lambda1
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_finish_reads_x_through_forwarding_proxies(self, monkeypatch,
+                                                       forwarded_X, layout):
+        # the finish reads the block only through @, .T @ with array
+        # operands and indexing, as the benchmark's traced matrix allows
+        data = binary_data(seed=1, n=200, p=4000, s=10)
+        if layout == "csr":     # _as_csr would read the wrapper
+            data = Dataset(sp.csr_array(data._X), data.labels)
+        res = fit_binary(data, self.HP)
+        monkeypatch.undo()      # the plain matrix again
+        plain = fit_binary(data, self.HP)
+        assert res.iterations == plain.iterations == 8
+        assert res.final_objective == plain.final_objective
+        np.testing.assert_array_equal(res.model.w, plain.model.w)
+
+    def test_failing_finish_backs_off_and_changes_nothing(self, monkeypatch):
+        # a finish that always fails is tried at iterations 8, 24, 56,
+        # 120, ..., at most ceil(log2(max_iter / 8)) + 1 times, and the fit
+        # is the one that never tries it, bit for bit
+        data = binary_data(seed=2, n=100, p=3200, s=8)
+        hp = Hyperparams(0.02, 0.05, 1.0, 1.0)
+        for max_iter in (7, 8, 60, 200):
+            opts = SolverOptions(tol=1e-15, max_iter=max_iter)
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(BinaryObjective, "finish",
+                           lambda prob, u: calls.append(u) or None)
+                res = fit_binary(data, hp, opts)
+            with monkeypatch.context() as mp:
+                mp.setattr(hsvm.solver, "_FINISH_AT", math.inf)
+                ref = fit_binary(data, hp, opts)
+            assert res.iterations == max_iter
+            assert len(calls) <= max(0, math.ceil(math.log2(max_iter / 8))
+                                     + 1)
+            assert len(calls) == sum(k <= max_iter for k in (8, 24, 56, 120))
+            assert res.trace.rows == ref.trace.rows
+            assert (res.gap, res.grad_products) == (ref.gap, ref.grad_products)
+            assert res.model.b == ref.model.b
+            np.testing.assert_array_equal(res.model.w, ref.model.w)
+
+    def test_uncertified_fits_never_call_the_finish(self, monkeypatch):
+        # lambda2 = 0 or lambda3 = 0, and every ablation setting: no dual
+        # bound, so no point the finish returns could be certified
+        def refused(prob, u):
+            raise AssertionError("an uncertified fit tried the finish")
+
+        monkeypatch.setattr(BinaryObjective, "finish", refused)
+        data = binary_data(seed=1, n=200, p=4000, s=10)
+        for hp in (Hyperparams(0.1, 0.0, 1.0), Hyperparams(0.1, 1.0, 0.0)):
+            for fit in (fit_binary, fit_binary_two_stage):
+                res = fit(data, hp)
+                assert res.gap is None and res.iterations > 8
+        for setting in hsvm.solver.ABLATION_SETTINGS:
+            res = ablation_run(data, self.HP, setting)
+            assert res.gap is None and res.iterations > 8
 
 
 # The hsvm.solver globals that the benchmark's traced run rebinds. Each must
