@@ -83,6 +83,8 @@ class Dataset:
         self._row_sqnorms = None
         self._col_sqnorms = None
         self._at_zero = None  # (delta, X'c at w = 0)
+        self._block = None  # (columns, Dataset) of the latest non-empty block
+        self._zz = None  # [1, X]'[1, X]
 
     @staticmethod
     def _infer_kind(labels):
@@ -179,11 +181,47 @@ class Dataset:
                        true_support=self._true_support)
 
     def restrict_features(self, columns) -> "Dataset":
-        """New dataset keeping only the given feature columns (in order):
-        the only code that takes a column subset of X."""
+        """The data set keeping only the given feature columns (in order):
+        the only code that takes a column subset of X. A dense block is the
+        C-order copy ``np.take(X, columns, axis=1)``: 1.6-2.9x faster to
+        gather than the F-order X[:, K] on a 2000 x 20000 X, and as fast in
+        products. A CSR block is X[:, K]. The latest non-empty block stays
+        in one slot keyed by its columns, and an equal column array returns
+        that same data set, its Gram matrix (``gram``) included, so a dense
+        block is read-only. The slot keeps whatever block was asked for
+        last: a binary fit's is at most X/32 dense, plus (|K| + 1)^2 floats
+        once its Gram matrix is formed."""
         cols = np.asarray(columns, dtype=np.int64)
-        return Dataset(self.X[:, cols], self._labels, kind=self._kind,
-                       n_classes=self._n_classes)
+        if self._block is not None and np.array_equal(cols, self._block[0]):
+            return self._block[1]
+        if issparse(self._X):
+            X = self._X[:, cols]
+        else:
+            X = np.take(self._X, cols, axis=1)
+            X.setflags(write=False)
+        block = Dataset(X, self._labels, kind=self._kind,
+                        n_classes=self._n_classes)
+        if cols.size:
+            self._block = (cols.copy(), block)
+        return block
+
+    def gram(self):
+        """Z'Z for Z = [1, X], a dense (p + 1)-square array, formed on first
+        ask from the data set's own matrix, not through ``X``, which a
+        tracer may wrap. Only a working block's is asked for
+        (``BinaryObjective.finish``), so it lives as long as the block's
+        slot (``restrict_features``)."""
+        if self._zz is None:
+            self._zz = _gram(self._X)
+        return self._zz
+
+
+def _gram(A):
+    """Z'Z for Z = [1, A], A dense or CSR, as a dense array."""
+    s = A.T @ np.ones(A.shape[0])
+    G = A.T @ A
+    return np.block([[np.full((1, 1), float(A.shape[0])), s[None]],
+                     [s[:, None], G.toarray() if issparse(G) else G]])
 
 
 @dataclass(frozen=True)

@@ -62,12 +62,15 @@ Once it is finite, the fit stops when F - D_best <= tol F:
 can put D_best a few ulp above F). Until then it stops on relative
 progress (``check_stop``), and a fit with no finite D has no gap. A
 certified binary fit with a block also tries an exact finish, a finite
-Newton solve over the block (``BinaryObjective.finish``), at iteration 8
-and then after twice the last wait. A try costs a Gram matrix of the
-block, n (|K| + 1)^2 flops, and a few (|K| + 1)-square solves. Its point
-ends the fit, as one more trace row and iterate, only if F does not
-rise, its dual bound certifies it and the product there moves no feature
-into the block: such a fit is at the optimum to rounding.
+Newton solve over the block (``BinaryObjective.finish``), at iterations
+2, 4, 8, 16, ... A try costs a few (|K| + 1)-square solves, each after a
+Gram matrix of the rows outside its piece. The block's own Gram matrix,
+n (|K| + 1)^2 flops, is kept on the data set with the block
+(``Dataset.restrict_features``, ``Dataset.gram``), so later tries and
+later fits on the same block reuse it. A try's point ends the fit, as
+one more trace row and iterate, only if F does not rise, its dual bound
+certifies it and the product there moves no feature into the block:
+such a fit is at the optimum to rounding.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .data import Dataset, issparse
+from .data import Dataset, _gram
 from .errors import ConstraintError, DomainError, LabelError, ShapeError
 from .losses import (
     Hyperparams,
@@ -258,7 +261,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
     counter = 0
     stage, sets = 0, None
     stop_reason = "max_iter"
-    next_try = wait = _FINISH_AT
+    next_try = _FINISH_AT
 
     for k in range(1, opts.max_iter + 1):
         evals = 0
@@ -278,7 +281,7 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
                 grad_products += 1
                 finished = (F_v - D_best <= opts.tol * F_v
                             and np.isin(prob.support, block).all())
-            next_try, wait = next_try + 2 * wait, 2 * wait
+            next_try = 2 * k
             if finished:
                 cand, m_cand, F_cand, L_acc, omega, gap = v, m_v, F_v, L, 0, 0
         while not finished:
@@ -342,27 +345,24 @@ def _run_pg_loop(prob, opts: SolverOptions, monotone=True, u0=None,
 
 
 # B-PGH keeps its working block only while it holds at most 1/32 of the
-# features; the block is the copy X[:, K], rebuilt whenever K changes. A
-# gather costs 2.3x, 4.2x and 7.8x a full X'c product at p/32, p/16 and p/8
-# on a 2000 x 20000 C-order X, and 2.5-3x on a 4000 x 50 000 text-like CSR
-# X, so past p/32 a rebuild soon costs more than the full products saved.
+# features; the block is the copy X[:, K], gathered whenever K changes to a
+# set its data set does not hold. A gather (``np.take``) costs 1.2-1.4x,
+# 1.9-2.2x and 3.3-3.6x a full X'c product at p/32, p/16 and p/8 on a
+# 2000 x 20000 C-order X, and 2.5-3x on a 4000 x 50 000 text-like CSR X,
+# so past p/32 a rebuild soon costs more than the full products saved. The
+# block's Gram matrix, formed only when |K| < n (``finish``), is no larger
+# than a dense block.
 _SUPPORT_FRACTION = 32
 # The latest full transpose products, with their coefficients, that a
 # binary fit keeps to certify frozen features from (``_recenter``): 4 of a
 # 2000 x 20 000 X hold 0.7 MB, and certify every base of a warm
 # large_dense fit.
 _KEPT = 4
-# The iteration of a fit's first exact finish (each failed try doubles the
-# wait for the next), and the most Newton steps a finish takes.
-_FINISH_AT, _FINISH_STEPS = 8, 10
-
-
-def _gram(A):
-    """Z'Z for Z = [1, A], A dense or CSR, as a dense array."""
-    s = A.T @ np.ones(A.shape[0])
-    G = A.T @ A
-    return np.block([[np.full((1, 1), float(A.shape[0])), s[None]],
-                     [s[:, None], G.toarray() if issparse(G) else G]])
+# The iteration of a fit's first exact finish, and the most Newton steps a
+# finish takes. A failed try at iteration k sets the next at 2k (2, 4, 8,
+# ...), so a fit makes at most log2(max_iter) tries. The block's Gram
+# matrix lives on its Dataset, so only the first try on a block forms it.
+_FINISH_AT, _FINISH_STEPS = 2, 10
 
 
 class BinaryObjective:
@@ -371,12 +371,12 @@ class BinaryObjective:
     default initial step constant is 2 L_f / n; ``line_search`` caps it.
 
     While it keeps a working block of features K, the copy X[:, K]
-    (``Dataset.restrict_features``: F-order for a dense X, CSR for a CSR
-    one), the loop's vectors are in its coordinates u = (b, w_K);
-    otherwise, as on construction, in full ones. From w = 0 the block is
-    empty (``enter``), so the margins read no column. ``smooth_grad``
-    re-forms it at each full product (``_refresh``); the first, at w = 0,
-    is the paper's screen. A gradient whose loss coefficients are within a
+    (``Dataset.restrict_features``: C-order for a dense X, CSR for a CSR
+    one, kept on the data set), the loop's vectors are in its coordinates
+    u = (b, w_K); otherwise, as on construction, in full ones. From w = 0
+    the block is empty (``enter``), so the margins read no column.
+    ``smooth_grad`` re-forms it at each full product (``_refresh``); the
+    first, at w = 0, is the paper's screen. A gradient whose loss coefficients are within a
     radius of that product's reads only X[:, K]: every frozen |g_j| stays
     below lambda1, so its weight, zero in every vector the loop holds,
     stays zero. Past the radius, the latest ``_KEPT`` full products, from
@@ -404,7 +404,8 @@ class BinaryObjective:
         self.L_global = lipschitz_binary(data, hp.delta)
         self.L0 = 2.0 * self.L_global / data.n
         self.data = data
-        self._K = self._XK = None  # working features and X[:, K]; None: full
+        # working features, their Dataset and its X[:, K]; None: full
+        self._K = self._block = self._XK = None
         self.working_sets = 0
         self._c_ref = self._rho = 0.0  # the block's certificate
         self._kept = []  # (c, X'c) of the latest _KEPT full products
@@ -532,12 +533,13 @@ class BinaryObjective:
             keep |= u[1:] != 0
         if np.count_nonzero(keep) * _SUPPORT_FRACTION > keep.size:
             self.working_sets += self._K is not None
-            self._K = self._XK = None
+            self._K = self._block = self._XK = None
             return gw, held
         K = np.flatnonzero(keep)
         if self._K is None or not np.array_equal(K, self._K):
             self.working_sets += 1
-            self._K, self._XK = K, self.data.restrict_features(K).X
+            self._K, self._block = K, self.data.restrict_features(K)
+            self._XK = self._block.X
         self._rho = 0.0
         if gw is not None:
             self._c_ref = coef
@@ -584,13 +586,13 @@ class BinaryObjective:
         Each finite Newton step (Keerthi & DeCoste 2005) solves the piece of
         its start, where zero weights with |g_j| > lambda1 enter with the
         sign of -g_j, and zeroes the weights whose sign flipped; one that
-        lands on its own piece with none to enter is optimal on K. None with
+        lands on its own piece with none to enter is optimal on K. Z'Z is
+        the block's ``Dataset.gram``, formed once per block. None with
         no block (|K| <= p/32), if |K| + 1 > n or if no step lands within
         ``_FINISH_STEPS``."""
         if self._K is None or self._K.size >= self.n:
             return None
-        Z = self._XK[:, :]
-        G = _gram(Z)
+        Z, G = self._XK, self._block.gram()
         hp, nd = self.hp, self.n * self.hp.delta
         ridge = np.diag(np.append(hp.lambda3, np.full(u.size - 1, hp.lambda2)))
         v, last = u, None

@@ -97,6 +97,68 @@ class TestDataset:
         assert isinstance(got.X, sp.csr_array) and got.X.has_canonical_format
         np.testing.assert_array_equal(got.X.toarray(), want.X)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "csr"])
+    @pytest.mark.parametrize("cols", [[], [2], [0, 3], [3, 1, 2], [1, 1]])
+    def test_block_is_a_c_order_copy_of_the_columns(self, layout, cols):
+        # a dense block is C-contiguous, read-only, as later equal asks
+        # share it, and holds the bits of X[:, K]; a CSR block is X[:, K] in
+        # canonical form (see Dataset)
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.5)
+        X[0, 1] = -0.0
+        X = sp.csr_array(X) if layout == "csr" else np.asarray(X, order=layout)
+        got = Dataset(X, rng.choice([-1, 1], 7)).restrict_features(cols).X
+        want = X[:, cols]
+        if layout == "csr":
+            want.sum_duplicates()
+            assert isinstance(got, sp.csr_array)
+            for a, b in ((got.data, want.data), (got.indices, want.indices),
+                         (got.indptr, want.indptr)):
+                assert a.tobytes() == b.tobytes()
+        else:
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert not got.flags.writeable and X.flags.writeable
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_equal_columns_return_the_kept_block(self, layout):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(8, 6))
+        d = Dataset(sp.csr_array(X) if layout == "csr" else X,
+                    rng.choice([-1, 1], 8))
+        cols = np.array([4, 1])
+        a = d.restrict_features(cols)
+        cols[0] = 0             # the slot keeps its own copy of the key
+        assert d.restrict_features([4, 1]) is a
+        assert d.restrict_features(np.array([4, 1], dtype=np.int32)) is a
+        b = d.restrict_features([1, 4])
+        assert b is not a and d.restrict_features([1, 4]) is b
+        # one slot: [4, 1] was replaced, and is gathered again
+        again = d.restrict_features([4, 1])
+        assert again is not a
+        np.testing.assert_array_equal(dense(again), dense(a))
+        # the empty set is never kept, and leaves the slot as it was
+        e = d.restrict_features([])
+        assert d.restrict_features([]) is not e
+        assert d.restrict_features([4, 1]) is again
+        # a subset is a new data set with its own, empty slot
+        assert d.subset(np.arange(8)).restrict_features([4, 1]) is not again
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_gram_matches_explicit_product(self, layout):
+        # Z'Z for Z = [1, X], within Higham's bound of each dot product
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(300, 9)) * (rng.random((300, 9)) < 0.6)
+        Z = np.column_stack([np.ones(300), X])
+        d = Dataset(sp.csr_array(X) if layout == "csr" else X,
+                    rng.choice([-1, 1], 300))
+        G = d.gram()
+        assert isinstance(G, np.ndarray) and G.shape == (10, 10)
+        assert d.gram() is G    # formed once
+        want = Z.T @ Z
+        assert np.all(np.abs(G - want) <= 1e-13 * (np.abs(Z).T @ np.abs(Z)))
+        assert G[0, 0] == 300.0
+
     def test_row_sqnorms(self):
         X = np.array([[3.0, 4.0], [0.0, 1.0]])
         d = Dataset(X, [1, -1])

@@ -21,6 +21,7 @@ from hsvm import (
     line_search,
     objective,
 )
+import hsvm.data
 import hsvm.prox
 import hsvm.solver
 import hsvm.tuning
@@ -156,7 +157,7 @@ class _Scripted(_Quadratic):
         return u
 
     full = model
-    working_sets, support = 0, None
+    working_sets, support, certifies = 0, None, False
 
 
 class TestLineSearch:
@@ -1536,7 +1537,7 @@ class TestGradientAtZeroMemo:
 class TestFinish:
     """A certified binary fit with a working block tries an exact finish,
     a finite Newton solve on the piece of F that holds its iterate, at
-    iteration 8 and after each failed try twice as long after the last;
+    iteration 2 and after a failed try at iteration k at 2k;
     its point ends the fit only once its own duality gap certifies it."""
 
     HP = Hyperparams(0.1, 1.0, 1.0, 1.0)
@@ -1576,7 +1577,8 @@ class TestFinish:
                 res = fit_binary(data, hp)
             with monkeypatch.context() as mp:
                 mp.setattr(hsvm.solver, "_FINISH_AT", math.inf)
-                ref = fit_binary(data, hp, TestDualityGap.REF)
+                ref = fit_binary(Dataset(data._X, data.labels), hp,
+                                 TestDualityGap.REF)
             assert res.converged and ref.converged
             u = np.concatenate([[res.model.b], res.model.w])
             if points and points[-1] is not None and np.array_equal(
@@ -1622,18 +1624,59 @@ class TestFinish:
             data = Dataset(sp.csr_array(data._X), data.labels)
         res = fit_binary(data, self.HP)
         monkeypatch.undo()      # the plain matrix again
-        plain = fit_binary(data, self.HP)
+        fresh = Dataset(data._X, data.labels)   # gathers its own block
+        plain = fit_binary(fresh, self.HP)
         assert res.iterations == plain.iterations == 8
         assert res.final_objective == plain.final_objective
         np.testing.assert_array_equal(res.model.w, plain.model.w)
 
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_both_fits_gather_the_block_and_form_its_gram_once(self,
+                                                               monkeypatch,
+                                                               layout):
+        # B-PGH and then B-PGH-2 on one data set: both end on the finish
+        # over the same block, which the data set gathers once, and whose
+        # Gram matrix it forms once, from the block's own matrix
+        data = binary_data(seed=1, n=200, p=4000, s=10)
+        if layout == "csr":
+            data = _as_csr(data)
+        gathers, grams = [], []
+
+        def counted(owner, name, log, keep):
+            original = getattr(owner, name)
+
+            def wrapped(a, *args, **kwargs):
+                if keep(a, *args):
+                    log.append(a)
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        # the gather of a non-empty block of X
+        if layout == "csr":
+            counted(sp.csr_array, "__getitem__", gathers,
+                    lambda a, key: a is data._X and isinstance(key, tuple)
+                    and len(key[1]) > 0)
+        else:
+            counted(np, "take", gathers,
+                    lambda a, cols, *_: a is data._X and len(cols) > 0)
+        counted(hsvm.data, "_gram", grams, lambda a: True)
+        res = fit_binary(data, self.HP)
+        two = fit_binary_two_stage(data, self.HP)
+        assert res.converged and res.iterations == two.iterations == 8
+        np.testing.assert_array_equal(two.support, res.support)
+        assert two.final_objective == res.final_objective
+        assert len(gathers) == 1 and len(grams) == 1
+        block = data.restrict_features(res.support)
+        assert grams[0] is block._X and block.gram() is block._zz
+
     def test_failing_finish_backs_off_and_changes_nothing(self, monkeypatch):
-        # a finish that always fails is tried at iterations 8, 24, 56,
-        # 120, ..., at most ceil(log2(max_iter / 8)) + 1 times, and the fit
-        # is the one that never tries it, bit for bit
+        # a finish that always fails is tried at iterations 2, 4, 8, 16,
+        # ..., floor(log2(max_iter)) times, and the fit is the one that
+        # never tries it, bit for bit
         data = binary_data(seed=2, n=100, p=3200, s=8)
         hp = Hyperparams(0.02, 0.05, 1.0, 1.0)
-        for max_iter in (7, 8, 60, 200):
+        for max_iter in (1, 7, 8, 60, 200):
             opts = SolverOptions(tol=1e-15, max_iter=max_iter)
             calls = []
             with monkeypatch.context() as mp:
@@ -1642,11 +1685,11 @@ class TestFinish:
                 res = fit_binary(data, hp, opts)
             with monkeypatch.context() as mp:
                 mp.setattr(hsvm.solver, "_FINISH_AT", math.inf)
-                ref = fit_binary(data, hp, opts)
+                ref = fit_binary(Dataset(data._X, data.labels), hp, opts)
             assert res.iterations == max_iter
-            assert len(calls) <= max(0, math.ceil(math.log2(max_iter / 8))
-                                     + 1)
-            assert len(calls) == sum(k <= max_iter for k in (8, 24, 56, 120))
+            assert len(calls) == math.floor(math.log2(max_iter))
+            assert len(calls) == sum(k <= max_iter
+                                     for k in (2, 4, 8, 16, 32, 64, 128))
             assert res.trace.rows == ref.trace.rows
             assert (res.gap, res.grad_products) == (ref.gap, ref.grad_products)
             assert res.model.b == ref.model.b
